@@ -4,7 +4,11 @@ CSR sparse matrices, a reusable sparse LU handle, a dense generalized
 eigensolver and Krylov methods (GMRES, CG) with pluggable preconditioners.
 
 Conventions:
-  * dense matrices are plain numpy arrays in C (row-major) order,
+  * dense matrices are plain numpy arrays in C (row-major) order; the GMRES
+    Krylov basis is stored one vector per row, so each vector is contiguous,
+  * Hermitian products X* v are formed as (v.conj() @ X).conj() (or
+    (X @ v.conj()).conj() for a row-stored basis): only the vector is
+    conjugated, never a copy of the matrix,
   * ``symmetric`` always means A = A^T (plain transpose, no conjugation),
   * operators passed to the Krylov driver may be matrices or callables,
   * GMRES is right-preconditioned, so the reported residual history is the
@@ -31,6 +35,7 @@ __all__ = [
     "EigenPair",
     "csr_from_triplets",
     "lu_factorize",
+    "check_pivots",
     "krylov_solve",
     "dense_generalized_eig",
     "eigenpair_residual",
@@ -199,12 +204,18 @@ def lu_factorize(A) -> Factorization:
             lu = spla.splu(csr.tocsc())
     except RuntimeError as exc:
         raise SingularityError(f"sparse LU failed: {exc}") from exc
-    piv = np.abs(lu.U.diagonal())
+    check_pivots(lu.U.diagonal(), scale)
+    return Factorization(lu, csr.shape[0])
+
+
+def check_pivots(pivots: np.ndarray, scale: float) -> None:
+    """Raise SingularityError when a pivot of an LU factor has modulus at
+    most 1e-14 * scale, with scale the largest entry of the factored matrix."""
+    piv = np.abs(pivots)
     if piv.size and piv.min() <= 1e-14 * scale:
         raise SingularityError(
             f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}"
         )
-    return Factorization(lu, csr.shape[0])
 
 
 @dataclass(frozen=True)
@@ -284,8 +295,8 @@ def _gmres(apply_A, apply_M, b, cfg: KrylovConfig):
         if beta / bnorm <= cfg.tol or iters >= cfg.max_iter:
             break
         m = min(cfg.restart or cfg.max_iter, cfg.max_iter - iters)
-        V = np.empty((n, m + 1), dtype=dtype)
-        V[:, 0] = r / beta
+        V = np.empty((m + 1, n), dtype=dtype)
+        V[0] = r / beta
         H = np.zeros((m + 1, m), dtype=dtype)
         cs = np.zeros(m, dtype=dtype)
         sn = np.zeros(m, dtype=dtype)
@@ -294,16 +305,18 @@ def _gmres(apply_A, apply_M, b, cfg: KrylovConfig):
         k_used = 0
         inner_done = False
         for k in range(m):
-            z = apply_M(V[:, k]) if apply_M is not None else V[:, k]
+            z = apply_M(V[k]) if apply_M is not None else V[k]
             _check_finite(z, "preconditioner")
             w = apply_A(z)
             _check_finite(w, "operator")
             w = w.astype(dtype, copy=True)
-            # modified Gram-Schmidt with one reorthogonalization pass
-            h = V[:, : k + 1].conj().T @ w
-            w -= V[:, : k + 1] @ h
-            h2 = V[:, : k + 1].conj().T @ w
-            w -= V[:, : k + 1] @ h2
+            # classical Gram-Schmidt with one reorthogonalization pass; the
+            # products conjugate the vector, never the basis
+            Vk = V[: k + 1]
+            h = (Vk @ w.conj()).conj()
+            w -= h @ Vk
+            h2 = (Vk @ w.conj()).conj()
+            w -= h2 @ Vk
             h += h2
             hk1 = np.linalg.norm(w)
             H[: k + 1, k] = h
@@ -334,11 +347,11 @@ def _gmres(apply_A, apply_M, b, cfg: KrylovConfig):
             if rel <= cfg.tol or lucky or iters >= cfg.max_iter:
                 inner_done = True
             else:
-                V[:, k + 1] = w / hk1
+                V[k + 1] = w / hk1
             if inner_done:
                 break
         y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used], lower=False)
-        u = V[:, :k_used] @ y
+        u = y @ V[:k_used]
         x = x + (apply_M(u) if apply_M is not None else u)
 
     final = float(np.linalg.norm(b - apply_A(x)) / bnorm)
@@ -531,7 +544,8 @@ def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
             continue
         for _ in range(2):
             if r:
-                v -= basis[:, :r] @ (basis[:, :r].conj().T @ v)
+                B = basis[:, :r]
+                v -= B @ (v.conj() @ B).conj()
         nrm = np.linalg.norm(v)
         if nrm < drop_tol * nrm0:
             continue

@@ -35,6 +35,7 @@ from .errors import SingularityError, StructuralError
 from .helmholtz import AssembledSystem, HelmholtzProblem, assemble_helmholtz_subset
 from .linalg import (
     ComplexSparseMatrix,
+    check_pivots,
     dense_generalized_eig,
     lu_factorize,
     orthonormalize,
@@ -115,6 +116,9 @@ class CoarseSpace:
 
     Z is dense (spectral modes) or sparse (grid interpolation); the coarse
     correction is H v = Z E^-1 Z* v.  n0 = 0 is a legal empty coarse space.
+    Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
+    the rule of ``lu_factorize``: Z has (numerically) dependent columns or
+    the indefinite E is singular.
     """
 
     def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None):
@@ -133,9 +137,13 @@ class CoarseSpace:
             self.E = E
             self._solver = fact.solve
         else:
-            AZ = Aop @ Z
-            E = Z.conj().T @ AZ
-            lu, piv = sla.lu_factor(E)
+            E = Z.conj().T @ (Aop @ Z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu, piv = sla.lu_factor(E)
+            # max|E| row by row: an n0 x n0 temporary here raised the peak
+            # memory of a two-level Maxwell run by the size of E
+            check_pivots(np.diagonal(lu), max(np.abs(row).max() for row in E))
             self.E = E
             self._solver = lambda r, _f=(lu, piv): sla.lu_solve(_f, r)
 
@@ -147,7 +155,7 @@ class CoarseSpace:
         """Coarse correction H v = Z E^-1 Z* v."""
         if self.n0 == 0:
             return np.zeros_like(np.asarray(v, dtype=np.complex128))
-        r = self.Z.conj().T @ v
+        r = (np.conj(v) @ self.Z).conj()
         return self.Z @ self._solver(r)
 
     __call__ = apply

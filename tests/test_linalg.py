@@ -1,5 +1,7 @@
 """Tests for the sparse/dense linear algebra kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -242,6 +244,73 @@ def test_krylov_agrees_with_lu_to_10x_tol():
         assert np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu) <= 10 * tol * np.linalg.cond(A.to_dense())
 
 
+def _complex_symmetric(n, seed):
+    """Dense complex symmetric (A = A^T) matrix with a spread spectrum."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.1 * (S + S.T) + np.diag(np.linspace(1.0, 5.0, n) + 0.5j)
+
+
+def _min_residual(A_op, r0, k):
+    """min over y in K_k(A_op, r0) of ||r0 - A_op y||, by dense least squares
+    over an explicitly orthonormalized Krylov basis; also returns the
+    minimizer."""
+    cols = [r0 / np.linalg.norm(r0)]
+    for _ in range(k - 1):
+        w = A_op @ cols[-1]
+        cols.append(w / np.linalg.norm(w))
+    Q, _ = np.linalg.qr(np.column_stack(cols))
+    c = np.linalg.lstsq(A_op @ Q, r0, rcond=None)[0]
+    y = Q @ c
+    return np.linalg.norm(r0 - A_op @ y), y
+
+
+@pytest.mark.parametrize("preconditioned,restart", [(False, None), (True, None), (False, 3)])
+def test_gmres_residuals_match_krylov_least_squares_oracle(preconditioned, restart):
+    """rep.residuals[k-1] is the minimal residual over the k-th Krylov space
+    (K_k(A M^-1, b) with a right preconditioner, and over the current
+    restart cycle's space when restarted)."""
+    n, k_max = 40, 8
+    A = _complex_symmetric(n, 5)
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    Minv = None
+    if preconditioned:
+        P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Minv = np.diag(1.0 / np.diag(A)) + 0.02 * P
+    _, rep = krylov_solve(A, Minv, b, KrylovConfig(tol=1e-12, max_iter=k_max,
+                                                   restart=restart))
+    assert rep.iterations == k_max
+    AM = A @ Minv if preconditioned else A
+    bnorm = np.linalg.norm(b)
+    cycle = restart or k_max
+    r0 = b.copy()
+    for k in range(1, k_max + 1):
+        j = (k - 1) % cycle + 1  # iteration within the current cycle
+        ref, y = _min_residual(AM, r0, j)
+        assert abs(rep.residuals[k - 1] - ref / bnorm) <= 1e-8 * ref / bnorm
+        if j == cycle:
+            r0 = r0 - AM @ y  # restart from the cycle's minimizer
+
+
+def test_gmres_peak_memory_is_basis_plus_few_vectors():
+    """The Arnoldi products conjugate the new vector, never a copy of the
+    basis: a solve's traced peak stays below its basis and 16 n-vectors."""
+    n, max_iter = 20000, 40
+    d = np.linspace(1.0, 100.0, n) + 0.1j
+    b = np.ones(n, dtype=complex)
+    vec = 16 * n
+    tracemalloc.start()
+    try:
+        _, rep = krylov_solve(lambda x: d * x, None, b,
+                              KrylovConfig(tol=1e-12, max_iter=max_iter))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == max_iter
+    assert peak < (max_iter + 1) * vec + 16 * vec
+
+
 def test_zero_rhs_short_circuits():
     A = csr_from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
     x, rep = krylov_solve(A, None, np.zeros(3), KrylovConfig())
@@ -376,3 +445,17 @@ def test_orthonormalize_properties(n, m, seed):
     # span is preserved: every input column is reproduced by the projector
     proj = Q @ (Q.conj().T @ V)
     assert np.allclose(proj, V, atol=1e-8 * max(1.0, np.abs(V).max()))
+
+
+def test_orthonormalize_peak_memory_below_one_and_a_half_inputs():
+    """Gram-Schmidt projects without a conjugated copy of the basis."""
+    rng = np.random.default_rng(12)
+    V = rng.standard_normal((2000, 300)) + 1j * rng.standard_normal((2000, 300))
+    tracemalloc.start()
+    try:
+        Q = orthonormalize(V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.shape == V.shape
+    assert peak < 1.5 * V.nbytes

@@ -1,10 +1,13 @@
 """ORAS, coarse spaces, and two-level combinations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wavedd.decomposition import assemble_local_matrices, decompose
-from wavedd.errors import StructuralError
+from wavedd.errors import SingularityError, StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
 from wavedd.linalg import KrylovConfig, krylov_solve, lu_factorize
 from wavedd.mesh import build_rect_mesh, refine_uniform
@@ -345,6 +348,66 @@ def test_additive_mode():
     two = TwoLevel(one, cs, sys.A, mode="additive")
     v = np.random.default_rng(0).standard_normal(dec.n_dofs)
     assert np.allclose(two.apply(v), one.apply(v) + cs.apply(v), atol=1e-13)
+
+
+def _coarse_test_operator(n, seed=0):
+    """Sparse complex symmetric, diagonally dominant test operator."""
+    off = sp.random(n, n, density=0.01, random_state=seed)
+    return (0.1 * (off + off.T) + sp.diags(np.linspace(2.0, 4.0, n) + 1j)).tocsr()
+
+
+def _coarse_basis(kind, n, n0, rng):
+    if kind == "dense complex":
+        Z = rng.standard_normal((n, n0)) + 1j * rng.standard_normal((n, n0))
+        return np.linalg.qr(Z)[0]
+    if kind == "dense real":
+        return np.linalg.qr(rng.standard_normal((n, n0)))[0]
+    if kind == "sparse real":
+        return (sp.random(n, n0, density=0.1, random_state=3) + sp.eye(n, n0)).tocsr()
+    return np.empty((n, 0), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("kind", ["dense complex", "dense real", "sparse real", "empty"])
+def test_coarse_apply_matches_dense_oracle(kind):
+    """H v = Z E^-1 Z* v against a dense solve with E = Z* A Z."""
+    n, n0 = 120, 15
+    rng = np.random.default_rng(4)
+    A = _coarse_test_operator(n)
+    Z = _coarse_basis(kind, n, n0, rng)
+    cs = CoarseSpace(Z, A, provenance="test")
+    Zd = Z.toarray() if sp.issparse(Z) else Z
+    E = Zd.conj().T @ (A @ Zd)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = Zd @ np.linalg.solve(E, Zd.conj().T @ v)
+    out = cs.apply(v)
+    assert out.shape == (n,)
+    assert np.linalg.norm(out - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+def test_coarse_dependent_columns_raise():
+    """Two equal columns make E singular; the pivot check must catch it."""
+    rng = np.random.default_rng(5)
+    Z = np.linalg.qr(rng.standard_normal((80, 6)) + 1j * rng.standard_normal((80, 6)))[0]
+    Z = np.column_stack([Z, Z[:, 2]])
+    with pytest.raises(SingularityError):
+        CoarseSpace(Z, _coarse_test_operator(80), provenance="test")
+
+
+def test_coarse_apply_makes_no_copy_of_z():
+    """The restriction Z* v conjugates v, not Z: the traced peak of one
+    apply stays far below the size of Z."""
+    n, n0 = 3000, 200
+    rng = np.random.default_rng(6)
+    Z = np.linalg.qr(rng.standard_normal((n, n0)) + 1j * rng.standard_normal((n, n0)))[0]
+    cs = CoarseSpace(Z, _coarse_test_operator(n), provenance="test")
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        cs.apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Z.nbytes / 10
 
 
 def test_spectral_bases_orthonormal_and_coarse_wellconditioned():
