@@ -11,6 +11,7 @@ from .helmholtz import (
     HelmholtzProblem,
     PointSource,
     assemble_helmholtz,
+    assemble_load,
     mesh_size_rule,
     ppwl,
 )

@@ -31,6 +31,7 @@ __all__ = [
     "HelmholtzProblem",
     "AssembledSystem",
     "assemble_helmholtz",
+    "assemble_load",
     "assemble_helmholtz_subset",
     "ppwl",
     "mesh_size_rule",
@@ -255,7 +256,7 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
     mesh = problem.mesh
     n = mesh.n_dofs
     elements = np.arange(mesh.n_triangles)
-    Ke, Me, area = _element_matrices(mesh, elements)
+    Ke, Me, _ = _element_matrices(mesh, elements)
     eldofs = mesh.element_dofs()
     cent = mesh.centroids()
     k_elem = problem.omega / problem.model(cent[:, 0], cent[:, 1])
@@ -275,35 +276,49 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
         bdofs = np.unique(_boundary_edge_dofs(mesh, mesh.boundary_edges).ravel())
         dirichlet = bdofs
 
-    b = np.zeros(n, dtype=np.complex128)
-    src = problem.source
-    if src is not None:
-        b[nearest_dof(mesh, src.x, src.y)] += src.amplitude
-    if problem.volume_source is not None:
-        xy = _quad_points_xy(mesh, elements)         # (m, nq, 2)
-        fvals = problem.volume_source(xy[..., 0], xy[..., 1])
-        N = _shape_values(mesh.order, _TRI_QP)
-        load = np.einsum("q,mq,qi,m->mi", _TRI_QW, np.asarray(fvals, dtype=complex),
-                         N, area)
-        np.add.at(b, eldofs.ravel(), load.ravel())
-    if problem.boundary_data is not None and problem.outer_bc == "impedance":
-        b += _boundary_load(problem)
-
     if dirichlet.size:
         L = _mask_rows_cols(L, dirichlet, diag=1.0)
         W = _mask_rows_cols(W, dirichlet)
         Gamma = _mask_rows_cols(Gamma, dirichlet)
-        b[dirichlet] = 0.0
 
     A = (L - W).astype(np.complex128) + 1j * Gamma
     return AssembledSystem(
         A=ComplexSparseMatrix(A, symmetric=True),
-        b=b,
+        b=assemble_load(problem),
         L=ComplexSparseMatrix(L),
         weighted_mass=ComplexSparseMatrix(W),
         impedance_mass=ComplexSparseMatrix(Gamma),
         dirichlet_dofs=dirichlet,
     )
+
+
+def assemble_load(problem: HelmholtzProblem) -> np.ndarray:
+    """The load vector of ``assemble_helmholtz`` without assembling A.
+
+    Sums the point source (a delta at the nearest DOF), the volume source and,
+    under the impedance condition, the boundary data; under the Dirichlet
+    condition the boundary entries are zero.  A new source on the same mesh
+    and model needs only this.
+    """
+    mesh = problem.mesh
+    b = np.zeros(mesh.n_dofs, dtype=np.complex128)
+    src = problem.source
+    if src is not None:
+        b[nearest_dof(mesh, src.x, src.y)] += src.amplitude
+    if problem.volume_source is not None:
+        elements = np.arange(mesh.n_triangles)
+        area = 0.5 * _element_geometry(mesh, elements)[3]
+        xy = _quad_points_xy(mesh, elements)         # (m, nq, 2)
+        fvals = problem.volume_source(xy[..., 0], xy[..., 1])
+        N = _shape_values(mesh.order, _TRI_QP)
+        load = np.einsum("q,mq,qi,m->mi", _TRI_QW, np.asarray(fvals, dtype=complex),
+                         N, area)
+        np.add.at(b, mesh.element_dofs().ravel(), load.ravel())
+    if problem.boundary_data is not None and problem.outer_bc == "impedance":
+        b += _boundary_load(problem)
+    if problem.outer_bc == "dirichlet":
+        b[_boundary_edge_dofs(mesh, mesh.boundary_edges).ravel()] = 0.0
+    return b
 
 
 def _boundary_load(problem: HelmholtzProblem) -> np.ndarray:
@@ -329,13 +344,13 @@ def _boundary_load(problem: HelmholtzProblem) -> np.ndarray:
     return out
 
 
-def _boundary_edge_triangles(mesh: Mesh):
-    """(edge_id, triangle_id) pairs for boundary edges."""
-    owner = {}
-    for t in range(mesh.n_triangles):
-        for e in mesh.tri_edges[t]:
-            owner.setdefault(int(e), t)
-    return [(int(e), owner[int(e)]) for e in mesh.boundary_edges]
+def _boundary_edge_triangles(mesh: Mesh) -> np.ndarray:
+    """(edge_id, triangle_id) rows for the boundary edges, in the order of
+    ``mesh.boundary_edges``; the triangle is the lowest-numbered one that
+    has the edge."""
+    _, first = np.unique(mesh.tri_edges.ravel(), return_index=True)
+    edges = mesh.boundary_edges
+    return np.column_stack([edges, first[edges] // 3])
 
 
 def assemble_helmholtz_subset(

@@ -5,6 +5,9 @@
 plus its preconditioners: the nodal auxiliary space preconditioner (ASP),
 one- and two-level additive Schwarz with the gradient ("free") coarse space,
 and the GenEO enrichment built in the orthogonal complement of that space.
+Both coarse bases are sparse matrices of locally supported columns, with a
+sparse coarse matrix E: the coarse correction depends only on their span, so
+they are never orthonormalized globally.
 
 DOFs are tangential circulations on interior edges, every edge directed from
 its lower- to its higher-numbered vertex; boundary edges are eliminated by
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition, decompose
 from .errors import SingularityError, StructuralError
@@ -413,27 +417,50 @@ class TwoLevelAdditiveSchwarz:
     __call__ = apply
 
 
+def _sparse_cs(Z: sp.spmatrix, A: ComplexSparseMatrix, provenance: str,
+               **kwargs) -> CoarseSpace:
+    """Coarse space on the span of the sparse real columns of Z.
+
+    The coarse correction depends only on span(Z), so Z stays sparse and is
+    not orthonormalized.  Dependent columns are dropped by one rank-revealing
+    pivoted Cholesky (LAPACK dpstrf) of the Gram matrix G of the unit-norm
+    columns, stopping at a pivot below 1e-12 * max(diag(G)) = 1e-12.  G
+    squares the conditioning, so that drops a column whose residual against
+    the kept ones is below 1e-6 of its norm, whatever the input scale (the
+    A-normalized columns of an eps-contrast problem differ in norm by orders
+    of magnitude).  The kept columns, in input order, are scaled to unit
+    A-norm; ``CoarseSpace`` forms the sparse E and factors it with
+    ``lu_factorize``, whose pivot check still guards E.
+    """
+    Z = sp.csc_matrix(Z)
+    if Z.shape[1]:
+        Z = Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
+        G = (Z.T @ Z).toarray(order="F")
+        _, piv, rank, _ = sla.lapack.dpstrf(G, tol=1e-12, overwrite_a=True)
+        Z = Z[:, np.sort(piv[:rank] - 1)]
+        a_norm = np.sqrt(np.asarray(Z.multiply(A @ Z).sum(axis=0)).ravel())
+        Z = Z @ sp.diags(1.0 / a_norm)
+    return CoarseSpace(Z, A, provenance=provenance, **kwargs)
+
+
 def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
     """The gradient ("free") coarse space V_G = span{R_j^T D_j R_j C e_m}:
-    partition-of-unity-localized near-kernel vectors, no eigensolves."""
+    partition-of-unity-localized near-kernel vectors, no eigensolves.
+
+    Z is sparse: one column per subdomain j and interior node m whose
+    gradient touches subdomain j, less the dependent columns that
+    ``_sparse_cs`` drops, each scaled to unit A-norm.  ``dim_vg`` is the
+    rank of V_G.
+    """
+    n = dec.n_dofs
     C = sys.C.tocsc()
-    cols = []
+    blocks = []
     for sd in dec.subdomains:
-        Gl = C[sd.dofs, :]
-        touching = np.unique(Gl.nonzero()[1])
-        if touching.size == 0:
-            continue
-        block = Gl[:, touching].toarray() * sd.weights[:, None]
-        full = np.zeros((dec.n_dofs, touching.size))
-        full[sd.dofs] = block
-        cols.append(full)
-    if not cols:
-        Z = np.empty((dec.n_dofs, 0))
-    else:
-        Z = orthonormalize(np.hstack(cols))
-    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free")
+        Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
+        blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
+    cs = _sparse_cs(sp.hstack(blocks, format="csc"), sys.A, provenance="maxwell-free")
     cs.dim_gradient_space = int(sys.C.shape[1])
-    cs.dim_vg = int(Z.shape[1])
+    cs.dim_vg = cs.n0
     return cs
 
 
@@ -450,11 +477,15 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
                               ) -> CoarseSpace:
     """GenEO modes in the b_j-orthogonal complement of the local gradient
     space: (I - xi^T) D A_j D (I - xi) V = lambda A~_j V, keep lambda > tau,
-    lift by R_j^T D_j (I - xi) V, and append to the free coarse space."""
+    lift by R_j^T D_j (I - xi) V, and append to the free coarse space.
+
+    The lifted modes are appended to ``free_cs.Z`` as sparse columns, each
+    supported on its subdomain, and ``_sparse_cs`` drops any dependent
+    column, scales, and forms and factors the sparse E of the joint basis."""
     if free_cs is None:
         free_cs = build_free_cs(dec, sys)
     C = sys.C.tocsc()
-    new_cols = []
+    modes = []
     counts = []
     flags = []
     for sd in dec.subdomains:
@@ -482,15 +513,10 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
         pairs = pairs[:m_max]
         counts.append(len(pairs))
         for p in pairs:
-            col = np.zeros(dec.n_dofs)
-            col[sd.dofs] = D * (P @ p.vector.real)
-            new_cols.append(col)
-    if new_cols:
-        Z = orthonormalize(np.hstack([free_cs.Z, np.column_stack(new_cols)]))
-    else:
-        Z = free_cs.Z
-    cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
-                     per_subdomain=counts)
+            modes.append(sp.csc_matrix((D * (P @ p.vector.real), (sd.dofs, np.zeros(n_loc, int))),
+                                       shape=(dec.n_dofs, 1)))
+    cs = _sparse_cs(sp.hstack([free_cs.Z] + modes), sys.A, provenance="maxwell-geneo",
+                    flags=flags, per_subdomain=counts)
     cs.dim_gradient_space = free_cs.dim_gradient_space
     cs.dim_vg = free_cs.dim_vg
     return cs

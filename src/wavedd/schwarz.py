@@ -114,8 +114,10 @@ class OneLevelOras:
 class CoarseSpace:
     """Coarse basis Z with factorized coarse matrix E = Z* A Z.
 
-    Z is dense (spectral modes) or sparse (grid interpolation); the coarse
-    correction is H v = Z E^-1 Z* v.  n0 = 0 is a legal empty coarse space.
+    Z is dense (spectral modes) or sparse (grid interpolation, Maxwell); the
+    coarse correction is H v = Z E^-1 Z* v.  A sparse E of a real symmetric A
+    is kept exactly Hermitian, so that H is symmetric to rounding, as CG
+    needs.  n0 = 0 is a legal empty coarse space.
     Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
     the rule of ``lu_factorize``: Z has (numerically) dependent columns or
     the indefinite E is singular.
@@ -133,11 +135,20 @@ class CoarseSpace:
         Aop = A.to_scipy() if isinstance(A, ComplexSparseMatrix) else A
         if self._sparse:
             E = (Z.conj().T @ (Aop @ Z)).tocsc()
+            if isinstance(A, ComplexSparseMatrix) and A.symmetric and A.dtype.kind == "f":
+                # a real symmetric A makes E Hermitian; rounding in the product
+                # breaks that, and cond(E) amplifies it into a non-symmetric H
+                E = (0.5 * (E + E.conj().T)).tocsc()
             fact = lu_factorize(ComplexSparseMatrix(E))
             self.E = E
             self._solver = fact.solve
         else:
-            E = Z.conj().T @ (Aop @ Z)
+            # E = (Z^T conj(A Z))^*, conjugating the fresh A Z and E in
+            # place: bit-identical to Z^* (A Z) without a conjugated copy of Z
+            E = Aop @ Z
+            np.conjugate(E, out=E)
+            E = Z.T @ E
+            np.conjugate(E, out=E)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 lu, piv = sla.lu_factor(E)

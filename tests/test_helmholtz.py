@@ -9,7 +9,9 @@ from wavedd.helmholtz import (
     AssembledSystem,
     HelmholtzProblem,
     PointSource,
+    _boundary_edge_triangles,
     assemble_helmholtz,
+    assemble_load,
     interpolate,
     l2_error,
     mesh_size_rule,
@@ -198,6 +200,47 @@ def test_manufactured_plane_wave_convergence(order, rate):
         errs.append(l2_error(mesh, u, exact))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert slopes.mean() >= rate - 0.25
+
+
+# ------------------------------------------------------- load vector
+
+
+def _plane_wave_data(x, y, nx_, ny_):
+    return (1j * nx_ + 1j) * np.exp(1j * x)
+
+
+@pytest.mark.parametrize("bc", ["impedance", "dirichlet"])
+@pytest.mark.parametrize("kind", ["point", "volume", "boundary"])
+def test_assemble_load_matches_assembled_load(kind, bc):
+    mesh = build_rect_mesh(1.0, 1.0, 6, 5, order=2)
+    prob = HelmholtzProblem(
+        mesh=mesh,
+        model=VelocityModel.constant(1.0),
+        omega=2 * np.pi,
+        source=PointSource(0.3, 0.7, 2.0 - 1.0j) if kind == "point" else None,
+        outer_bc=bc,
+        volume_source=(lambda x, y: np.sin(3 * x) * y) if kind == "volume" else None,
+        boundary_data=_plane_wave_data if kind == "boundary" else None,
+    )
+    b = assemble_load(prob)
+    assert np.array_equal(b, assemble_helmholtz(prob).b)
+    assert np.any(b != 0) or (kind, bc) == ("boundary", "dirichlet")
+
+
+def _boundary_edge_triangles_loop(mesh):
+    """Reference: the first triangle in mesh order that has each edge."""
+    owner = {}
+    for t in range(mesh.n_triangles):
+        for e in mesh.tri_edges[t]:
+            owner.setdefault(int(e), t)
+    return [(int(e), owner[int(e)]) for e in mesh.boundary_edges]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_boundary_edge_triangles_match_loop(order):
+    mesh = refine_uniform(build_rect_mesh(2.0, 1.0, 5, 3, order=order), 1)
+    pairs = _boundary_edge_triangles(mesh)
+    assert [tuple(p) for p in pairs.tolist()] == _boundary_edge_triangles_loop(mesh)
 
 
 # ------------------------------------------------------- resolution rules

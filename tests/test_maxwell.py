@@ -1,9 +1,13 @@
 """Edge elements, ASP, free/GenEO coarse spaces, spectral bound checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wavedd.linalg import KrylovConfig, krylov_solve, orthonormalize
+from wavedd import maxwell
 from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
@@ -154,7 +158,7 @@ def test_free_cs_contains_gradients():
     _, prob, sys = _system(nx=10)
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
     free = build_free_cs(dec, sys)
-    Z = free.Z
+    Z = free.Z.toarray()
     A = sys.A.to_scipy()
     E = Z.T @ (A @ Z)
     G = sys.C.toarray()
@@ -162,6 +166,106 @@ def test_free_cs_contains_gradients():
     scale = np.abs(G).max()
     assert np.abs(proj - G).max() <= 1e-10 * max(scale, 1.0)
     assert free.dim_vg >= free.dim_gradient_space
+
+
+def _raw_free_columns(dec, sys):
+    """The free-space columns R_j^T D_j R_j C e_m, dense, before any drop."""
+    C = sys.C.tocsc()
+    cols = []
+    for sd in dec.subdomains:
+        Gl = C[sd.dofs, :]
+        touching = np.unique(Gl.nonzero()[1])
+        block = np.zeros((dec.n_dofs, touching.size))
+        block[sd.dofs] = Gl[:, touching].toarray() * sd.weights[:, None]
+        cols.append(block)
+    return np.hstack(cols)
+
+
+def _projector_gap(Z1, Z2):
+    Q1, Q2 = orthonormalize(Z1), orthonormalize(Z2)
+    return np.linalg.norm(Q1 @ Q1.T - Q2 @ Q2.T, 2)
+
+
+def test_sparse_coarse_spaces_span_the_raw_columns(monkeypatch):
+    """Free and GenEO bases are sparse and span what the orthonormalized raw
+    columns span; dropping dependent columns loses nothing."""
+    _, prob, sys = _system(nx=12)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
+    free = build_free_cs(dec, sys)
+    raw_free = _raw_free_columns(dec, sys)
+    assert sp.issparse(free.Z) and (free.E != free.E.T).nnz == 0
+    assert free.n0 == free.dim_vg == np.linalg.matrix_rank(raw_free) < raw_free.shape[1]
+    assert _projector_gap(free.Z.toarray(), raw_free) <= 1e-10
+
+    inputs = []
+    real = maxwell._sparse_cs
+
+    def recording(Z, *args, **kwargs):
+        inputs.append(Z)
+        return real(Z, *args, **kwargs)
+
+    monkeypatch.setattr(maxwell, "_sparse_cs", recording)
+    geneo = build_geneo_complement_cs(dec, sys, tau=1.5, free_cs=free)
+    modes = inputs[0].toarray()[:, free.n0:]
+    assert sum(geneo.per_subdomain) == modes.shape[1] > 0
+    assert sp.issparse(geneo.Z) and geneo.n0 == free.n0 + modes.shape[1]
+    assert geneo.dim_vg == free.dim_vg
+    assert _projector_gap(geneo.Z.toarray(), np.hstack([raw_free, modes])) <= 1e-10
+
+
+def test_sparse_coarse_space_drops_duplicate_column():
+    _, prob, sys = _system(nx=8)
+    dec = build_edge_decomposition(prob, sys, 2, shape="strips")
+    free = build_free_cs(dec, sys)
+    cs = maxwell._sparse_cs(sp.hstack([free.Z, 3.0 * free.Z[:, [5]]]), sys.A, "test")
+    assert cs.n0 == free.n0
+    assert _projector_gap(cs.Z.toarray(), free.Z.toarray()) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def channel36():
+    """The 36-cell eps-channel of the benchmark's Maxwell workload."""
+    mesh = build_rect_mesh(1.0, 1.0, 36, 36)
+    eps = channel_field(mesh, 1e-4, n_channels=10, width_frac=0.02)
+    prob = MaxwellProblem(mesh=mesh, eps_r=eps, alpha=1e-2)
+    sys = assemble_maxwell(prob)
+    return sys, build_edge_decomposition(prob, sys, 8, shape="grid", grid=(4, 2))
+
+
+@pytest.mark.parametrize("cells,contrast,n_free,n_geneo", [
+    (36, 1e4, 1512, 1514),
+    (48, 1.0, 2592, 2592),
+    (48, 1e2, 2592, 2596),
+    (48, 1e4, 2592, 2596),
+])
+def test_channel_coarse_dimensions(channel36, cells, contrast, n_free, n_geneo):
+    """n0 of the free and GenEO spaces on the channel cases of the benchmark
+    and of acceptance criterion 8, as with dense orthonormalized bases."""
+    if cells == 36:
+        sys, dec = channel36
+    else:
+        mesh = build_rect_mesh(1.0, 1.0, cells, cells)
+        eps = channel_field(mesh, 1.0 / contrast, n_channels=10, width_frac=0.02)
+        prob = MaxwellProblem(mesh=mesh, eps_r=eps, alpha=1e-2)
+        sys = assemble_maxwell(prob)
+        dec = build_edge_decomposition(prob, sys, 8, shape="grid", grid=(4, 2))
+    free = build_free_cs(dec, sys)
+    geneo = build_geneo_complement_cs(dec, sys, tau=10.0, free_cs=free)
+    assert (free.n0, free.dim_vg, geneo.n0, geneo.dim_vg) == (n_free, n_free, n_geneo, n_free)
+    assert sum(geneo.per_subdomain) == n_geneo - n_free
+    assert sp.issparse(free.Z) and sp.issparse(geneo.Z)
+
+
+def test_free_cs_build_stays_below_one_dense_basis(channel36):
+    """The free build never holds a dense n x n0 array (46 MB here)."""
+    sys, dec = channel36
+    tracemalloc.start()
+    try:
+        free = build_free_cs(dec, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dec.n_dofs * free.n0
 
 
 def test_free_cs_alpha_regimes():
@@ -229,7 +333,7 @@ def test_coarse_projection_idempotent():
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     free = build_free_cs(dec, sys)
     A = sys.A.to_dense()
-    Z = free.Z
+    Z = free.Z.toarray()
     H = Z @ np.linalg.solve(Z.T @ A @ Z, Z.T)
     HA = H @ A
     assert np.abs(HA @ HA - HA).max() <= 1e-12 * np.abs(HA).max()

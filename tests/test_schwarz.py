@@ -410,6 +410,23 @@ def test_coarse_apply_makes_no_copy_of_z():
     assert peak < Z.nbytes / 10
 
 
+def test_dense_coarse_matrix_makes_no_copy_of_z():
+    """E = Z* A Z is bit-identical to the conjugated-copy formula, and its
+    build holds A Z but no conjugated copy of Z."""
+    n, n0 = 3000, 200
+    rng = np.random.default_rng(7)
+    Z = np.linalg.qr(rng.standard_normal((n, n0)) + 1j * rng.standard_normal((n, n0)))[0]
+    A = _coarse_test_operator(n)
+    tracemalloc.start()
+    try:
+        cs = CoarseSpace(Z, A, provenance="test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cs.E, Z.conj().T @ (A @ Z))
+    assert peak < 1.25 * Z.nbytes
+
+
 def test_spectral_bases_orthonormal_and_coarse_wellconditioned():
     model = VelocityModel.layered_wedge([1.0, 2.0], [(0.5, 0.0)])
     _, _, prob, sys, dec = _setup(nx=16, ny=16, N=4, order=1,
