@@ -14,13 +14,13 @@ from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
     OneLevelAdditiveSchwarz,
-    TwoLevelAdditiveSchwarz,
     assemble_maxwell,
     build_edge_decomposition,
     build_geneo_complement_cs,
     channel_field,
 )
 from wavedd.mesh import build_rect_mesh
+from wavedd.schwarz import TwoLevel
 
 
 def main():
@@ -55,7 +55,7 @@ def main():
                                        grid=(args.n // 2, 2))
         one = OneLevelAdditiveSchwarz(dec)
         geneo = build_geneo_complement_cs(dec, sys, tau=args.tau)
-        two = TwoLevelAdditiveSchwarz(one, geneo, sys.A)
+        two = TwoLevel(one, geneo, sys.A)
         print(f"{contrast:>10g} {cg(asp.apply):>8s} {cg(one.apply):>10s} "
               f"{cg(two.apply):>11s} {sum(geneo.per_subdomain):>12d}")
     print("(* = not converged within the iteration cap)")

@@ -32,7 +32,6 @@ from .maxwell import (
     MaxwellProblem,
     MaxwellSystem,
     OneLevelAdditiveSchwarz,
-    TwoLevelAdditiveSchwarz,
     assemble_maxwell,
     fsl_bounds_check,
 )

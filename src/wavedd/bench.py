@@ -25,7 +25,6 @@ from .maxwell import (
     AspPreconditioner,
     MaxwellProblem,
     OneLevelAdditiveSchwarz,
-    TwoLevelAdditiveSchwarz,
     assemble_maxwell,
     build_edge_decomposition,
     build_free_cs,
@@ -311,8 +310,7 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
             cs = free if method == "free-cs" else build_geneo_complement_cs(
                 dec, system, tau=cfg.tau, m_max=cfg.m_max, free_cs=free)
             coarse_dim = cs.n0
-            op = TwoLevelAdditiveSchwarz(one, cs, system.A,
-                                         mode=cfg.two_level_mode).apply
+            op = TwoLevel(one, cs, system.A, mode=cfg.two_level_mode).apply
         else:
             raise StructuralError(f"unknown maxwell preconditioner {method!r}")
     setup = time.perf_counter() - t0

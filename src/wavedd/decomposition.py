@@ -23,9 +23,7 @@ from .helmholtz import (
     HelmholtzProblem,
     AssembledSystem,
     _boundary_edge_dofs,
-    _edge_trace,
-    _EDGE_QP,
-    _EDGE_QW,
+    _gamma_triplets,
     assemble_helmholtz_subset,
 )
 from .linalg import ComplexSparseMatrix, Factorization, lu_factorize
@@ -49,7 +47,7 @@ class SubdomainData:
     elements: np.ndarray          # overlapping element set
     owned_elements: np.ndarray    # nonoverlapping part
     weights: np.ndarray | None = None          # D_j diagonal
-    A_loc: ComplexSparseMatrix | None = None   # R_j A R_j^T
+    A_loc: ComplexSparseMatrix | None = None   # R_j A R_j^T (edge decompositions)
     neumann: ComplexSparseMatrix | None = None # local Neumann matrix
     robin: ComplexSparseMatrix | None = None   # Neumann + i k (interface mass)
     robin_fact: Factorization | None = None
@@ -123,9 +121,7 @@ def _ancestor_chain_to(mesh: Mesh, n_coarse_triangles: int):
     while chain[-1].n_triangles != n_coarse_triangles:
         parent = chain[-1].parent
         if parent is None:
-            raise StructuralError(
-                "coarse overlap: partition does not match any ancestor mesh"
-            )
+            raise StructuralError(f"no ancestor mesh has {n_coarse_triangles} triangles")
         chain.append(parent)
     fine_to_coarse = np.arange(mesh.n_triangles)
     for m in chain[:-1]:
@@ -240,29 +236,6 @@ def _interface_edges(mesh: Mesh, elements: np.ndarray) -> np.ndarray:
     return np.setdiff1d(once, mesh.boundary_edges, assume_unique=True)
 
 
-def _interface_mass_triplets(problem: HelmholtzProblem, edge_ids: np.ndarray,
-                             robin_k: float | None):
-    """Edge mass triplets on the interface: plain, and weighted by k at each
-    edge midpoint (heterogeneity-aware Robin parameter) or a constant k."""
-    mesh = problem.mesh
-    pts = mesh.vertices[mesh.edges[edge_ids]]
-    mids = pts.mean(axis=1)
-    lengths = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    if robin_k is None:
-        k_edge = problem.omega / problem.model(mids[:, 0], mids[:, 1])
-    else:
-        k_edge = np.full(edge_ids.shape[0], float(robin_k))
-    tr = _edge_trace(mesh.order, _EDGE_QP)
-    ref_mass = np.einsum("q,qi,qj->ij", _EDGE_QW, tr, tr)
-    dofs = _boundary_edge_dofs(mesh, edge_ids)
-    nd = dofs.shape[1]
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    plain = (ref_mass[None, :, :] * lengths[:, None, None]).ravel()
-    weighted = (ref_mass[None, :, :] * (k_edge * lengths)[:, None, None]).ravel()
-    return rows, cols, plain, weighted
-
-
 def assemble_local_matrices(
     dec: Decomposition,
     problem: HelmholtzProblem,
@@ -270,16 +243,15 @@ def assemble_local_matrices(
     robin_k: float | None = None,
     factorize: bool = True,
 ) -> Decomposition:
-    """Complete each subdomain: Dirichlet submatrix A_j = R_j A R_j^T, the
-    Neumann matrix assembled from local elements only, the Robin matrix
-    B_j = A~_j + i k (interface mass), interface data and k_j."""
+    """Complete each subdomain: the Neumann matrix assembled from local
+    elements only, the Robin matrix B_j = A~_j + i k (interface mass),
+    interface data and k_j.  The interface k is sampled at each edge
+    midpoint, or is the constant ``robin_k``."""
     mesh = dec.mesh
-    A = system.A.to_scipy()
     cent = mesh.centroids()
     for sd in dec.subdomains:
         if sd.elements.size == 0:
             raise StructuralError(f"subdomain {sd.index} is empty")
-        sd.A_loc = ComplexSparseMatrix(A[np.ix_(sd.dofs, sd.dofs)])
         sd.neumann = assemble_helmholtz_subset(
             problem, sd.elements, sd.dofs,
             dirichlet_dofs=system.dirichlet_dofs,
@@ -293,7 +265,8 @@ def assemble_local_matrices(
         sd.interface_edges = iface
         nloc = sd.dofs.size
         if iface.size:
-            rows, cols, plain, weighted = _interface_mass_triplets(problem, iface, robin_k)
+            rows, cols, weighted, plain = _gamma_triplets(problem, iface, robin_k,
+                                                          with_plain=True)
             lr = np.searchsorted(sd.dofs, rows)
             lc = np.searchsorted(sd.dofs, cols)
             Mg = sp.coo_matrix((plain, (lr, lc)), shape=(nloc, nloc)).tocsr()

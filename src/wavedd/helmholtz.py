@@ -197,25 +197,28 @@ def _boundary_edge_dofs(mesh: Mesh, edge_ids: np.ndarray):
     return np.column_stack([e, mesh.n_vertices + edge_ids])
 
 
-def _gamma_triplets(problem: HelmholtzProblem, edge_ids: np.ndarray):
-    """Impedance boundary mass, k sampled at each edge midpoint."""
+def _gamma_triplets(problem: HelmholtzProblem, edge_ids: np.ndarray,
+                    k: float | None = None, with_plain: bool = False):
+    """Edge mass triplets on the given edges weighted by the wavenumber,
+    sampled at each edge midpoint or the constant ``k``: the impedance
+    boundary mass, or the Robin interface term.  ``with_plain`` also returns
+    the values of the unweighted edge mass."""
     mesh = problem.mesh
-    if edge_ids.size == 0:
-        nd = 2 if mesh.order == 1 else 3
-        z = np.empty(0)
-        return z.astype(np.int64), z.astype(np.int64), z
     pts = mesh.vertices[mesh.edges[edge_ids]]
     mids = pts.mean(axis=1)
     lengths = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    k_edge = problem.omega / problem.model(mids[:, 0], mids[:, 1])
+    if k is None:
+        k_edge = problem.omega / problem.model(mids[:, 0], mids[:, 1])
+    else:
+        k_edge = np.full(edge_ids.shape[0], float(k))
     tr = _edge_trace(mesh.order, _EDGE_QP)     # (nq, nd)
     ref_mass = np.einsum("q,qi,qj->ij", _EDGE_QW, tr, tr)
     dofs = _boundary_edge_dofs(mesh, edge_ids)  # (ne, nd)
-    vals = ref_mass[None, :, :] * (k_edge * lengths)[:, None, None]
-    nd = dofs.shape[1]
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    return rows, cols, vals.ravel()
+    rows, cols, vals = _triplet_arrays(
+        dofs, ref_mass[None, :, :] * (k_edge * lengths)[:, None, None])
+    if with_plain:
+        return rows, cols, vals, (ref_mass[None, :, :] * lengths[:, None, None]).ravel()
+    return rows, cols, vals
 
 
 def _mask_rows_cols(csr: sp.csr_matrix, dofs: np.ndarray, diag: float = 0.0):

@@ -18,8 +18,14 @@ Coarse space builders:
                side, Helmholtz Neumann right side),
   deltageneo   plain GenEO on the nearby positive operator -lap + k^2.
 
-Spectral coarse bases are orthonormalized before forming E to guard against
-redundant modes across overlapping subdomains.
+The spectral spaces share one loop, ``_spectral_cs``: per subdomain a local
+pencil, the selected eigenpairs and their lift to global columns; then one
+orthonormal basis, which guards against redundant modes across overlapping
+subdomains, and E.  A builder supplies only its pencil and its lift.
+
+``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
+sparse Z the coarse correction of a real vector is real, so the hybrid form
+stays a symmetric preconditioner for CG.
 """
 from __future__ import annotations
 
@@ -30,9 +36,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .decomposition import Decomposition
+from .decomposition import Decomposition, _ancestor_chain_to
 from .errors import SingularityError, StructuralError
-from .helmholtz import AssembledSystem, HelmholtzProblem, assemble_helmholtz_subset
+from .helmholtz import (
+    AssembledSystem,
+    HelmholtzProblem,
+    _shape_values,
+    assemble_helmholtz_subset,
+)
 from .linalg import (
     ComplexSparseMatrix,
     check_pivots,
@@ -173,7 +184,8 @@ class CoarseSpace:
 
 
 class TwoLevel:
-    """Two-level combination of a one-level method and a coarse correction."""
+    """Two-level combination of a one-level method and a coarse correction,
+    for Helmholtz (ORAS) and Maxwell (additive Schwarz) alike."""
 
     def __init__(self, one_level, coarse: CoarseSpace, A, mode: str = "hybrid"):
         if mode not in ("additive", "hybrid"):
@@ -200,27 +212,6 @@ class TwoLevel:
 # ------------------------------------------------------------------ grid CS
 
 
-def _p2_basis_at(order, bary):
-    from .helmholtz import _shape_values
-
-    return _shape_values(order, bary)
-
-
-def _fine_to_coarse_elements(fine: Mesh, coarse: Mesh) -> np.ndarray:
-    if fine is coarse:
-        return np.arange(fine.n_triangles)
-    chain = [fine]
-    while chain[-1] is not coarse:
-        parent = chain[-1].parent
-        if parent is None:
-            raise StructuralError("grid coarse space requires a nested (refined) mesh pair")
-        chain.append(parent)
-    mapping = np.arange(fine.n_triangles)
-    for m in chain[:-1]:
-        mapping = m.parent_triangle[mapping]
-    return mapping
-
-
 def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
                   system: AssembledSystem) -> CoarseSpace:
     """Nodal interpolation coarse space from a nested coarse mesh.
@@ -231,7 +222,9 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
     fine = problem.mesh
     if coarse_mesh.order != fine.order:
         raise StructuralError("coarse and fine meshes must share the element order")
-    f2c = _fine_to_coarse_elements(fine, coarse_mesh)
+    ancestor, f2c = _ancestor_chain_to(fine, coarse_mesh.n_triangles)
+    if ancestor is not coarse_mesh:
+        raise StructuralError("grid coarse space requires a nested (refined) mesh pair")
 
     # one incident fine element per fine DOF
     eldofs = fine.element_dofs()
@@ -252,7 +245,7 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
     xi = (J[:, 1, 1] * rhs[:, 0] - J[:, 0, 1] * rhs[:, 1]) / det
     eta = (-J[:, 1, 0] * rhs[:, 0] + J[:, 0, 0] * rhs[:, 1]) / det
     bary = np.column_stack([1.0 - xi - eta, xi, eta])
-    vals = _p2_basis_at(coarse_mesh.order, bary)  # (n_fine, nd)
+    vals = _shape_values(coarse_mesh.order, bary)  # (n_fine, nd)
 
     cdofs = coarse_mesh.element_dofs()[celem]  # (n_fine, nd)
     rows = np.repeat(np.arange(fine.n_dofs), cdofs.shape[1])
@@ -270,25 +263,54 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
     return CoarseSpace(Z, system.A, provenance="grid")
 
 
-# ------------------------------------------------------------------ DtN CS
+# ------------------------------------------------------------------ spectral CS
 
 
-def _interior_interface_split(sd):
+def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
+                 pencil, selection: EigenSelection) -> CoarseSpace:
+    """The loop of every spectral coarse space.
+
+    Per subdomain, ``pencil(sd)`` returns the local pencil (lhs, rhs), the
+    lift of a local eigenvector to its values on ``sd.dofs``, and whether the
+    pencil had to be regularized; or None to skip the subdomain.  The
+    eigenpairs that ``selection`` keeps, at most m_max of them, are lifted to
+    global columns, which are orthonormalized into Z.
+    """
+    cols = []
+    flags = []
+    counts = []
+    for sd in dec.subdomains:
+        local = pencil(sd)
+        if local is None:
+            counts.append(0)
+            continue
+        lhs, rhs, lift, flagged = local
+        if flagged:
+            flags.append(sd.index)
+        pairs = dense_generalized_eig(lhs, rhs, which=selection.which(sd.k_max))
+        pairs = pairs[: selection.m_max]
+        counts.append(len(pairs))
+        for p in pairs:
+            col = np.zeros(dec.n_dofs, dtype=np.complex128)
+            col[sd.dofs] = lift(p.vector)
+            cols.append(col)
+    if not cols:
+        Z = np.empty((dec.n_dofs, 0), dtype=np.complex128)
+    else:
+        Z = orthonormalize(np.column_stack(cols))
+    return CoarseSpace(Z, system.A, provenance=provenance, flags=flags,
+                       per_subdomain=counts)
+
+
+def _dtn_pencil(sd):
+    """DtN pencil S u = lambda M_Gamma u of one subdomain: S is the interface
+    Schur complement of the Neumann matrix, shift-regularized (flagged) when
+    the interior block is singular, and the lift is the discrete Helmholtz
+    extension weighted with the partition of unity."""
     gam = sd.interface_dofs
-    all_idx = np.arange(sd.n_local)
-    interior = np.setdiff1d(all_idx, gam, assume_unique=False)
-    return interior, gam
-
-
-def _schur_factor(sd):
-    """Interior factorization and the interface Schur complement of the local
-    Neumann matrix; shift-regularizes a singular interior block."""
-    interior, gam = _interior_interface_split(sd)
+    interior = np.setdiff1d(np.arange(sd.n_local), gam)
     At = sd.neumann.to_scipy()
     A_II = At[np.ix_(interior, interior)].tocsc()
-    A_IG = At[np.ix_(interior, gam)].toarray()
-    A_GI = At[np.ix_(gam, interior)].toarray()
-    A_GG = At[np.ix_(gam, gam)].toarray()
     flagged = False
     try:
         fact = lu_factorize(ComplexSparseMatrix(A_II))
@@ -297,19 +319,26 @@ def _schur_factor(sd):
         fact = lu_factorize(ComplexSparseMatrix(A_II + eps * sp.eye(A_II.shape[0])))
         flagged = True
         warnings.warn(f"subdomain {sd.index}: interior block shift-regularized")
-    X = fact.solve(A_IG)  # A_II^-1 A_IG
-    S = A_GG - A_GI @ X
-    return interior, gam, X, S, flagged
+    X = fact.solve(At[np.ix_(interior, gam)].toarray())  # A_II^-1 A_IG
+    S = At[np.ix_(gam, gam)].toarray() - At[np.ix_(gam, interior)].toarray() @ X
+    M_G = sd.interface_mass[np.ix_(gam, gam)].toarray()
+
+    def lift(u):
+        v = np.zeros(sd.n_local, dtype=np.complex128)
+        v[gam] = u
+        v[interior] = -X @ u
+        return sd.weights * v
+
+    return S, M_G, lift, flagged
 
 
 def dtn_interface_eigenpairs(sd):
-    """Unselected DtN eigenpairs of one subdomain: S u = lambda M_Gamma u."""
+    """Unselected DtN eigenpairs of one subdomain, S u = lambda M_Gamma u,
+    and their lift; ([], None) for an empty interface."""
     if sd.interface_dofs is None or sd.interface_dofs.size == 0:
         return [], None
-    interior, gam, X, S, _ = _schur_factor(sd)
-    M_G = sd.interface_mass[np.ix_(gam, gam)].toarray()
-    pairs = dense_generalized_eig(S, M_G, which=None)
-    return pairs, (interior, gam, X)
+    S, M_G, lift, _ = _dtn_pencil(sd)
+    return dense_generalized_eig(S, M_G, which=None), lift
 
 
 def build_dtn_cs(dec: Decomposition, system: AssembledSystem,
@@ -318,52 +347,21 @@ def build_dtn_cs(dec: Decomposition, system: AssembledSystem,
     """DtN coarse space: interface modes with Re(lambda) below the local
     wavenumber, lifted into the subdomain by the discrete Helmholtz extension
     and weighted with the partition of unity."""
-    cols = []
-    flags = []
-    counts = []
-    for sd in dec.subdomains:
+
+    def pencil(sd):
         if sd.interface_dofs is None or sd.interface_dofs.size == 0:
             warnings.warn(f"subdomain {sd.index} has an empty interface; skipped")
-            counts.append(0)
-            continue
+            return None
         if selection.rule == "re_below" and selection.threshold is None and sd.k_max <= 0:
-            counts.append(0)  # Laplace limit: Re(lambda) < k_j = 0 selects nothing
-            continue
-        interior, gam, X, S, flagged = _schur_factor(sd)
-        if flagged:
-            flags.append(sd.index)
-        M_G = sd.interface_mass[np.ix_(gam, gam)].toarray()
-        pairs = dense_generalized_eig(S, M_G, which=selection.which(sd.k_max))
-        pairs = pairs[: selection.m_max]
-        counts.append(len(pairs))
-        for p in pairs:
-            v = np.zeros(sd.n_local, dtype=np.complex128)
-            v[gam] = p.vector
-            v[interior] = -X @ p.vector
-            col = np.zeros(dec.n_dofs, dtype=np.complex128)
-            col[sd.dofs] = sd.weights * v
-            cols.append(col)
-    if not cols:
-        Z = np.empty((dec.n_dofs, 0), dtype=np.complex128)
-    else:
-        Z = orthonormalize(np.column_stack(cols))
-    return CoarseSpace(Z, system.A, provenance="dtn", flags=flags,
-                       per_subdomain=counts)
+            return None  # Laplace limit: Re(lambda) < k_j = 0 selects nothing
+        return _dtn_pencil(sd)
 
-
-# ------------------------------------------------------------------ GenEO-style
-
-
-def _lift_selected(dec, sd, pairs, cols, weighted=True):
-    for p in pairs:
-        col = np.zeros(dec.n_dofs, dtype=np.complex128)
-        col[sd.dofs] = (sd.weights * p.vector) if weighted else p.vector
-        cols.append(col)
+    return _spectral_cs(dec, system, "dtn", pencil, selection)
 
 
 def build_hgeneo_cs(dec: Decomposition, system: AssembledSystem,
-                    selection: EigenSelection = EigenSelection("abs_largest", None, 20),
-                    pu_weighted_lift: bool = False) -> CoarseSpace:
+                    selection: EigenSelection = EigenSelection("abs_largest", None, 20)
+                    ) -> CoarseSpace:
     """H-GenEO: subdomain eigenproblems D_j L_j D_j u = lambda A~_j u with the
     Laplacian left-hand side and the Helmholtz Neumann matrix on the right.
 
@@ -371,27 +369,18 @@ def build_hgeneo_cs(dec: Decomposition, system: AssembledSystem,
     subdomain: these are the local quasi-resonances (small Helmholtz energy
     against Laplacian energy), which measurably capture the slow error of the
     one-level method, whereas a real-part threshold mostly picks bulk modes
-    clustered near lambda = 1.  The modes are lifted by plain zero extension;
-    the partition-of-unity-weighted lift is available but consistently needs
-    noticeably more modes for the same iteration counts on wave problems.
+    clustered near lambda = 1.  The modes are lifted by plain zero extension:
+    a partition-of-unity-weighted lift consistently needs noticeably more
+    modes for the same iteration counts on wave problems.
     """
     L = system.L.to_scipy()
-    cols = []
-    counts = []
-    for sd in dec.subdomains:
-        Ld = L[np.ix_(sd.dofs, sd.dofs)].toarray()
+
+    def pencil(sd):
         D = sd.weights
-        lhs = (D[:, None] * Ld) * D[None, :]
-        rhs = sd.neumann.to_dense()
-        pairs = dense_generalized_eig(lhs, rhs, which=selection.which(sd.k_max))
-        pairs = pairs[: selection.m_max]
-        counts.append(len(pairs))
-        _lift_selected(dec, sd, pairs, cols, weighted=pu_weighted_lift)
-    if not cols:
-        Z = np.empty((dec.n_dofs, 0), dtype=np.complex128)
-    else:
-        Z = orthonormalize(np.column_stack(cols))
-    return CoarseSpace(Z, system.A, provenance="hgeneo", per_subdomain=counts)
+        lhs = (D[:, None] * L[np.ix_(sd.dofs, sd.dofs)].toarray()) * D[None, :]
+        return lhs, sd.neumann.to_dense(), lambda u: u, False
+
+    return _spectral_cs(dec, system, "hgeneo", pencil, selection)
 
 
 def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
@@ -401,29 +390,20 @@ def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
     """GenEO on the nearby positive operator -lap + k^2 (zeroth-order sign
     flipped, impedance dropped): D_j A+_j D_j u = lambda A~+_j u."""
     Apos = (system.L.to_scipy() + system.weighted_mass.to_scipy()).real.tocsr()
-    cols = []
-    counts = []
-    flags = []
-    for sd in dec.subdomains:
-        Ad = Apos[np.ix_(sd.dofs, sd.dofs)].toarray()
+
+    def pencil(sd):
         D = sd.weights
-        lhs = (D[:, None] * Ad) * D[None, :]
+        lhs = (D[:, None] * Apos[np.ix_(sd.dofs, sd.dofs)].toarray()) * D[None, :]
         rhs = assemble_helmholtz_subset(
             problem, sd.elements, sd.dofs, sign_w=+1.0, impedance=False,
             dirichlet_dofs=system.dirichlet_dofs,
         ).to_dense().real
+        flagged = False
         try:
             np.linalg.cholesky(rhs)
         except np.linalg.LinAlgError:
             rhs = rhs + (1e-12 * np.trace(rhs).real / rhs.shape[0]) * np.eye(rhs.shape[0])
-            flags.append(sd.index)
-        pairs = dense_generalized_eig(lhs, rhs, which=selection.which(sd.k_max))
-        pairs = pairs[: selection.m_max]
-        counts.append(len(pairs))
-        _lift_selected(dec, sd, pairs, cols)
-    if not cols:
-        Z = np.empty((dec.n_dofs, 0), dtype=np.complex128)
-    else:
-        Z = orthonormalize(np.column_stack(cols))
-    return CoarseSpace(Z, system.A, provenance="deltageneo", per_subdomain=counts,
-                       flags=flags)
+            flagged = True
+        return lhs, rhs, lambda u: D * u, flagged
+
+    return _spectral_cs(dec, system, "deltageneo", pencil, selection)

@@ -5,6 +5,7 @@ criteria through module-scoped fixtures.  Stated runtime budgets are asserted
 alongside the numerical conditions.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -25,7 +26,6 @@ from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
     OneLevelAdditiveSchwarz,
-    TwoLevelAdditiveSchwarz,
     assemble_maxwell,
     build_edge_decomposition,
     build_free_cs,
@@ -284,7 +284,7 @@ def test_criterion_08_maxwell_heterogeneity_robustness():
         dec = build_edge_decomposition(prob, sys, 8, shape="grid", grid=(4, 2))
         one = OneLevelAdditiveSchwarz(dec)
         geneo = build_geneo_complement_cs(dec, sys, tau=10.0)
-        two = TwoLevelAdditiveSchwarz(one, geneo, sys.A)
+        two = TwoLevel(one, geneo, sys.A)
         counts[contrast] = {
             "asp": _cg(sys.A, asp.apply, sys.b),
             "one": _cg(sys.A, one.apply, sys.b),
@@ -323,7 +323,7 @@ def test_criterion_09_fsl_empirical_bounds():
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
     one = OneLevelAdditiveSchwarz(dec)
     free = build_free_cs(dec, sys)
-    two = TwoLevelAdditiveSchwarz(one, free, sys.A)
+    two = TwoLevel(one, free, sys.A)
     chk = fsl_bounds_check(sys.A, two)
     spectrum_ok = chk.max_imag <= 1e-10 and chk.c_lower > 0
     inside = (chk.eigenvalues.real.min() >= chk.c_lower - 1e-12
@@ -384,6 +384,10 @@ def test_criterion_11_sweep_determinism(tmp_path):
     cfgfile = tmp_path / "det.cfg"
     cfgfile.write_text(render_config(RunConfig(model="constant", ppwl=8, order=1,
                                                dofs_floor=1, seed=12345)))
+    # the child does not inherit pytest's pythonpath setting
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     outs = []
     for name in ("s1.csv", "s2.csv"):
         out = tmp_path / name
@@ -391,7 +395,7 @@ def test_criterion_11_sweep_determinism(tmp_path):
             [sys.executable, "-m", "wavedd.cli", "sweep", str(cfgfile),
              "--f", "1,2", "--n", "2,4", "--methods", "one-level,grid",
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
 

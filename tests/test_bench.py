@@ -1,5 +1,6 @@
 """Benchmark driver: configs, sweeps, CSV output, CLI."""
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -177,7 +178,15 @@ def test_estimate_dofs_close_to_actual():
 
 def _cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "wavedd.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=_cli_env())
+
+
+def _cli_env():
+    """The environment with the repository's src first on PYTHONPATH: a
+    child process does not inherit pytest's pythonpath setting."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_cli_run(tmp_path):

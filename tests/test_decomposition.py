@@ -15,6 +15,8 @@ from wavedd.decomposition import (
 from wavedd.errors import StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz, \
     assemble_helmholtz_subset
+from wavedd.maxwell import MaxwellProblem, assemble_maxwell, build_edge_decomposition, \
+    channel_field
 from wavedd.mesh import build_rect_mesh, refine_uniform
 from wavedd.velocity import VelocityModel
 
@@ -184,7 +186,12 @@ def _decomposed_system(nx=8, N=4, omega=2 * np.pi * 2, order=2, bc="impedance"):
 
 
 def test_dirichlet_submatrix_exact():
-    _, _, sys, dec = _decomposed_system()
+    """The edge decomposition, the one producer of A_loc, keeps the Dirichlet
+    submatrix R_j A R_j^T exactly."""
+    mesh = build_rect_mesh(1.0, 1.0, 8, 8)
+    prob = MaxwellProblem(mesh=mesh, eps_r=channel_field(mesh, 1e2), alpha=1e-2)
+    sys = assemble_maxwell(prob)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
     A = sys.A.to_dense()
     for sd in dec.subdomains:
         sub = A[np.ix_(sd.dofs, sd.dofs)]

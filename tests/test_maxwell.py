@@ -12,7 +12,6 @@ from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
     OneLevelAdditiveSchwarz,
-    TwoLevelAdditiveSchwarz,
     _bj_projector,
     assemble_maxwell,
     build_edge_decomposition,
@@ -23,6 +22,7 @@ from wavedd.maxwell import (
 )
 from wavedd.errors import StructuralError
 from wavedd.mesh import build_rect_mesh, refine_uniform
+from wavedd.schwarz import TwoLevel
 
 
 def _system(nx=12, alpha=1e-2, eps=1.0, mu=1.0, source=None):
@@ -109,6 +109,24 @@ def test_parameter_validation():
     p2 = build_rect_mesh(1, 1, 3, 3, order=2)
     with pytest.raises(StructuralError):
         MaxwellProblem(mesh=p2, alpha=1.0)
+
+
+def test_disjoint_neumann_reassembly():
+    """Local Neumann matrices assembled from the owned (disjoint) element
+    sets sum back to the global matrix."""
+    mesh = build_rect_mesh(1.0, 1.0, 8, 8)
+    mu = 1.0 + np.random.default_rng(2).random(mesh.n_triangles)
+    prob = MaxwellProblem(mesh=mesh, mu_r=mu, eps_r=channel_field(mesh, 1e2), alpha=0.5)
+    sys = assemble_maxwell(prob)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2), factorize=False)
+    n = sys.n_dofs
+    acc = np.zeros((n, n), dtype=complex)
+    for sd in dec.subdomains:
+        gdof = sys.element_edge_dofs()[sd.owned_elements]
+        dofs = np.unique(gdof[gdof >= 0])
+        local = maxwell.assemble_maxwell_subset(prob, sys, sd.owned_elements, dofs)
+        acc[np.ix_(dofs, dofs)] += local.to_dense()
+    assert np.abs(acc - sys.A.to_dense()).max() < 1e-12
 
 
 # ----------------------------------------------------------- ASP
@@ -277,7 +295,7 @@ def test_free_cs_alpha_regimes():
         one = OneLevelAdditiveSchwarz(dec)
         it_one = _cg(sys, one.apply).iterations
         free = build_free_cs(dec, sys)
-        two = TwoLevelAdditiveSchwarz(one, free, sys.A)
+        two = TwoLevel(one, free, sys.A)
         it_two = _cg(sys, two.apply).iterations
         if expect_strong:
             assert it_two <= 0.6 * it_one  # near-kernel dominates: V_G decisive
@@ -322,7 +340,7 @@ def test_two_level_full_coarse_one_iteration():
     from wavedd.schwarz import CoarseSpace
 
     cs = CoarseSpace(np.eye(sys.n_dofs), sys.A, provenance="full")
-    two = TwoLevelAdditiveSchwarz(one, cs, sys.A)
+    two = TwoLevel(one, cs, sys.A)
     rep = _cg(sys, two.apply, tol=1e-10)
     assert rep.iterations == 1
 
@@ -344,7 +362,7 @@ def test_two_level_symmetric():
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     one = OneLevelAdditiveSchwarz(dec)
     free = build_free_cs(dec, sys)
-    two = TwoLevelAdditiveSchwarz(one, free, sys.A)
+    two = TwoLevel(one, free, sys.A)
     n = sys.n_dofs
     M = np.empty((n, n))
     e = np.zeros(n)
@@ -355,13 +373,25 @@ def test_two_level_symmetric():
     assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
 
 
+def test_two_level_real_for_real_input():
+    """TwoLevel with a Maxwell coarse space maps a real vector to float64,
+    in both modes."""
+    _, prob, sys = _system(nx=10)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
+    one = OneLevelAdditiveSchwarz(dec)
+    geneo = build_geneo_complement_cs(dec, sys, tau=10.0)
+    v = np.random.default_rng(6).standard_normal(sys.n_dofs)
+    for mode in ("hybrid", "additive"):
+        assert TwoLevel(one, geneo, sys.A, mode=mode).apply(v).dtype == np.float64
+
+
 def test_deflation_exactness():
     """M^-1 A acts as the identity on range(Z)."""
     _, prob, sys = _system(nx=10)
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
     one = OneLevelAdditiveSchwarz(dec)
     free = build_free_cs(dec, sys)
-    two = TwoLevelAdditiveSchwarz(one, free, sys.A)
+    two = TwoLevel(one, free, sys.A)
     rng = np.random.default_rng(4)
     y = free.Z @ rng.standard_normal(free.n0)
     out = two.apply(sys.A.to_scipy() @ y)
@@ -408,7 +438,7 @@ def test_fsl_two_level_ratio_contrast_insensitive():
         dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
         one = OneLevelAdditiveSchwarz(dec)
         geneo = build_geneo_complement_cs(dec, sys, tau=10.0)
-        chk = fsl_bounds_check(sys.A, TwoLevelAdditiveSchwarz(one, geneo, sys.A))
+        chk = fsl_bounds_check(sys.A, TwoLevel(one, geneo, sys.A))
         assert chk.c_lower > 0
         ratios[contrast] = chk.ratio
     assert ratios[1e4] <= 2.0 * ratios[1.0]

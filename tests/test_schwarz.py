@@ -134,6 +134,16 @@ def test_grid_cs_requires_nesting():
         build_grid_cs(prob, other, sys)
 
 
+def test_grid_cs_rejects_non_ancestor_of_ancestor_size():
+    """A mesh as large as the fine mesh's parent, but not that parent, is not
+    a nested coarse mesh."""
+    base, _, prob, sys, _ = _setup(nx=6, ny=6, refine=1, factorize=False)
+    twin = build_rect_mesh(1.0, 1.0, 6, 6, order=2)
+    assert twin.n_triangles == base.n_triangles
+    with pytest.raises(StructuralError):
+        build_grid_cs(prob, twin, sys)
+
+
 def test_grid_cs_two_level_improves():
     base, mesh, prob, sys, dec = _setup(nx=10, ny=10, refine=1, N=4,
                                         omega=2 * np.pi * 3)
