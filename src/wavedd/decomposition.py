@@ -281,7 +281,7 @@ def assemble_local_matrices(
         robin = sd.neumann.to_scipy() + 1j * Mk
         sd.robin = ComplexSparseMatrix(robin)
         if factorize:
-            sd.robin_fact = lu_factorize(sd.robin)
+            sd.robin_fact = lu_factorize(sd.robin, ordering="MMD_AT_PLUS_A")
     return dec
 
 

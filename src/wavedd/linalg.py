@@ -35,7 +35,6 @@ __all__ = [
     "EigenPair",
     "csr_from_triplets",
     "lu_factorize",
-    "check_pivots",
     "krylov_solve",
     "dense_generalized_eig",
     "eigenpair_residual",
@@ -186,12 +185,19 @@ def _as_scipy(A):
     return sp.csr_matrix(np.asarray(A))
 
 
-def lu_factorize(A) -> Factorization:
+def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     """Sparse LU with partial pivoting for square, structurally nonsingular A.
 
-    Raises SingularityError when SuperLU hits an exact zero pivot or when the
-    factorization leaves a pivot below 1e-14 * max|A|.
+    ``ordering`` is SuperLU's column ordering (``permc_spec``): COLAMD, or
+    "MMD_AT_PLUS_A", which the Helmholtz Robin matrices and DtN interior
+    blocks pass: their pattern is symmetric, and minimum degree on A^T + A
+    gives them less fill.  The Maxwell factors and coarse matrices keep COLAMD.
+    Raises StructuralError for an unknown ordering, and SingularityError when
+    SuperLU hits an exact zero pivot or when the factorization leaves a pivot
+    below 1e-14 * max|A|.
     """
+    if ordering not in ("NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD"):
+        raise StructuralError(f"unknown LU column ordering {ordering!r}")
     csr = _as_scipy(A)
     if csr.shape[0] != csr.shape[1]:
         raise StructuralError("lu_factorize requires a square matrix")
@@ -201,21 +207,13 @@ def lu_factorize(A) -> Factorization:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            lu = spla.splu(csr.tocsc())
+            lu = spla.splu(csr.tocsc(), permc_spec=ordering)
     except RuntimeError as exc:
         raise SingularityError(f"sparse LU failed: {exc}") from exc
-    check_pivots(lu.U.diagonal(), scale)
+    piv = np.abs(lu.U.diagonal())
+    if piv.min() <= 1e-14 * scale:
+        raise SingularityError(f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}")
     return Factorization(lu, csr.shape[0])
-
-
-def check_pivots(pivots: np.ndarray, scale: float) -> None:
-    """Raise SingularityError when a pivot of an LU factor has modulus at
-    most 1e-14 * scale, with scale the largest entry of the factored matrix."""
-    piv = np.abs(pivots)
-    if piv.size and piv.min() <= 1e-14 * scale:
-        raise SingularityError(
-            f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -510,9 +508,9 @@ def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given vectors.
 
     Rank revealing: a vector whose projection residual has relative norm
-    below ``drop_tol`` is dropped.  Small sets go through modified
-    Gram-Schmidt with reorthogonalization (order preserving); large sets use
-    column-pivoted QR for speed.  All-zero input yields an (n, 0) basis.
+    below ``drop_tol`` is dropped.  Modified Gram-Schmidt with
+    reorthogonalization, order preserving; meant for the small local sets of
+    the coarse-space builders.  All-zero input yields an (n, 0) basis.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         V = vectors
@@ -524,15 +522,6 @@ def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
     n, m = V.shape
     if m == 0:
         return np.empty((n, 0), dtype=V.dtype)
-
-    if m > 512:
-        norms = np.linalg.norm(V, axis=0)
-        Q, R, perm = sla.qr(V, mode="economic", pivoting=True)
-        diag = np.abs(np.diagonal(R))
-        ref = norms[perm]
-        keep = diag >= drop_tol * np.maximum(ref, 1e-300)
-        rank = int(np.count_nonzero(np.cumprod(keep))) if keep.size else 0
-        return np.ascontiguousarray(Q[:, :rank])
 
     dtype = np.promote_types(V.dtype, np.float64)
     basis = np.empty((n, m), dtype=dtype)

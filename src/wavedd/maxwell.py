@@ -7,7 +7,9 @@ one- and two-level additive Schwarz with the gradient ("free") coarse space,
 and the GenEO enrichment built in the orthogonal complement of that space.
 Both coarse bases are sparse matrices of locally supported columns, with a
 sparse coarse matrix E: the coarse correction depends only on their span, so
-they are never orthonormalized globally.
+they are never orthonormalized globally.  They go through the coarse-space
+path of the Helmholtz spectral spaces: ``schwarz._independent_columns`` drops
+the dependent columns, and each kept column is then scaled to unit A-norm.
 
 DOFs are tangential circulations on interior edges, every edge directed from
 its lower- to its higher-numbered vertex; boundary edges are eliminated by
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition, decompose
 from .errors import SingularityError, StructuralError
@@ -35,7 +36,7 @@ from .linalg import (
 )
 from .mesh import Mesh
 from .helmholtz import _element_geometry
-from .schwarz import CoarseSpace, TwoLevel
+from .schwarz import CoarseSpace, TwoLevel, _independent_columns
 
 __all__ = [
     "MaxwellProblem",
@@ -360,30 +361,10 @@ class OneLevelAdditiveSchwarz:
 TwoLevelAdditiveSchwarz = TwoLevel
 
 
-def _sparse_cs(Z: sp.spmatrix, A: ComplexSparseMatrix, provenance: str,
-               **kwargs) -> CoarseSpace:
-    """Coarse space on the span of the sparse real columns of Z.
-
-    The coarse correction depends only on span(Z), so Z stays sparse and is
-    not orthonormalized.  Dependent columns are dropped by one rank-revealing
-    pivoted Cholesky (LAPACK dpstrf) of the Gram matrix G of the unit-norm
-    columns, stopping at a pivot below 1e-12 * max(diag(G)) = 1e-12.  G
-    squares the conditioning, so that drops a column whose residual against
-    the kept ones is below 1e-6 of its norm, whatever the input scale (the
-    A-normalized columns of an eps-contrast problem differ in norm by orders
-    of magnitude).  The kept columns, in input order, are scaled to unit
-    A-norm; ``CoarseSpace`` forms the sparse E and factors it with
-    ``lu_factorize``, whose pivot check still guards E.
-    """
-    Z = sp.csc_matrix(Z)
-    if Z.shape[1]:
-        Z = Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
-        G = (Z.T @ Z).toarray(order="F")
-        _, piv, rank, _ = sla.lapack.dpstrf(G, tol=1e-12, overwrite_a=True)
-        Z = Z[:, np.sort(piv[:rank] - 1)]
-        a_norm = np.sqrt(np.asarray(Z.multiply(A @ Z).sum(axis=0)).ravel())
-        Z = Z @ sp.diags(1.0 / a_norm)
-    return CoarseSpace(Z, A, provenance=provenance, **kwargs)
+def _unit_a_norm(Z: sp.csc_matrix, A: ComplexSparseMatrix) -> sp.csc_matrix:
+    """The columns of Z, each scaled to unit A-norm."""
+    a_norm = np.sqrt(np.asarray(Z.multiply(A @ Z).sum(axis=0)).ravel())
+    return Z @ sp.diags(1.0 / a_norm)
 
 
 def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
@@ -392,8 +373,8 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
 
     Z is sparse: one column per subdomain j and interior node m whose
     gradient touches subdomain j, less the dependent columns that
-    ``_sparse_cs`` drops, each scaled to unit A-norm.  ``dim_vg`` is the
-    rank of V_G.
+    ``_independent_columns`` drops, each scaled to unit A-norm.  ``dim_vg``
+    is the rank of V_G.
     """
     n = dec.n_dofs
     C = sys.C.tocsc()
@@ -401,7 +382,8 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
     for sd in dec.subdomains:
         Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
         blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
-    cs = _sparse_cs(sp.hstack(blocks, format="csc"), sys.A, provenance="maxwell-free")
+    Z = _unit_a_norm(_independent_columns(sp.hstack(blocks, format="csc")), sys.A)
+    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free")
     cs.dim_gradient_space = int(sys.C.shape[1])
     cs.dim_vg = cs.n0
     return cs
@@ -423,8 +405,9 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     lift by R_j^T D_j (I - xi) V, and append to the free coarse space.
 
     The lifted modes are appended to ``free_cs.Z`` as sparse columns, each
-    supported on its subdomain, and ``_sparse_cs`` drops any dependent
-    column, scales, and forms and factors the sparse E of the joint basis."""
+    supported on its subdomain; ``_independent_columns`` drops any dependent
+    column, each kept column is scaled to unit A-norm, and ``CoarseSpace``
+    forms and factors the sparse E of the joint basis."""
     if free_cs is None:
         free_cs = build_free_cs(dec, sys)
     C = sys.C.tocsc()
@@ -458,8 +441,9 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
         for p in pairs:
             modes.append(sp.csc_matrix((D * (P @ p.vector.real), (sd.dofs, np.zeros(n_loc, int))),
                                        shape=(dec.n_dofs, 1)))
-    cs = _sparse_cs(sp.hstack([free_cs.Z] + modes), sys.A, provenance="maxwell-geneo",
-                    flags=flags, per_subdomain=counts)
+    Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z] + modes)), sys.A)
+    cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
+                     per_subdomain=counts)
     cs.dim_gradient_space = free_cs.dim_gradient_space
     cs.dim_vg = free_cs.dim_vg
     return cs

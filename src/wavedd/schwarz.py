@@ -18,10 +18,12 @@ Coarse space builders:
                side, Helmholtz Neumann right side),
   deltageneo   plain GenEO on the nearby positive operator -lap + k^2.
 
-The spectral spaces share one loop, ``_spectral_cs``: per subdomain a local
-pencil, the selected eigenpairs and their lift to global columns; then one
-orthonormal basis, which guards against redundant modes across overlapping
-subdomains, and E.  A builder supplies only its pencil and its lift.
+Every coarse space keeps a sparse basis B of locally supported columns and a
+sparse E = B* A B; the correction depends only on span(B), so no basis is
+orthonormalized globally.  The spectral spaces share one loop, ``_spectral_cs``:
+per subdomain a local pencil, the selected eigenpairs and their lift to sparse
+global columns, of which ``_independent_columns`` (shared with Maxwell) keeps
+the independent ones.  A builder supplies only its pencil and its lift.
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition, _ancestor_chain_to
 from .errors import SingularityError, StructuralError
@@ -46,10 +50,9 @@ from .helmholtz import (
 )
 from .linalg import (
     ComplexSparseMatrix,
-    check_pivots,
     dense_generalized_eig,
     lu_factorize,
-    orthonormalize,
+    orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
 )
 from .mesh import Mesh
 
@@ -123,64 +126,85 @@ class OneLevelOras:
 
 
 class CoarseSpace:
-    """Coarse basis Z with factorized coarse matrix E = Z* A Z.
+    """Coarse space on the span of a sparse basis B, with the factorized
+    coarse matrix E = B* A B; the coarse correction is H v = B E^-1 B* v.
 
-    Z is dense (spectral modes) or sparse (grid interpolation, Maxwell); the
-    coarse correction is H v = Z E^-1 Z* v.  A sparse E of a real symmetric A
-    is kept exactly Hermitian, so that H is symmetric to rounding, as CG
-    needs.  n0 = 0 is a legal empty coarse space.
+    B is stored once as CSC, a dense basis too.  E is sparse; E of a real
+    symmetric A is kept exactly Hermitian, so that H is symmetric to rounding,
+    as CG needs.  n0 = 0 is a legal empty coarse space.  ``Z`` is B, but with
+    ``orthonormal_view`` (the spectral spaces) a dense orthonormal basis of
+    span(B) formed on first access, and ``E`` then a dense copy of E.
     Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
-    the rule of ``lu_factorize``: Z has (numerically) dependent columns or
+    the rule of ``lu_factorize``: B has (numerically) dependent columns or
     the indefinite E is singular.
     """
 
-    def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None):
+    def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None,
+                 orthonormal_view: bool = False):
         self.provenance = provenance
         self.flags = list(flags or [])
         self.per_subdomain = per_subdomain or []
-        self._sparse = sp.issparse(Z)
-        self.Z = Z
+        self.basis = sp.csc_matrix(Z)
+        self._view = orthonormal_view
         if self.n0 == 0:
             self._solver = None
             return
         Aop = A.to_scipy() if isinstance(A, ComplexSparseMatrix) else A
-        if self._sparse:
-            E = (Z.conj().T @ (Aop @ Z)).tocsc()
-            if isinstance(A, ComplexSparseMatrix) and A.symmetric and A.dtype.kind == "f":
-                # a real symmetric A makes E Hermitian; rounding in the product
-                # breaks that, and cond(E) amplifies it into a non-symmetric H
-                E = (0.5 * (E + E.conj().T)).tocsc()
-            fact = lu_factorize(ComplexSparseMatrix(E))
-            self.E = E
-            self._solver = fact.solve
-        else:
-            # E = (Z^T conj(A Z))^*, conjugating the fresh A Z and E in
-            # place: bit-identical to Z^* (A Z) without a conjugated copy of Z
-            E = Aop @ Z
-            np.conjugate(E, out=E)
-            E = Z.T @ E
-            np.conjugate(E, out=E)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(E)
-            # max|E| row by row: an n0 x n0 temporary here raised the peak
-            # memory of a two-level Maxwell run by the size of E
-            check_pivots(np.diagonal(lu), max(np.abs(row).max() for row in E))
-            self.E = E
-            self._solver = lambda r, _f=(lu, piv): sla.lu_solve(_f, r)
+        # E = B* (A B), 64 columns at a time, as conj(B^T conj(A B_J)): no
+        # conjugated copy of B, and no copy of B or A B beyond one block
+        blocks = []
+        for j in range(0, self.n0, 64):
+            W = Aop @ self.basis[:, j:j + 64]
+            np.conjugate(W.data, out=W.data)
+            W = self.basis.T @ W
+            np.conjugate(W.data, out=W.data)
+            blocks.append(W)
+        E = sp.hstack(blocks, format="csc")
+        if isinstance(A, ComplexSparseMatrix) and A.symmetric and A.dtype.kind == "f":
+            # a real symmetric A makes E Hermitian; rounding in the product
+            # breaks that, and cond(E) amplifies it into a non-symmetric H
+            E = (0.5 * (E + E.conj().T)).tocsc()
+        self._E = E
+        self._solver = lu_factorize(E).solve
 
     @property
     def n0(self) -> int:
-        return self.Z.shape[1]
+        return self.basis.shape[1]
+
+    @cached_property
+    def Z(self):
+        # Householder QR: B has full column rank, so Q spans span(B)
+        return np.linalg.qr(self.basis.toarray())[0] if self._view else self.basis
+
+    @property
+    def E(self):
+        return self._E.toarray() if self._view else self._E
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Coarse correction H v = Z E^-1 Z* v."""
+        """Coarse correction H v = B E^-1 B* v."""
         if self.n0 == 0:
             return np.zeros_like(np.asarray(v, dtype=np.complex128))
-        r = (np.conj(v) @ self.Z).conj()
-        return self.Z @ self._solver(r)
+        r = (np.conj(v) @ self.basis).conj()
+        return self.basis @ self._solver(r)
 
     __call__ = apply
+
+
+def _independent_columns(Z) -> sp.csc_matrix:
+    """The columns of Z scaled to unit norm, in input order, less those that
+    depend on the others: one pivoted Cholesky (LAPACK xPSTRF) of the Gram
+    matrix G of the unit-norm columns stops at a pivot below 1e-12 =
+    1e-12 * max(diag(G)).  G squares the conditioning, so that drops a column
+    whose residual against the kept ones is below 1e-6 of its norm, whatever
+    the input scale."""
+    Z = sp.csc_matrix(Z)
+    if not Z.shape[1]:
+        return Z
+    Z = Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
+    G = (Z.conj().T @ Z).toarray(order="F")
+    pstrf, = sla.get_lapack_funcs(("pstrf",), (G,))
+    _, piv, rank, _ = pstrf(G, tol=1e-12, overwrite_a=True)
+    return Z[:, np.sort(piv[:rank] - 1)]
 
 
 class TwoLevel:
@@ -274,9 +298,9 @@ def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
     lift of a local eigenvector to its values on ``sd.dofs``, and whether the
     pencil had to be regularized; or None to skip the subdomain.  The
     eigenpairs that ``selection`` keeps, at most m_max of them, are lifted to
-    global columns, which are orthonormalized into Z.
+    sparse global columns, of which ``_independent_columns`` keeps a basis.
     """
-    cols = []
+    rows, vals = [], []
     flags = []
     counts = []
     for sd in dec.subdomains:
@@ -291,15 +315,13 @@ def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
         pairs = pairs[: selection.m_max]
         counts.append(len(pairs))
         for p in pairs:
-            col = np.zeros(dec.n_dofs, dtype=np.complex128)
-            col[sd.dofs] = lift(p.vector)
-            cols.append(col)
-    if not cols:
-        Z = np.empty((dec.n_dofs, 0), dtype=np.complex128)
-    else:
-        Z = orthonormalize(np.column_stack(cols))
-    return CoarseSpace(Z, system.A, provenance=provenance, flags=flags,
-                       per_subdomain=counts)
+            rows.append(sd.dofs)
+            vals.append(lift(p.vector))
+    Z = sp.csc_matrix((np.concatenate([np.empty(0)] + vals),
+                       np.concatenate([np.empty(0, np.int64)] + rows),
+                       np.cumsum([0] + [r.size for r in rows])), shape=(dec.n_dofs, len(rows)))
+    return CoarseSpace(_independent_columns(Z), system.A, provenance=provenance,
+                       flags=flags, per_subdomain=counts, orthonormal_view=True)
 
 
 def _dtn_pencil(sd):
@@ -313,10 +335,10 @@ def _dtn_pencil(sd):
     A_II = At[np.ix_(interior, interior)].tocsc()
     flagged = False
     try:
-        fact = lu_factorize(ComplexSparseMatrix(A_II))
+        fact = lu_factorize(A_II, ordering="MMD_AT_PLUS_A")
     except SingularityError:
         eps = 1e-10 * max(np.abs(A_II.data).max(), 1.0)
-        fact = lu_factorize(ComplexSparseMatrix(A_II + eps * sp.eye(A_II.shape[0])))
+        fact = lu_factorize(A_II + eps * sp.eye(A_II.shape[0]), ordering="MMD_AT_PLUS_A")
         flagged = True
         warnings.warn(f"subdomain {sd.index}: interior block shift-regularized")
     X = fact.solve(At[np.ix_(interior, gam)].toarray())  # A_II^-1 A_IG

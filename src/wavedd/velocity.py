@@ -87,8 +87,9 @@ class VelocityModel:
         ny, nx = grid.shape
         xmin, xmax, ymin, ymax = self.extent
         # clamp to the grid, then bilinear: nearest-value behaviour outside
-        fx = np.clip((x - xmin) / (xmax - xmin) * (nx - 1) if nx > 1 else 0.0, 0, nx - 1)
-        fy = np.clip((y - ymin) / (ymax - ymin) * (ny - 1) if ny > 1 else 0.0, 0, ny - 1)
+        flat = np.zeros(np.broadcast(x, y).shape)
+        fx = np.clip((x - xmin) / (xmax - xmin) * (nx - 1) if nx > 1 else flat, 0, nx - 1)
+        fy = np.clip((y - ymin) / (ymax - ymin) * (ny - 1) if ny > 1 else flat, 0, ny - 1)
         fx = np.asarray(fx, dtype=float)
         fy = np.asarray(fy, dtype=float)
         i0 = np.floor(fx).astype(np.int64)

@@ -236,3 +236,18 @@ def test_cli_nonconverged_still_exits_zero(tmp_path):
     out = _cli("run", str(cfgfile))
     assert out.returncode == 0
     assert "NOT converged" in out.stdout
+
+
+def test_perfbench_entry_points_resolve():
+    """Every library name that the traced benchmark patches exists where it
+    patches it, so that dropping an import breaks this test, not the trace."""
+    import importlib
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    try:
+        from perfbench.tracing import LIBRARY_ENTRY_POINTS
+    finally:
+        sys.path.pop(0)
+    names = [(m, attr) for m, attr, _ in LIBRARY_ENTRY_POINTS]
+    for module, attr in names + [("schwarz", "CoarseSpace"), ("maxwell", "CoarseSpace")]:
+        assert callable(getattr(importlib.import_module(f"wavedd.{module}"), attr))

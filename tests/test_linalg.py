@@ -123,6 +123,11 @@ def test_lu_singular_raises():
         lu_factorize(A)
 
 
+def test_lu_unknown_ordering_raises():
+    with pytest.raises(StructuralError):
+        lu_factorize(sp.eye(3, format="csr"), ordering="AMD")
+
+
 def test_lu_residual_invariant():
     rng = np.random.default_rng(7)
     n = 40

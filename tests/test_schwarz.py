@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from wavedd import schwarz
 from wavedd.decomposition import assemble_local_matrices, decompose
 from wavedd.errors import SingularityError, StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
-from wavedd.linalg import KrylovConfig, krylov_solve, lu_factorize
+from wavedd.linalg import KrylovConfig, krylov_solve, lu_factorize, orthonormalize
 from wavedd.mesh import build_rect_mesh, refine_uniform
 from wavedd.schwarz import (
     CoarseSpace,
@@ -420,21 +422,23 @@ def test_coarse_apply_makes_no_copy_of_z():
     assert peak < Z.nbytes / 10
 
 
-def test_dense_coarse_matrix_makes_no_copy_of_z():
-    """E = Z* A Z is bit-identical to the conjugated-copy formula, and its
-    build holds A Z but no conjugated copy of Z."""
+def test_coarse_matrix_makes_no_copy_of_basis():
+    """E = B* A B is bit-identical to the conjugated-copy formula, and its
+    build holds neither a conjugated copy of B nor all of A B at once."""
     n, n0 = 3000, 200
     rng = np.random.default_rng(7)
-    Z = np.linalg.qr(rng.standard_normal((n, n0)) + 1j * rng.standard_normal((n, n0)))[0]
+    B = sp.csc_matrix(np.linalg.qr(rng.standard_normal((n, n0))
+                                   + 1j * rng.standard_normal((n, n0)))[0])
     A = _coarse_test_operator(n)
     tracemalloc.start()
     try:
-        cs = CoarseSpace(Z, A, provenance="test")
+        cs = CoarseSpace(B, A, provenance="test")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(cs.E, Z.conj().T @ (A @ Z))
-    assert peak < 1.25 * Z.nbytes
+    assert np.shares_memory(cs.Z.data, B.data)  # stored once, not copied
+    assert np.array_equal(cs.E.toarray(), (B.conj().T @ (A @ B)).toarray())
+    assert peak < 1.25 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
 
 
 def test_spectral_bases_orthonormal_and_coarse_wellconditioned():
@@ -448,6 +452,89 @@ def test_spectral_bases_orthonormal_and_coarse_wellconditioned():
         G = cs.Z.conj().T @ cs.Z
         assert np.abs(G - np.eye(cs.n0)).max() < 1e-10
         assert np.linalg.cond(cs.E) < 1e12
+
+
+def _projector_gap(Z1, Z2):
+    Q1, Q2 = orthonormalize(Z1), orthonormalize(Z2)
+    return np.linalg.norm(Q1 @ Q1.conj().T - Q2 @ Q2.conj().T, 2)
+
+
+def test_spectral_spaces_span_the_raw_columns(monkeypatch):
+    """The sparse basis of each spectral space spans what the orthonormalized
+    raw lifted columns span, with the n0 and mode counts of that dense path."""
+    model = VelocityModel.layered_wedge([1.0, 2.0], [(0.5, 0.0)])
+    _, _, prob, sys, dec = _setup(nx=16, ny=16, N=4, order=1,
+                                  omega=2 * np.pi * 3, model=model)
+    raw = []
+    real = schwarz._independent_columns
+
+    def recording(Z):
+        raw.append(Z)
+        return real(Z)
+
+    monkeypatch.setattr(schwarz, "_independent_columns", recording)
+    for build, n0, counts in ((lambda: build_dtn_cs(dec, sys), 29, [8, 7, 7, 7]),
+                              (lambda: build_hgeneo_cs(dec, sys), 80, [20] * 4),
+                              (lambda: build_deltageneo_cs(dec, prob, sys), 80, [20] * 4)):
+        cs = build()
+        dense = raw[-1].toarray()
+        assert sp.issparse(cs.basis) and cs.per_subdomain == counts
+        assert cs.n0 == orthonormalize(dense).shape[1] == n0
+        assert _projector_gap(cs.Z, dense) <= 1e-10
+
+
+def test_spectral_space_drops_duplicate_complex_column():
+    _, _, _, sys, dec = _setup(nx=8, ny=8, order=1, N=4, omega=2 * np.pi * 2)
+    cs = build_hgeneo_cs(dec, sys)
+    B = cs.basis
+    Z = schwarz._independent_columns(sp.hstack([B, (2.0 - 1.0j) * B[:, [5]]]))
+    twin = CoarseSpace(Z, sys.A, provenance="test")
+    assert twin.n0 == cs.n0
+    assert np.allclose(spla.norm(Z, axis=0), 1.0, atol=1e-14)
+    assert _projector_gap(Z.toarray(), B.toarray()) <= 1e-10
+
+
+def test_hgeneo_build_stays_below_one_dense_basis():
+    """The H-GenEO build never holds a dense n x n0 complex array."""
+    _, _, _, sys, dec = _setup(nx=128, ny=16, N=32, shape="strips", order=1,
+                               width=8.0, omega=2 * np.pi * 2)
+    tracemalloc.start()
+    try:
+        cs = build_hgeneo_cs(dec, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cs.n0 == 32 * 20
+    assert peak < 16 * dec.n_dofs * cs.n0
+
+
+def test_lu_orderings_of_each_caller(monkeypatch):
+    """Symmetric-pattern Helmholtz factors use minimum degree on A^T + A; the
+    Maxwell factors and every coarse matrix keep COLAMD."""
+    from wavedd.maxwell import (MaxwellProblem, assemble_maxwell,
+                                build_edge_decomposition, build_free_cs)
+
+    orderings = []
+    real = spla.splu
+
+    def recording(A, permc_spec=None, **kwargs):
+        orderings.append(permc_spec)
+        return real(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    _, _, _, sys, dec = _setup(nx=6, ny=6, order=1, N=4)
+    assert orderings == ["MMD_AT_PLUS_A"] * 4  # Robin
+    orderings.clear()
+    build_dtn_cs(dec, sys)
+    assert orderings == ["MMD_AT_PLUS_A"] * 4 + ["COLAMD"]  # DtN interiors, then E
+    orderings.clear()
+    prob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 6, 6))
+    msys = assemble_maxwell(prob)
+    build_edge_decomposition(prob, msys, 2, shape="strips")
+    assert orderings == ["COLAMD"] * 2  # a_fact
+    orderings.clear()
+    build_free_cs(build_edge_decomposition(prob, msys, 2, shape="strips", factorize=False), msys)
+    assert orderings == ["COLAMD"]  # E
 
 
 def test_one_level_grows_with_subdomains():

@@ -18,6 +18,19 @@ def test_bilinear_midpoint():
     assert m(0.5, 0.2) == pytest.approx(2.0)
 
 
+def test_single_cell_raster_assembles_like_constant():
+    from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
+    from wavedd.mesh import build_rect_mesh
+
+    mesh = build_rect_mesh(1.0, 1.0, 4, 4, order=1)
+    raster = VelocityModel.raster(np.array([[1.5]]), (0, 1, 0, 1))
+    assert raster(np.zeros(3), np.zeros(3)).shape == (3,)
+    A = [assemble_helmholtz(HelmholtzProblem(mesh=mesh, model=m, omega=2 * np.pi,
+                                             source=PointSource(0.5, 0.5))).A.to_dense()
+         for m in (raster, VelocityModel.constant(1.5))]
+    assert np.array_equal(A[0], A[1])
+
+
 def test_nearest_outside():
     m = VelocityModel.raster(np.array([[1.0, 3.0]]), (0, 1, 0, 1))
     assert m(-2.0, 0.0) == pytest.approx(1.0)
