@@ -285,14 +285,10 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
         eps = cfg.c
     else:
         raise StructuralError(f"unknown maxwell model {cfg.model!r}")
-    source = None
-    if cfg.random_source:
-        probe = assemble_maxwell(MaxwellProblem(mesh=mesh, mu_r=1.0, eps_r=eps,
-                                                alpha=cfg.alpha))
-        source = np.random.default_rng(cfg.seed).standard_normal(probe.n_dofs)
-    prob = MaxwellProblem(mesh=mesh, mu_r=1.0, eps_r=eps, alpha=cfg.alpha,
-                          source=source)
+    prob = MaxwellProblem(mesh=mesh, mu_r=1.0, eps_r=eps, alpha=cfg.alpha)
     system = assemble_maxwell(prob)
+    if cfg.random_source:
+        system.b = np.random.default_rng(cfg.seed).standard_normal(system.n_dofs)
     method = cfg.preconditioner
     coarse_dim = 0
     if method == "asp":

@@ -22,8 +22,8 @@ from .errors import StructuralError
 from .helmholtz import (
     HelmholtzProblem,
     AssembledSystem,
-    _boundary_edge_dofs,
-    _gamma_triplets,
+    _gamma_blocks,
+    _scatter,
     assemble_helmholtz_subset,
 )
 from .linalg import ComplexSparseMatrix, Factorization, lu_factorize
@@ -60,9 +60,6 @@ class SubdomainData:
     @property
     def n_local(self) -> int:
         return self.dofs.size
-
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        return v[self.dofs]
 
 
 @dataclass
@@ -265,14 +262,11 @@ def assemble_local_matrices(
         sd.interface_edges = iface
         nloc = sd.dofs.size
         if iface.size:
-            rows, cols, weighted, plain = _gamma_triplets(problem, iface, robin_k,
-                                                          with_plain=True)
-            lr = np.searchsorted(sd.dofs, rows)
-            lc = np.searchsorted(sd.dofs, cols)
-            Mg = sp.coo_matrix((plain, (lr, lc)), shape=(nloc, nloc)).tocsr()
-            Mk = sp.coo_matrix((weighted, (lr, lc)), shape=(nloc, nloc)).tocsr()
-            iface_dofs_g = np.unique(_boundary_edge_dofs(mesh, iface).ravel())
-            sd.interface_dofs = np.searchsorted(sd.dofs, iface_dofs_g)
+            gdofs, weighted, plain = _gamma_blocks(problem, iface, robin_k)
+            gdofs = np.searchsorted(sd.dofs, gdofs)
+            Mg = _scatter(gdofs, plain, nloc)
+            Mk = _scatter(gdofs, weighted, nloc)
+            sd.interface_dofs = np.unique(gdofs)
         else:
             Mg = sp.csr_matrix((nloc, nloc))
             Mk = sp.csr_matrix((nloc, nloc))

@@ -197,12 +197,12 @@ def _boundary_edge_dofs(mesh: Mesh, edge_ids: np.ndarray):
     return np.column_stack([e, mesh.n_vertices + edge_ids])
 
 
-def _gamma_triplets(problem: HelmholtzProblem, edge_ids: np.ndarray,
-                    k: float | None = None, with_plain: bool = False):
-    """Edge mass triplets on the given edges weighted by the wavenumber,
-    sampled at each edge midpoint or the constant ``k``: the impedance
-    boundary mass, or the Robin interface term.  ``with_plain`` also returns
-    the values of the unweighted edge mass."""
+def _gamma_blocks(problem: HelmholtzProblem, edge_ids: np.ndarray,
+                  k: float | None = None):
+    """Edge mass element blocks on the given edges: their (ne, nd) DOF map,
+    the blocks weighted by the wavenumber, sampled at each edge midpoint or
+    the constant ``k`` (the impedance boundary mass, or the Robin interface
+    term), and the unweighted blocks (the interface mass)."""
     mesh = problem.mesh
     pts = mesh.vertices[mesh.edges[edge_ids]]
     mids = pts.mean(axis=1)
@@ -213,12 +213,9 @@ def _gamma_triplets(problem: HelmholtzProblem, edge_ids: np.ndarray,
         k_edge = np.full(edge_ids.shape[0], float(k))
     tr = _edge_trace(mesh.order, _EDGE_QP)     # (nq, nd)
     ref_mass = np.einsum("q,qi,qj->ij", _EDGE_QW, tr, tr)
-    dofs = _boundary_edge_dofs(mesh, edge_ids)  # (ne, nd)
-    rows, cols, vals = _triplet_arrays(
-        dofs, ref_mass[None, :, :] * (k_edge * lengths)[:, None, None])
-    if with_plain:
-        return rows, cols, vals, (ref_mass[None, :, :] * lengths[:, None, None]).ravel()
-    return rows, cols, vals
+    return (_boundary_edge_dofs(mesh, edge_ids),
+            ref_mass[None, :, :] * (k_edge * lengths)[:, None, None],
+            ref_mass[None, :, :] * lengths[:, None, None])
 
 
 def _mask_rows_cols(csr: sp.csr_matrix, dofs: np.ndarray, diag: float = 0.0):
@@ -237,11 +234,15 @@ def _mask_rows_cols(csr: sp.csr_matrix, dofs: np.ndarray, diag: float = 0.0):
     return out
 
 
-def _triplet_arrays(eldofs: np.ndarray, Ae: np.ndarray):
-    nd = eldofs.shape[1]
-    rows = np.repeat(eldofs, nd, axis=1).ravel()
-    cols = np.tile(eldofs, (1, nd)).ravel()
-    return rows, cols, Ae.ravel()
+def _scatter(dofmap: np.ndarray, Ae: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum the element matrices Ae, (m, nd, nd), into a sparse n x n matrix
+    by the (m, nd) DOF map, skipping -1 DOFs (eliminated ones)."""
+    nd = dofmap.shape[1]
+    rows = np.repeat(dofmap, nd, axis=1).ravel()
+    cols = np.tile(dofmap, (1, nd)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((Ae.reshape(-1)[keep], (rows[keep], cols[keep])),
+                         shape=(n, n)).tocsr()
 
 
 def nearest_dof(mesh: Mesh, x: float, y: float) -> int:
@@ -265,14 +266,12 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
     k_elem = problem.omega / problem.model(cent[:, 0], cent[:, 1])
     We = Me * (k_elem**2)[:, None, None]
 
-    rows, cols, lvals = _triplet_arrays(eldofs, Ke)
-    _, _, wvals = _triplet_arrays(eldofs, We)
-    L = sp.coo_matrix((lvals, (rows, cols)), shape=(n, n)).tocsr()
-    W = sp.coo_matrix((wvals, (rows, cols)), shape=(n, n)).tocsr()
+    L = _scatter(eldofs, Ke, n)
+    W = _scatter(eldofs, We, n)
 
     if problem.outer_bc == "impedance":
-        grows, gcols, gvals = _gamma_triplets(problem, mesh.boundary_edges)
-        Gamma = sp.coo_matrix((gvals, (grows, gcols)), shape=(n, n)).tocsr()
+        gdofs, weighted, _ = _gamma_blocks(problem, mesh.boundary_edges)
+        Gamma = _scatter(gdofs, weighted, n)
         dirichlet = np.empty(0, dtype=np.int64)
     else:
         Gamma = sp.csr_matrix((n, n))
@@ -378,19 +377,15 @@ def assemble_helmholtz_subset(
     cent = mesh.centroids()[elements]
     k_elem = problem.omega / problem.model(cent[:, 0], cent[:, 1])
     Ae = Ke + sign_w * Me * (k_elem**2)[:, None, None]
-    rows, cols, vals = _triplet_arrays(eldofs, Ae)
     nloc = dofs.size
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(nloc, nloc)).tocsr()
-    S = S.astype(np.complex128)
+    S = _scatter(eldofs, Ae, nloc).astype(np.complex128)
 
     if impedance and problem.outer_bc == "impedance":
         counts = np.bincount(mesh.tri_edges[elements].ravel(), minlength=mesh.n_edges)
         local_bnd = np.intersect1d(np.flatnonzero(counts == 1), mesh.boundary_edges)
-        grows, gcols, gvals = _gamma_triplets(problem, local_bnd)
-        if gvals.size:
-            gr = np.searchsorted(dofs, grows)
-            gc = np.searchsorted(dofs, gcols)
-            S = S + 1j * sp.coo_matrix((gvals, (gr, gc)), shape=(nloc, nloc)).tocsr()
+        if local_bnd.size:
+            gdofs, weighted, _ = _gamma_blocks(problem, local_bnd)
+            S = S + 1j * _scatter(np.searchsorted(dofs, gdofs), weighted, nloc)
 
     if dirichlet_dofs is not None and dirichlet_dofs.size:
         present = np.intersect1d(dirichlet_dofs, dofs)

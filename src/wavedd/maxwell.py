@@ -7,9 +7,13 @@ one- and two-level additive Schwarz with the gradient ("free") coarse space,
 and the GenEO enrichment built in the orthogonal complement of that space.
 Both coarse bases are sparse matrices of locally supported columns, with a
 sparse coarse matrix E: the coarse correction depends only on their span, so
-they are never orthonormalized globally.  They go through the coarse-space
-path of the Helmholtz spectral spaces: ``schwarz._independent_columns`` drops
-the dependent columns, and each kept column is then scaled to unit A-norm.
+they are never orthonormalized globally.  They share the code of the
+Helmholtz spectral spaces: the GenEO complement is one pencil on the
+subdomain loop ``schwarz._local_modes``, ``schwarz._independent_columns``
+drops the dependent columns of both bases, and each kept column is then
+scaled to unit A-norm.  The edge and nodal matrices are summed by
+``helmholtz._scatter``, and the nodal auxiliary operators of ASP weight the
+P1 element matrices of ``helmholtz._element_matrices``.
 
 DOFs are tangential circulations on interior edges, every edge directed from
 its lower- to its higher-numbered vertex; boundary edges are eliminated by
@@ -30,13 +34,20 @@ from .decomposition import Decomposition, decompose
 from .errors import SingularityError, StructuralError
 from .linalg import (
     ComplexSparseMatrix,
-    dense_generalized_eig,
+    dense_generalized_eig,  # noqa: F401 - perfbench/tracing.py patches this name here
     lu_factorize,
     orthonormalize,
 )
 from .mesh import Mesh
-from .helmholtz import _element_geometry
-from .schwarz import CoarseSpace, TwoLevel, _independent_columns
+from .helmholtz import _element_geometry, _element_matrices, _scatter
+from .schwarz import (
+    CoarseSpace,
+    EigenSelection,
+    TwoLevel,
+    _independent_columns,
+    _local_modes,
+    _spd_or_shifted,
+)
 
 __all__ = [
     "MaxwellProblem",
@@ -103,7 +114,7 @@ class MaxwellSystem:
     Ltilde: sp.csr_matrix    # mu_r^-1-weighted vector nodal Laplacian (2 blocks)
     Qtilde: sp.csr_matrix    # eps_r-weighted vector nodal mass (2 blocks)
     Pinterp: sp.csr_matrix   # edge <- vector-nodal interpolation
-    L: sp.csr_matrix         # eps_r-weighted scalar nodal Laplacian
+    L: sp.csr_matrix         # unweighted scalar nodal Laplacian
     b: np.ndarray
 
     @property
@@ -159,27 +170,8 @@ def _edge_element_matrices(mesh: Mesh, elements: np.ndarray, mu_e: np.ndarray,
     return Ke, Me
 
 
-def _scalar_p1_matrices(mesh: Mesh, weights: np.ndarray):
-    """Weighted P1 stiffness and mass element matrices."""
-    g, area = _barycentric_gradients(mesh, np.arange(mesh.n_triangles))
-    Ke = np.einsum("mid,mjd->mij", g, g) * (area * weights)[:, None, None]
-    ref_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    Me = ref_mass[None, :, :] * (area * weights)[:, None, None]
-    return Ke, Me
-
-
-def _assemble(rows, cols, vals, n, m=None):
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m or n)).tocsr()
-
-
-def _scatter_square(dofmap, Ae, n):
-    """Sum element matrices into a sparse n x n matrix, skipping -1 dofs."""
-    nd = dofmap.shape[1]
-    rows = np.repeat(dofmap, nd, axis=1).ravel()
-    cols = np.tile(dofmap, (1, nd)).ravel()
-    vals = Ae.reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-    return _assemble(rows[keep], cols[keep], vals[keep], n)
+def _assemble(rows, cols, vals, n, m):
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
 
 
 def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
@@ -206,8 +198,8 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
 
     Ke, Me = _edge_element_matrices(mesh, np.arange(mesh.n_triangles), mu_e, eps_e)
     dofmap = edge_dof[mesh.tri_edges]
-    K = _scatter_square(dofmap, Ke, ne)
-    Mw = _scatter_square(dofmap, Me, ne)
+    K = _scatter(dofmap, Ke, ne)
+    Mw = _scatter(dofmap, Me, ne)
     A = K + problem.alpha * Mw
 
     # gradient matrix: grad(phi_v) has circulation phi(head) - phi(tail)
@@ -224,13 +216,11 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
                   np.concatenate(vals), ne, nn)
 
     # nodal auxiliary operators on interior nodes
-    Kmu, _ = _scalar_p1_matrices(mesh, 1.0 / mu_e)
-    Kplain, _ = _scalar_p1_matrices(mesh, np.ones(mesh.n_triangles))
-    _, Meps = _scalar_p1_matrices(mesh, eps_e)
+    Kn, Mn, _ = _element_matrices(mesh, np.arange(mesh.n_triangles))
     ndofmap = node_dof[mesh.triangles]
-    Lmu = _scatter_square(ndofmap, Kmu, nn)
-    Lplain = _scatter_square(ndofmap, Kplain, nn)
-    Mass = _scatter_square(ndofmap, Meps, nn)
+    Lmu = _scatter(ndofmap, Kn * (1.0 / mu_e)[:, None, None], nn)
+    Lplain = _scatter(ndofmap, Kn, nn)
+    Mass = _scatter(ndofmap, Mn * eps_e[:, None, None], nn)
     if nn and bnd_nodes.size == 0:
         # pure Neumann auxiliary problems are singular: ground one node
         ground = sp.coo_matrix(([1.0], ([0], [0])), shape=(nn, nn)).tocsr()
@@ -287,7 +277,7 @@ def assemble_maxwell_subset(problem: MaxwellProblem, sys: MaxwellSystem,
                                     _per_element(problem.eps_r, mesh)[elements])
     gdof = sys.edge_dof[mesh.tri_edges[elements]]
     loc = np.where(gdof >= 0, np.searchsorted(dofs, gdof), -1)
-    return ComplexSparseMatrix(_scatter_square(loc, Ke + problem.alpha * Me, dofs.size))
+    return ComplexSparseMatrix(_scatter(loc, Ke + problem.alpha * Me, dofs.size))
 
 
 # ------------------------------------------------------------------ ASP
@@ -389,7 +379,7 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
     return cs
 
 
-def _bj_projector(sd, Gq: np.ndarray, A_loc: np.ndarray) -> np.ndarray:
+def _bj_projector(Gq: np.ndarray, A_loc: np.ndarray) -> np.ndarray:
     """b_j-orthogonal projector onto span(Gq), b_j(u, v) = (A_loc u, v)."""
     W = A_loc @ Gq
     M0 = Gq.T @ W
@@ -404,44 +394,35 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     space: (I - xi^T) D A_j D (I - xi) V = lambda A~_j V, keep lambda > tau,
     lift by R_j^T D_j (I - xi) V, and append to the free coarse space.
 
-    The lifted modes are appended to ``free_cs.Z`` as sparse columns, each
-    supported on its subdomain; ``_independent_columns`` drops any dependent
-    column, each kept column is scaled to unit A-norm, and ``CoarseSpace``
-    forms and factors the sparse E of the joint basis."""
+    The subdomain loop is ``schwarz._local_modes``, that of the Helmholtz
+    spectral spaces; this builder supplies only the pencil.  The lifted
+    modes are appended to ``free_cs.Z``; ``_independent_columns`` drops any
+    dependent column, each kept column is scaled to unit A-norm, and
+    ``CoarseSpace`` forms and factors the sparse E of the joint basis."""
     if free_cs is None:
         free_cs = build_free_cs(dec, sys)
     C = sys.C.tocsc()
-    modes = []
-    counts = []
-    flags = []
-    for sd in dec.subdomains:
+
+    def pencil(sd):
         A_loc = sd.A_loc.to_dense().real
         Gl = C[sd.dofs, :]
         touching = np.unique(Gl.nonzero()[1])
         n_loc = sd.n_local
         if touching.size:
-            Gq = orthonormalize(Gl[:, touching].toarray())
-            xi = _bj_projector(sd, Gq, A_loc)
+            xi = _bj_projector(orthonormalize(Gl[:, touching].toarray()), A_loc)
         else:
             xi = np.zeros((n_loc, n_loc))
         P = np.eye(n_loc) - xi
         D = sd.weights
         lhs = P.T @ ((D[:, None] * A_loc) * D[None, :]) @ P
         lhs = 0.5 * (lhs + lhs.T)
-        rhs = sd.neumann.to_dense().real
-        try:
-            np.linalg.cholesky(rhs)
-        except np.linalg.LinAlgError:
-            rhs = rhs + (1e-12 * np.trace(rhs) / n_loc) * np.eye(n_loc)
-            flags.append(sd.index)
+        rhs, flagged = _spd_or_shifted(sd.neumann.to_dense().real)
+        if flagged:
             warnings.warn(f"subdomain {sd.index}: Neumann matrix shift-regularized")
-        pairs = dense_generalized_eig(lhs, rhs, which=("re_above", tau))
-        pairs = pairs[:m_max]
-        counts.append(len(pairs))
-        for p in pairs:
-            modes.append(sp.csc_matrix((D * (P @ p.vector.real), (sd.dofs, np.zeros(n_loc, int))),
-                                       shape=(dec.n_dofs, 1)))
-    Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z] + modes)), sys.A)
+        return lhs, rhs, lambda v: D * (P @ v.real), flagged
+
+    modes, flags, counts = _local_modes(dec, pencil, EigenSelection("re_above", tau, m_max))
+    Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z, modes])), sys.A)
     cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
                      per_subdomain=counts)
     cs.dim_gradient_space = free_cs.dim_gradient_space

@@ -20,10 +20,12 @@ Coarse space builders:
 
 Every coarse space keeps a sparse basis B of locally supported columns and a
 sparse E = B* A B; the correction depends only on span(B), so no basis is
-orthonormalized globally.  The spectral spaces share one loop, ``_spectral_cs``:
-per subdomain a local pencil, the selected eigenpairs and their lift to sparse
-global columns, of which ``_independent_columns`` (shared with Maxwell) keeps
-the independent ones.  A builder supplies only its pencil and its lift.
+orthonormalized globally.  The spectral spaces of both physics share one loop,
+``_local_modes``: per subdomain a local pencil, the selected eigenpairs and
+their lift to sparse global columns.  A builder supplies only its pencil and
+its lift; ``_independent_columns`` then keeps the independent columns.  The
+DtN, H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are
+four pencils on that loop.
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -290,15 +292,15 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
 # ------------------------------------------------------------------ spectral CS
 
 
-def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
-                 pencil, selection: EigenSelection) -> CoarseSpace:
-    """The loop of every spectral coarse space.
+def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
+    """The loop of every spectral coarse space, Helmholtz and Maxwell alike.
 
     Per subdomain, ``pencil(sd)`` returns the local pencil (lhs, rhs), the
     lift of a local eigenvector to its values on ``sd.dofs``, and whether the
     pencil had to be regularized; or None to skip the subdomain.  The
     eigenpairs that ``selection`` keeps, at most m_max of them, are lifted to
-    sparse global columns, of which ``_independent_columns`` keeps a basis.
+    sparse global columns.  Returns those columns as one CSC matrix, the
+    indices of the flagged subdomains and the mode count of each subdomain.
     """
     rows, vals = [], []
     flags = []
@@ -320,6 +322,25 @@ def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
     Z = sp.csc_matrix((np.concatenate([np.empty(0)] + vals),
                        np.concatenate([np.empty(0, np.int64)] + rows),
                        np.cumsum([0] + [r.size for r in rows])), shape=(dec.n_dofs, len(rows)))
+    return Z, flags, counts
+
+
+def _spd_or_shifted(rhs: np.ndarray):
+    """The real symmetric right side of a local pencil, shifted by 1e-12 times
+    its mean diagonal when its Cholesky factorization fails; and whether it
+    was shifted."""
+    try:
+        np.linalg.cholesky(rhs)
+    except np.linalg.LinAlgError:
+        return rhs + (1e-12 * np.trace(rhs) / rhs.shape[0]) * np.eye(rhs.shape[0]), True
+    return rhs, False
+
+
+def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
+                 pencil, selection: EigenSelection) -> CoarseSpace:
+    """A Helmholtz spectral coarse space: the independent columns of
+    ``_local_modes``."""
+    Z, flags, counts = _local_modes(dec, pencil, selection)
     return CoarseSpace(_independent_columns(Z), system.A, provenance=provenance,
                        flags=flags, per_subdomain=counts, orthonormal_view=True)
 
@@ -420,12 +441,7 @@ def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
             problem, sd.elements, sd.dofs, sign_w=+1.0, impedance=False,
             dirichlet_dofs=system.dirichlet_dofs,
         ).to_dense().real
-        flagged = False
-        try:
-            np.linalg.cholesky(rhs)
-        except np.linalg.LinAlgError:
-            rhs = rhs + (1e-12 * np.trace(rhs).real / rhs.shape[0]) * np.eye(rhs.shape[0])
-            flagged = True
+        rhs, flagged = _spd_or_shifted(rhs)
         return lhs, rhs, lambda u: D * u, flagged
 
     return _spectral_cs(dec, system, "deltageneo", pencil, selection)

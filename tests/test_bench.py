@@ -96,6 +96,25 @@ def test_maxwell_case_converges():
     assert rep.iterations <= 50
 
 
+def test_maxwell_random_source_assembles_once(monkeypatch):
+    """A random Maxwell load is drawn for the one assembled system."""
+    from wavedd import bench
+
+    systems = []
+    real = bench.assemble_maxwell
+
+    def counting(problem):
+        systems.append(real(problem))
+        return systems[-1]
+
+    monkeypatch.setattr(bench, "assemble_maxwell", counting)
+    cfg = RunConfig(problem="maxwell", maxwell_cells=6, preconditioner="asp",
+                    random_source=True, seed=5)
+    rep = run_case(cfg)
+    assert len(systems) == 1 and rep.converged
+    assert np.array_equal(systems[0].b, np.random.default_rng(5).standard_normal(rep.n_dofs))
+
+
 def test_sweep_single_cell_matches_run_case():
     cfg = RunConfig(f=2.0, ppwl=8, order=1, n_subdomains=4,
                     preconditioner="one-level", dofs_floor=1)

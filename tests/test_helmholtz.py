@@ -10,6 +10,7 @@ from wavedd.helmholtz import (
     HelmholtzProblem,
     PointSource,
     _boundary_edge_triangles,
+    _scatter,
     assemble_helmholtz,
     assemble_load,
     interpolate,
@@ -244,6 +245,25 @@ def test_boundary_edge_triangles_match_loop(order):
 
 
 # ------------------------------------------------------- resolution rules
+
+
+def test_scatter_skips_eliminated_dofs_and_sums_duplicates():
+    """``_scatter`` against a dense loop, with -1 DOFs, a DOF repeated within
+    one element and a DOF that no element uses; integer-valued blocks make
+    every summation order exact."""
+    dofmap = np.array([[0, 2, -1], [2, 0, 1], [-1, -1, 3], [1, 1, 2]])
+    Ae = np.random.default_rng(4).integers(-9, 10, (4, 3, 3)).astype(float)
+    n = 5
+    ref = np.zeros((n, n))
+    for dofs, block in zip(dofmap, Ae):
+        for i, r in enumerate(dofs):
+            for j, c in enumerate(dofs):
+                if r >= 0 and c >= 0:
+                    ref[r, c] += block[i, j]
+    S = _scatter(dofmap, Ae, n)
+    assert S.format == "csr" and S.shape == (n, n)
+    assert np.array_equal(S.toarray(), ref)
+    assert not ref[4].any()
 
 
 def test_ppwl_formula():

@@ -508,6 +508,18 @@ def test_hgeneo_build_stays_below_one_dense_basis():
     assert peak < 16 * dec.n_dofs * cs.n0
 
 
+def test_singular_right_side_shifted_and_flagged():
+    """The regularization shared by the Delta-GenEO and Maxwell pencils: an
+    SPD right side passes unchanged; one whose Cholesky factorization fails
+    gains 1e-12 times its mean diagonal on the diagonal and is flagged."""
+    spd = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    same, flagged = schwarz._spd_or_shifted(spd)
+    assert same is spd and not flagged
+    singular = np.array([[4.0, -4.0], [-4.0, 4.0]])
+    shifted, flagged = schwarz._spd_or_shifted(singular)
+    assert flagged and np.array_equal(shifted, singular + 4e-12 * np.eye(2))
+
+
 def test_lu_orderings_of_each_caller(monkeypatch):
     """Symmetric-pattern Helmholtz factors use minimum degree on A^T + A; the
     Maxwell factors and every coarse matrix keep COLAMD."""
