@@ -33,6 +33,7 @@ __all__ = [
     "KrylovConfig",
     "KrylovReport",
     "EigenPair",
+    "EigenPairs",
     "csr_from_triplets",
     "lu_factorize",
     "krylov_solve",
@@ -416,11 +417,25 @@ def eigenpair_residual(A, B, pair: EigenPair) -> float:
 
 
 def _is_hermitian(M: np.ndarray) -> bool:
-    return np.allclose(M, M.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(M).max()))
+    atol = 1e-12 * max(1.0, np.abs(M).max())
+    # M - M* has the diagonal 2i Im(M_ii): a complex M whose diagonal fails
+    # the test below fails the allclose rule too, without its n x n temporaries
+    if np.iscomplexobj(M) and 2.0 * np.abs(M.diagonal().imag).max() > atol:
+        return False
+    return np.allclose(M, M.conj().T, rtol=0.0, atol=atol)
 
 
-def _select_pairs(values, vectors, which):
-    """Order and filter eigenpairs.
+class EigenPairs(list):
+    """The eigenpairs that ``dense_generalized_eig`` returns: a list of
+    ``EigenPair``, whose ``rejected`` counts the pairs that the selection
+    reached and the residual contract dropped."""
+
+    rejected = 0
+
+
+def _selection_order(values, which):
+    """The indices of ``values`` in the order of the selection rule, and how
+    many pairs the rule keeps (None: every index in the order).
 
     ``which`` is None (all, ascending real part) or a tuple:
       ("re_below", t)    -- Re < t, ascending real part
@@ -432,27 +447,31 @@ def _select_pairs(values, vectors, which):
     idx = np.arange(len(values))
     order = sorted(idx, key=lambda i: (values[i].real, -abs(values[i])))
     if which is None:
-        keep = order
-    else:
-        rule, arg = which
-        if rule == "re_below":
-            keep = [i for i in order if values[i].real < arg]
-        elif rule == "re_above":
-            keep = [i for i in reversed(order) if values[i].real > arg]
-        elif rule == "k_largest":
-            keep = list(reversed(order))[: int(arg)]
-        elif rule == "abs_largest":
-            keep = sorted(idx, key=lambda i: (-abs(values[i]), -values[i].real))[: int(arg)]
-        else:
-            raise StructuralError(f"unknown selection rule {rule!r}")
-    out = []
-    for i in keep:
-        v = vectors[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
-        out.append(EigenPair(complex(values[i]), v / nrm))
-    return out
+        return order, None
+    rule, arg = which
+    if rule == "re_below":
+        return [i for i in order if values[i].real < arg], None
+    if rule == "re_above":
+        return [i for i in reversed(order) if values[i].real > arg], None
+    if rule == "k_largest":
+        return list(reversed(order)), int(arg)
+    if rule == "abs_largest":
+        return sorted(idx, key=lambda i: (-abs(values[i]), -values[i].real)), int(arg)
+    raise StructuralError(f"unknown selection rule {rule!r}")
+
+
+def _reduced_eig(A, B):
+    """Eigenpairs of B^-1 A, with B factorized by LU; LinAlgError when B is
+    numerically singular.  The factor and B^-1 A are this call's own and are
+    freed on return.  numpy's eig releases the GIL, so two threads can run
+    it at once; scipy's eig and eigh do not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(B)
+    dg = np.abs(np.diagonal(lu))
+    if dg.min() <= 1e-13 * max(dg.max(), 1e-300):
+        raise np.linalg.LinAlgError("B numerically singular")
+    return np.linalg.eig(sla.lu_solve((lu, piv), A))
 
 
 def dense_generalized_eig(A, B, which=None) -> list[EigenPair]:
@@ -462,6 +481,12 @@ def dense_generalized_eig(A, B, which=None) -> list[EigenPair]:
     symmetric path; otherwise the pencil is reduced to a standard problem by
     factorizing B (QZ is the fallback when B is singular, dropping the
     infinite eigenvalues).  Returned vectors have unit 2-norm.
+
+    The pairs are taken in the order of ``which`` (see ``_selection_order``)
+    and each must pass the residual contract ||A v - lambda B v|| <=
+    1e-8 (||A||_F + |lambda| ||B||_F); one that fails is dropped and the next
+    takes its place.  Only the pairs that the selection reaches are checked;
+    the returned ``EigenPairs`` counts the dropped ones in ``rejected``.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -469,7 +494,7 @@ def dense_generalized_eig(A, B, which=None) -> list[EigenPair]:
         raise StructuralError("A, B must be square and of equal size")
     n = A.shape[0]
     if n == 0:
-        return []
+        return EigenPairs()
     try:
         w = v = None
         if _is_hermitian(A) and _is_hermitian(B):
@@ -480,28 +505,32 @@ def dense_generalized_eig(A, B, which=None) -> list[EigenPair]:
                 w = v = None  # B not definite; fall through to the general path
         if w is None:
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", sla.LinAlgWarning)
-                    lu, piv = sla.lu_factor(B)
-                dg = np.abs(np.diagonal(lu))
-                if dg.min() <= 1e-13 * max(dg.max(), 1e-300):
-                    raise np.linalg.LinAlgError("B numerically singular")
-                T = sla.lu_solve((lu, piv), A)
-                w, v = sla.eig(T)
+                w, v = _reduced_eig(A, B)
             except (np.linalg.LinAlgError, sla.LinAlgError):
                 w, v = sla.eig(A, B)  # QZ; may produce inf for singular B
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise NumericError(f"generalized eigensolve failed: {exc}") from exc
-    # enforce the residual contract; singular B pollutes every solver path
-    finite = np.isfinite(w)
-    w, v = w[finite], v[:, finite]
-    nrm = np.linalg.norm(v, axis=0)
-    ok = nrm > 0
-    w, v = w[ok], v[:, ok] / nrm[ok]
-    res = np.linalg.norm(A @ v - (B @ v) * w[None, :], axis=0)
-    bound = 1e-8 * (np.linalg.norm(A, "fro") + np.abs(w) * np.linalg.norm(B, "fro"))
-    keep = res <= np.maximum(bound, 1e-300)
-    return _select_pairs(w[keep], v[:, keep], which)
+    # singular B pollutes every solver path: drop infinite values, then check
+    # the residual contract pair by pair
+    finite = np.flatnonzero(np.isfinite(w))
+    order, limit = _selection_order(w[finite], which)
+    nA, nB = np.linalg.norm(A, "fro"), np.linalg.norm(B, "fro")
+    pairs = EigenPairs()
+    for i in finite[order]:
+        if len(pairs) == limit:
+            break
+        lam, x = w[i], v[:, i]
+        # two normalizations, by the summed column norm and then by the
+        # dot-product 2-norm: the coarse bases are pinned to this rounding
+        nrm = np.linalg.norm(x, axis=0)
+        if nrm > 0:
+            x = x / nrm
+            res = np.linalg.norm(A @ x - (B @ x) * lam)
+            if res <= max(1e-8 * (nA + abs(lam) * nB), 1e-300):
+                pairs.append(EigenPair(complex(lam), x / np.linalg.norm(x)))
+                continue
+        pairs.rejected += 1
+    return pairs
 
 
 def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:

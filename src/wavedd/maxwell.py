@@ -421,10 +421,11 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
             warnings.warn(f"subdomain {sd.index}: Neumann matrix shift-regularized")
         return lhs, rhs, lambda v: D * (P @ v.real), flagged
 
-    modes, flags, counts = _local_modes(dec, pencil, EigenSelection("re_above", tau, m_max))
+    selection = EigenSelection("re_above", tau, m_max)
+    modes, flags, counts, rejected = _local_modes(dec, pencil, selection)
     Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z, modes])), sys.A)
     cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
-                     per_subdomain=counts)
+                     per_subdomain=counts, rejected=rejected)
     cs.dim_gradient_space = free_cs.dim_gradient_space
     cs.dim_vg = free_cs.dim_vg
     return cs

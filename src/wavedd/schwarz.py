@@ -27,6 +27,16 @@ its lift; ``_independent_columns`` then keeps the independent columns.  The
 DtN, H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are
 four pencils on that loop.
 
+The loop solves complex pencils (DtN, H-GenEO) two at a time: one worker
+thread solves the pencil of one subdomain while the calling thread builds
+and solves the next.  numpy's ``eig``, which solves them after an LU
+reduction, releases the GIL.  scipy's ``eigh``, which solves the real
+symmetric pencils (Delta-GenEO, the GenEO complement), holds it, so those
+are solved on the calling thread, one after another.  No dense factor is
+shared between the threads: each call of ``dense_generalized_eig`` factors
+its own right side, since two threads calling ``scipy.linalg.lu_solve`` on
+one ``lu_factor`` result corrupt the heap (scipy 1.17.1).
+
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
 stays a symmetric preconditioner for CG.
@@ -34,8 +44,9 @@ stays a symmetric preconditioner for CG.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,6 +63,7 @@ from .helmholtz import (
 )
 from .linalg import (
     ComplexSparseMatrix,
+    EigenPairs,
     dense_generalized_eig,
     lu_factorize,
     orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
@@ -135,17 +147,21 @@ class CoarseSpace:
     symmetric A is kept exactly Hermitian, so that H is symmetric to rounding,
     as CG needs.  n0 = 0 is a legal empty coarse space.  ``Z`` is B, but with
     ``orthonormal_view`` (the spectral spaces) a dense orthonormal basis of
-    span(B) formed on first access, and ``E`` then a dense copy of E.
+    span(B) formed on first access, and ``E`` then a dense copy of E.  A
+    spectral space records, per subdomain, its mode count in
+    ``per_subdomain`` and in ``rejected`` the number of eigenpairs that the
+    residual contract of ``dense_generalized_eig`` dropped.
     Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
     the rule of ``lu_factorize``: B has (numerically) dependent columns or
     the indefinite E is singular.
     """
 
     def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None,
-                 orthonormal_view: bool = False):
+                 rejected=None, orthonormal_view: bool = False):
         self.provenance = provenance
         self.flags = list(flags or [])
         self.per_subdomain = per_subdomain or []
+        self.rejected = rejected or []
         self.basis = sp.csc_matrix(Z)
         self._view = orthonormal_view
         if self.n0 == 0:
@@ -292,6 +308,39 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
 # ------------------------------------------------------------------ spectral CS
 
 
+def _solved_pencils(dec: Decomposition, pencil, selection: EigenSelection):
+    """(sd, lift, flagged, pairs) of every subdomain, in subdomain order, for
+    ``_local_modes``; a skipped subdomain has no lift and no pairs.
+
+    A complex pencil goes to the worker thread when that is idle; the next
+    pencil is built and solved here, and both are yielded in order once
+    solved, so at most two pencils are alive.  Real pencils are solved here.
+    """
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = None  # (sd, lift, flagged, future) of the worker's pencil
+        for sd in dec.subdomains:
+            local = pencil(sd)
+            if local is None:
+                done = sd, None, False, EigenPairs()
+            else:
+                lhs, rhs, lift, flagged = local
+                overlap = ahead is None and (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
+                solve = partial(dense_generalized_eig, lhs, rhs,
+                                which=selection.which(sd.k_max))
+                del local, lhs, rhs  # only ``solve`` holds the pencil
+                if overlap:
+                    ahead = sd, lift, flagged, worker.submit(solve)
+                    continue
+                done = sd, lift, flagged, solve()
+                del solve
+            if ahead is not None:
+                yield *ahead[:3], ahead[3].result()
+                ahead = None
+            yield done
+        if ahead is not None:
+            yield *ahead[:3], ahead[3].result()
+
+
 def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     """The loop of every spectral coarse space, Helmholtz and Maxwell alike.
 
@@ -300,20 +349,18 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     pencil had to be regularized; or None to skip the subdomain.  The
     eigenpairs that ``selection`` keeps, at most m_max of them, are lifted to
     sparse global columns.  Returns those columns as one CSC matrix, the
-    indices of the flagged subdomains and the mode count of each subdomain.
+    indices of the flagged subdomains, and per subdomain the mode count and
+    the number of pairs that the residual contract of
+    ``dense_generalized_eig`` rejected.
     """
     rows, vals = [], []
     flags = []
     counts = []
-    for sd in dec.subdomains:
-        local = pencil(sd)
-        if local is None:
-            counts.append(0)
-            continue
-        lhs, rhs, lift, flagged = local
+    rejected = []
+    for sd, lift, flagged, pairs in _solved_pencils(dec, pencil, selection):
         if flagged:
             flags.append(sd.index)
-        pairs = dense_generalized_eig(lhs, rhs, which=selection.which(sd.k_max))
+        rejected.append(pairs.rejected)
         pairs = pairs[: selection.m_max]
         counts.append(len(pairs))
         for p in pairs:
@@ -322,7 +369,7 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     Z = sp.csc_matrix((np.concatenate([np.empty(0)] + vals),
                        np.concatenate([np.empty(0, np.int64)] + rows),
                        np.cumsum([0] + [r.size for r in rows])), shape=(dec.n_dofs, len(rows)))
-    return Z, flags, counts
+    return Z, flags, counts, rejected
 
 
 def _spd_or_shifted(rhs: np.ndarray):
@@ -340,9 +387,10 @@ def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
                  pencil, selection: EigenSelection) -> CoarseSpace:
     """A Helmholtz spectral coarse space: the independent columns of
     ``_local_modes``."""
-    Z, flags, counts = _local_modes(dec, pencil, selection)
+    Z, flags, counts, rejected = _local_modes(dec, pencil, selection)
     return CoarseSpace(_independent_columns(Z), system.A, provenance=provenance,
-                       flags=flags, per_subdomain=counts, orthonormal_view=True)
+                       flags=flags, per_subdomain=counts, rejected=rejected,
+                       orthonormal_view=True)
 
 
 def _dtn_pencil(sd):

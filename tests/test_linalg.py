@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wavedd.errors import NumericError, SingularityError, StructuralError
 from wavedd.linalg import (
     ComplexSparseMatrix,
+    EigenPairs,
     EigenPair,
     KrylovConfig,
     csr_from_triplets,
@@ -19,6 +20,7 @@ from wavedd.linalg import (
     lu_factorize,
     orthonormalize,
 )
+from wavedd.linalg import _is_hermitian
 
 
 # ---------------------------------------------------------------- triplets
@@ -407,6 +409,118 @@ def test_eig_singular_b_drops_infinite():
     pairs = dense_generalized_eig(A, B)
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(1.0)
+
+
+def _allclose_rule(M):
+    return np.allclose(M, M.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(M).max()))
+
+
+def test_is_hermitian_early_exit_keeps_the_allclose_verdict():
+    """The diagonal early exit of ``_is_hermitian`` gives the verdict of the
+    plain allclose rule on Hermitian, almost-Hermitian (diagonal or
+    off-diagonal defects around the tolerance) and complex-symmetric
+    matrices."""
+    rng = np.random.default_rng(8)
+    near = []
+    for n in (1, 2, 5, 30):
+        for _ in range(10):
+            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            H = X + X.conj().T
+            atol = 1e-12 * max(1.0, np.abs(H).max())
+            i, j = rng.integers(n, size=2)
+            for f in (0.1, 0.49, 0.51, 1.0, 3.0):
+                D = H.copy()
+                D[i, i] += 1j * f * atol
+                O = H.copy()
+                O[i, j] += f * atol * (1.0 + 1.0j)
+                near += [D, O]
+            for M in (H, X + X.T, H.real, X):
+                assert _is_hermitian(M) == _allclose_rule(M)
+    verdicts = [_is_hermitian(M) for M in near]
+    assert verdicts == [_allclose_rule(M) for M in near]
+    assert True in verdicts and False in verdicts
+
+
+def _general_pencil(n=40, seed=9):
+    """A complex non-Hermitian A and a Hermitian positive definite B: the
+    pencil takes the LU-reduced path of ``dense_generalized_eig``."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return A, X @ X.conj().T + n * np.eye(n)
+
+
+def _corrupting_eig(monkeypatch, pick):
+    """Patch numpy's eig so that the columns ``pick(w)`` of its eigenvectors
+    are replaced by noise, which fails the residual contract; returns the
+    list of (w, v) that the patched eig returned."""
+    real = np.linalg.eig
+    out = []
+
+    def eig(T):
+        w, v = real(T)
+        cols = pick(w)
+        v[:, cols] = np.random.default_rng(0).standard_normal((v.shape[0], len(cols)))
+        out.append((w, v))
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return out
+
+
+def test_eig_rejected_pair_is_counted_and_replaced(monkeypatch):
+    A, B = _general_pencil()
+    clean = dense_generalized_eig(A, B, which=("abs_largest", 4))
+    assert isinstance(clean, EigenPairs) and clean.rejected == 0
+    _corrupting_eig(monkeypatch, lambda w: [int(np.argmax(np.abs(w)))])
+    pairs = dense_generalized_eig(A, B, which=("abs_largest", 3))
+    assert pairs.rejected == 1
+    assert [p.value for p in pairs] == [p.value for p in clean[1:]]
+    assert all(np.array_equal(p.vector, q.vector) for p, q in zip(pairs, clean[1:]))
+
+
+def _old_residual_rule(A, B, w, v, which):
+    """The rule that checked the residual of every pair before it selected,
+    on eigenvectors in LAPACK's column-major layout."""
+    finite = np.isfinite(w)
+    w, v = w[finite], v[:, finite]
+    nrm = np.linalg.norm(v, axis=0)
+    ok = nrm > 0
+    w, v = w[ok], v[:, ok] / nrm[ok]
+    res = np.linalg.norm(A @ v - (B @ v) * w[None, :], axis=0)
+    bound = 1e-8 * (np.linalg.norm(A, "fro") + np.abs(w) * np.linalg.norm(B, "fro"))
+    keep = res <= np.maximum(bound, 1e-300)
+    w, v = w[keep], v[:, keep]
+    idx = np.arange(len(w))
+    order = sorted(idx, key=lambda i: (w[i].real, -abs(w[i])))
+    rule, arg = which
+    if rule == "re_below":
+        sel = [i for i in order if w[i].real < arg]
+    elif rule == "re_above":
+        sel = [i for i in reversed(order) if w[i].real > arg]
+    elif rule == "k_largest":
+        sel = list(reversed(order))[: int(arg)]
+    else:
+        sel = sorted(idx, key=lambda i: (-abs(w[i]), -w[i].real))[: int(arg)]
+    return [(complex(w[i]), v[:, i] / np.linalg.norm(v[:, i])) for i in sel]
+
+
+@pytest.mark.parametrize("which", [("re_below", 0.0), ("re_above", 0.0),
+                                   ("k_largest", 7), ("abs_largest", 7)],
+                         ids=lambda which: which[0])
+def test_lazy_residual_check_selects_the_pairs_of_the_eager_rule(monkeypatch, which):
+    """Checking the residual only on the pairs the selection reaches keeps
+    exactly the pairs, values and vectors bit for bit, that checking every
+    pair and then selecting kept; one pair in three is corrupted."""
+    A, B = _general_pencil()
+    solved = _corrupting_eig(monkeypatch, lambda w: list(range(0, len(w), 3)))
+    pairs = dense_generalized_eig(A, B, which=which)
+    w, v = solved[-1]
+    ref = _old_residual_rule(A, B, w, np.asfortranarray(v), which)
+    assert pairs.rejected > 0 and len(pairs) == len(ref) > 0
+    for p, (value, vector) in zip(pairs, ref):
+        assert p.value == value
+        assert np.array_equal(p.vector, vector)
 
 
 # ---------------------------------------------------------------- orthonormalize

@@ -1,5 +1,6 @@
 """Edge elements, ASP, free/GenEO coarse spaces, spectral bound checks."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -369,6 +370,24 @@ def test_geneo_complement_eigensolves_run_in_the_shared_loop(monkeypatch):
     monkeypatch.setattr(schwarz, "dense_generalized_eig", counting)
     build_geneo_complement_cs(dec, sys, free_cs=free)
     assert sizes == [sd.n_local for sd in dec.subdomains]
+
+
+def test_geneo_complement_eigensolves_run_on_the_calling_thread(monkeypatch):
+    """The GenEO-complement pencils are real: scipy's eigh holds the GIL, so
+    they are not overlapped, and each is solved on the calling thread."""
+    _, prob, sys = _system(nx=8)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
+    threads = []
+    real = schwarz.dense_generalized_eig
+
+    def recording(lhs, rhs, which=None):
+        threads.append(threading.get_ident())
+        return real(lhs, rhs, which=which)
+
+    monkeypatch.setattr(schwarz, "dense_generalized_eig", recording)
+    cs = build_geneo_complement_cs(dec, sys)
+    assert threads == [threading.get_ident()] * 4
+    assert cs.rejected == [0] * 4
 
 
 def test_projector_idempotent_and_selfadjoint():

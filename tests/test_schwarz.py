@@ -1,5 +1,6 @@
 """ORAS, coarse spaces, and two-level combinations."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,13 @@ from wavedd import schwarz
 from wavedd.decomposition import assemble_local_matrices, decompose
 from wavedd.errors import SingularityError, StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
-from wavedd.linalg import KrylovConfig, krylov_solve, lu_factorize, orthonormalize
+from wavedd.linalg import (
+    KrylovConfig,
+    dense_generalized_eig,
+    krylov_solve,
+    lu_factorize,
+    orthonormalize,
+)
 from wavedd.mesh import build_rect_mesh, refine_uniform
 from wavedd.schwarz import (
     CoarseSpace,
@@ -481,6 +488,92 @@ def test_spectral_spaces_span_the_raw_columns(monkeypatch):
         assert sp.issparse(cs.basis) and cs.per_subdomain == counts
         assert cs.n0 == orthonormalize(dense).shape[1] == n0
         assert _projector_gap(cs.Z, dense) <= 1e-10
+
+
+def _serial_local_modes(dec, pencil, selection):
+    """Reference for ``schwarz._local_modes``: one pencil after another on
+    the calling thread, the lifted columns in subdomain order."""
+    cols = []
+    for sd in dec.subdomains:
+        local = pencil(sd)
+        if local is None:
+            continue
+        lhs, rhs, lift, _ = local
+        pairs = dense_generalized_eig(lhs, rhs, which=selection.which(sd.k_max))
+        for p in pairs[: selection.m_max]:
+            col = np.zeros(dec.n_dofs, dtype=complex)
+            col[sd.dofs] = lift(p.vector)
+            cols.append(sp.csc_matrix(col[:, None]))
+    return sp.hstack(cols, format="csc")
+
+
+def _wedge5():
+    model = VelocityModel.layered_wedge([1.0, 2.0], [(0.5, 0.0)])
+    return _setup(nx=20, ny=10, N=5, shape="strips", order=1, width=2.0,
+                  omega=2 * np.pi * 3, model=model)
+
+
+def test_overlapped_local_modes_match_a_serial_loop(monkeypatch):
+    """The DtN and H-GenEO bases built with two eigensolves in flight are the
+    bases of a serial loop, bit for bit; built twice each, so that the order
+    in which the threads finish cannot show.  Five strips leave the last
+    pencil without a partner."""
+    _, _, _, sys, dec = _wedge5()
+    seen = []
+    real = schwarz._local_modes
+
+    def recording(dec, pencil, selection):
+        seen.append((pencil, selection))
+        return real(dec, pencil, selection)
+
+    monkeypatch.setattr(schwarz, "_local_modes", recording)
+    for build in (build_dtn_cs, build_hgeneo_cs):
+        for _ in range(2):
+            cs = build(dec, sys)
+            ref = schwarz._independent_columns(_serial_local_modes(dec, *seen[-1]))
+            assert cs.n0 > 0 and cs.rejected == [0] * 5
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(cs.basis, part), getattr(ref, part))
+
+
+def test_complex_pencils_are_solved_two_at_a_time(monkeypatch):
+    """H-GenEO pencils alternate between a worker thread and the calling
+    thread; the Delta-GenEO pencils are real and stay on the calling
+    thread."""
+    _, _, prob, sys, dec = _wedge5()
+    threads = []
+    real = schwarz.dense_generalized_eig
+
+    def recording(lhs, rhs, which=None):
+        threads.append(threading.get_ident())
+        return real(lhs, rhs, which=which)
+
+    monkeypatch.setattr(schwarz, "dense_generalized_eig", recording)
+    build_hgeneo_cs(dec, sys)
+    main = threading.get_ident()
+    assert len(threads) == 5 and threads.count(main) == 2 and len(set(threads)) == 2
+    threads.clear()
+    build_deltageneo_cs(dec, prob, sys)
+    assert threads == [main] * 5
+
+
+def test_rejected_pairs_counted_on_the_coarse_space(monkeypatch):
+    """A pair that fails the residual contract in every H-GenEO subdomain
+    is counted on the coarse space, and the next pair takes its place."""
+    _, _, _, sys, dec = _wedge5()
+    sel = EigenSelection("abs_largest", None, 6)
+    clean = build_hgeneo_cs(dec, sys, sel)
+    assert clean.rejected == [0] * 5
+    real = np.linalg.eig
+
+    def corrupting(T):
+        w, v = real(T)
+        v[:, np.argmax(np.abs(w))] = 1.0  # not an eigenvector
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", corrupting)
+    cs = build_hgeneo_cs(dec, sys, sel)
+    assert cs.rejected == [1] * 5 and cs.per_subdomain == clean.per_subdomain == [6] * 5
 
 
 def test_spectral_space_drops_duplicate_complex_column():
