@@ -18,6 +18,7 @@ from .helmholtz import (
 from .linalg import (
     ComplexSparseMatrix,
     EigenPair,
+    EigenSelection,
     Factorization,
     KrylovConfig,
     KrylovReport,
@@ -38,7 +39,6 @@ from .maxwell import (
 from .mesh import Mesh, build_rect_mesh, refine_uniform
 from .schwarz import (
     CoarseSpace,
-    EigenSelection,
     OneLevelOras,
     TwoLevel,
     build_deltageneo_cs,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .decomposition import assemble_local_matrices, decompose
 from .dispersion import dispersion_curve
 from .errors import StructuralError
 from .helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
-from .linalg import KrylovConfig, krylov_solve
+from .linalg import EigenSelection, KrylovConfig, krylov_solve
 from .maxwell import (
     AspPreconditioner,
     MaxwellProblem,
@@ -33,7 +33,6 @@ from .maxwell import (
 )
 from .mesh import build_rect_mesh, refine_uniform
 from .schwarz import (
-    EigenSelection,
     OneLevelOras,
     TwoLevel,
     build_deltageneo_cs,
@@ -102,6 +101,9 @@ class SolveReport:
     n_dofs: int
     coarse_dim: int
     config: RunConfig
+    # CoarseSpace.rejected and .flags; empty for one-level and ASP
+    rejected: list = field(default_factory=list)
+    flags: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.iterations > self.config.max_iter:
@@ -246,7 +248,7 @@ def _run_helmholtz(cfg: RunConfig) -> SolveReport:
     assemble_local_matrices(dec, prob, system)
     one = OneLevelOras(dec)
     method = cfg.preconditioner
-    coarse_dim = 0
+    cs = None
     if method == "one-level":
         op = one.apply
     else:
@@ -263,7 +265,6 @@ def _run_helmholtz(cfg: RunConfig) -> SolveReport:
                                      EigenSelection("re_above", cfg.lambda_min, cfg.m_max))
         else:
             raise StructuralError(f"unknown helmholtz preconditioner {method!r}")
-        coarse_dim = cs.n0
         op = TwoLevel(one, cs, system.A, mode=cfg.two_level_mode).apply
     setup = time.perf_counter() - t0
 
@@ -271,8 +272,7 @@ def _run_helmholtz(cfg: RunConfig) -> SolveReport:
     kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart)
     _, rep = krylov_solve(system.A, op, system.b, kcfg)
     solve = time.perf_counter() - t1
-    return SolveReport(rep.iterations, rep.converged, rep.final_residual,
-                       setup, solve, system.A.nrows, coarse_dim, cfg)
+    return _report(rep, setup, solve, system.A.nrows, cs, cfg)
 
 
 def _run_maxwell(cfg: RunConfig) -> SolveReport:
@@ -290,7 +290,7 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
     if cfg.random_source:
         system.b = np.random.default_rng(cfg.seed).standard_normal(system.n_dofs)
     method = cfg.preconditioner
-    coarse_dim = 0
+    cs = None
     if method == "asp":
         op = AspPreconditioner(system).apply
     else:
@@ -305,7 +305,6 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
             free = build_free_cs(dec, system)
             cs = free if method == "free-cs" else build_geneo_complement_cs(
                 dec, system, tau=cfg.tau, m_max=cfg.m_max, free_cs=free)
-            coarse_dim = cs.n0
             op = TwoLevel(one, cs, system.A, mode=cfg.two_level_mode).apply
         else:
             raise StructuralError(f"unknown maxwell preconditioner {method!r}")
@@ -315,8 +314,14 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
     kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, variant="cg")
     _, rep = krylov_solve(system.A, op, system.b, kcfg)
     solve = time.perf_counter() - t1
-    return SolveReport(rep.iterations, rep.converged, rep.final_residual,
-                       setup, solve, system.n_dofs, coarse_dim, cfg)
+    return _report(rep, setup, solve, system.n_dofs, cs, cfg)
+
+
+def _report(rep, setup, solve, n_dofs, cs, cfg: RunConfig) -> SolveReport:
+    """The report of one solve; ``cs`` is its coarse space, or None."""
+    n0, rejected, flags = (0, [], []) if cs is None else (cs.n0, cs.rejected, cs.flags)
+    return SolveReport(rep.iterations, rep.converged, rep.final_residual, setup, solve,
+                       n_dofs, n0, cfg, list(rejected), list(flags))
 
 
 def run_case(cfg: RunConfig) -> SolveReport:

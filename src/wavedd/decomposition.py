@@ -237,13 +237,12 @@ def assemble_local_matrices(
     dec: Decomposition,
     problem: HelmholtzProblem,
     system: AssembledSystem,
-    robin_k: float | None = None,
     factorize: bool = True,
 ) -> Decomposition:
     """Complete each subdomain: the Neumann matrix assembled from local
     elements only, the Robin matrix B_j = A~_j + i k (interface mass),
     interface data and k_j.  The interface k is sampled at each edge
-    midpoint, or is the constant ``robin_k``."""
+    midpoint."""
     mesh = dec.mesh
     cent = mesh.centroids()
     for sd in dec.subdomains:
@@ -262,7 +261,7 @@ def assemble_local_matrices(
         sd.interface_edges = iface
         nloc = sd.dofs.size
         if iface.size:
-            gdofs, weighted, plain = _gamma_blocks(problem, iface, robin_k)
+            gdofs, weighted, plain = _gamma_blocks(problem, iface)
             gdofs = np.searchsorted(sd.dofs, gdofs)
             Mg = _scatter(gdofs, plain, nloc)
             Mk = _scatter(gdofs, weighted, nloc)

@@ -197,20 +197,16 @@ def _boundary_edge_dofs(mesh: Mesh, edge_ids: np.ndarray):
     return np.column_stack([e, mesh.n_vertices + edge_ids])
 
 
-def _gamma_blocks(problem: HelmholtzProblem, edge_ids: np.ndarray,
-                  k: float | None = None):
+def _gamma_blocks(problem: HelmholtzProblem, edge_ids: np.ndarray):
     """Edge mass element blocks on the given edges: their (ne, nd) DOF map,
-    the blocks weighted by the wavenumber, sampled at each edge midpoint or
-    the constant ``k`` (the impedance boundary mass, or the Robin interface
-    term), and the unweighted blocks (the interface mass)."""
+    the blocks weighted by the wavenumber sampled at each edge midpoint (the
+    impedance boundary mass, or the Robin interface term), and the
+    unweighted blocks (the interface mass)."""
     mesh = problem.mesh
     pts = mesh.vertices[mesh.edges[edge_ids]]
     mids = pts.mean(axis=1)
     lengths = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    if k is None:
-        k_edge = problem.omega / problem.model(mids[:, 0], mids[:, 1])
-    else:
-        k_edge = np.full(edge_ids.shape[0], float(k))
+    k_edge = problem.omega / problem.model(mids[:, 0], mids[:, 1])
     tr = _edge_trace(mesh.order, _EDGE_QP)     # (nq, nd)
     ref_mass = np.einsum("q,qi,qj->ij", _EDGE_QW, tr, tr)
     return (_boundary_edge_dofs(mesh, edge_ids),

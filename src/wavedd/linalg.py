@@ -1,7 +1,8 @@
 """Minimal complex linear algebra kernel.
 
 CSR sparse matrices, a reusable sparse LU handle, a dense generalized
-eigensolver and Krylov methods (GMRES, CG) with pluggable preconditioners.
+eigensolver with the mode selection of the spectral coarse spaces, and
+Krylov methods (GMRES, CG) with pluggable preconditioners.
 
 Conventions:
   * dense matrices are plain numpy arrays in C (row-major) order; the GMRES
@@ -34,6 +35,7 @@ __all__ = [
     "KrylovReport",
     "EigenPair",
     "EigenPairs",
+    "EigenSelection",
     "csr_from_triplets",
     "lu_factorize",
     "krylov_solve",
@@ -433,31 +435,49 @@ class EigenPairs(list):
     rejected = 0
 
 
-def _selection_order(values, which):
-    """The indices of ``values`` in the order of the selection rule, and how
-    many pairs the rule keeps (None: every index in the order).
+def _ascending(values):
+    """The indices of ``values`` by ascending real part, ties broken by
+    descending magnitude; the sort is stable."""
+    return sorted(range(len(values)), key=lambda i: (values[i].real, -abs(values[i])))
 
-    ``which`` is None (all, ascending real part) or a tuple:
-      ("re_below", t)    -- Re < t, ascending real part
-      ("re_above", t)    -- Re > t, descending real part
-      ("k_largest", k)   -- k largest by real part
-      ("abs_largest", k) -- k largest by magnitude
-    Ties are broken by descending magnitude; the sort is stable.
+
+@dataclass(frozen=True)
+class EigenSelection:
+    """The eigenpairs of a local pencil that a spectral coarse space keeps:
+    at most ``m_max`` of them, in the order of ``rule``.
+
+      "re_below"    Re(lambda) < threshold, ascending real part,
+      "re_above"    Re(lambda) > threshold, descending real part,
+      "k_largest"   descending real part,
+      "abs_largest" descending magnitude (for indefinite pencils, whose
+                    troublesome quasi-resonant modes carry large |lambda| of
+                    arbitrary phase).
+
+    Ties are broken by descending magnitude.  The two largest-first rules
+    ignore ``threshold``.  The DtN builder reads a "re_below" threshold of
+    None as the subdomain wavenumber k_j.
     """
-    idx = np.arange(len(values))
-    order = sorted(idx, key=lambda i: (values[i].real, -abs(values[i])))
-    if which is None:
-        return order, None
-    rule, arg = which
-    if rule == "re_below":
-        return [i for i in order if values[i].real < arg], None
-    if rule == "re_above":
-        return [i for i in reversed(order) if values[i].real > arg], None
-    if rule == "k_largest":
-        return list(reversed(order)), int(arg)
-    if rule == "abs_largest":
-        return sorted(idx, key=lambda i: (-abs(values[i]), -values[i].real)), int(arg)
-    raise StructuralError(f"unknown selection rule {rule!r}")
+
+    rule: str = "re_above"
+    threshold: float | None = 0.5
+    m_max: int = 20
+
+    def __post_init__(self):
+        if self.rule not in ("re_below", "re_above", "k_largest", "abs_largest"):
+            raise StructuralError(f"unknown selection rule {self.rule!r}")
+        if self.m_max < 0:
+            raise StructuralError("m_max must be nonnegative")
+
+    def order(self, values) -> list:
+        """The indices of ``values`` in rule order, less those the threshold excludes."""
+        if self.rule == "abs_largest":
+            return sorted(range(len(values)), key=lambda i: (-abs(values[i]), -values[i].real))
+        order = _ascending(values)
+        if self.rule == "re_below":
+            return [i for i in order if values[i].real < self.threshold]
+        if self.rule == "re_above":
+            return [i for i in reversed(order) if values[i].real > self.threshold]
+        return order[::-1]
 
 
 def _reduced_eig(A, B):
@@ -474,19 +494,21 @@ def _reduced_eig(A, B):
     return np.linalg.eig(sla.lu_solve((lu, piv), A))
 
 
-def dense_generalized_eig(A, B, which=None) -> list[EigenPair]:
-    """Solve the dense generalized eigenproblem A v = lambda B v.
+def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPairs:
+    """Solve the dense generalized eigenproblem A v = lambda B v and select
+    its pairs.
 
     Hermitian A with Hermitian positive definite B goes through the fast
     symmetric path; otherwise the pencil is reduced to a standard problem by
     factorizing B (QZ is the fallback when B is singular, dropping the
     infinite eigenvalues).  Returned vectors have unit 2-norm.
 
-    The pairs are taken in the order of ``which`` (see ``_selection_order``)
-    and each must pass the residual contract ||A v - lambda B v|| <=
-    1e-8 (||A||_F + |lambda| ||B||_F); one that fails is dropped and the next
-    takes its place.  Only the pairs that the selection reaches are checked;
-    the returned ``EigenPairs`` counts the dropped ones in ``rejected``.
+    The pairs are taken in the order of the ``EigenSelection`` ``which``, at
+    most its m_max of them (None: every pair, ascending real part).  Each
+    must pass the residual contract ||A v - lambda B v|| <= 1e-8 (||A||_F +
+    |lambda| ||B||_F); one that fails is dropped and the next takes its
+    place.  Only the pairs up to the last one kept are checked; the returned
+    ``EigenPairs`` counts the dropped ones in ``rejected``.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -513,7 +535,8 @@ def dense_generalized_eig(A, B, which=None) -> list[EigenPair]:
     # singular B pollutes every solver path: drop infinite values, then check
     # the residual contract pair by pair
     finite = np.flatnonzero(np.isfinite(w))
-    order, limit = _selection_order(w[finite], which)
+    order = _ascending(w[finite]) if which is None else which.order(w[finite])
+    limit = None if which is None else which.m_max
     nA, nB = np.linalg.norm(A, "fro"), np.linalg.norm(B, "fro")
     pairs = EigenPairs()
     for i in finite[order]:

@@ -34,6 +34,7 @@ from .decomposition import Decomposition, decompose
 from .errors import SingularityError, StructuralError
 from .linalg import (
     ComplexSparseMatrix,
+    EigenSelection,
     dense_generalized_eig,  # noqa: F401 - perfbench/tracing.py patches this name here
     lu_factorize,
     orthonormalize,
@@ -42,7 +43,6 @@ from .mesh import Mesh
 from .helmholtz import _element_geometry, _element_matrices, _scatter
 from .schwarz import (
     CoarseSpace,
-    EigenSelection,
     TwoLevel,
     _independent_columns,
     _local_modes,

@@ -18,14 +18,16 @@ Coarse space builders:
                side, Helmholtz Neumann right side),
   deltageneo   plain GenEO on the nearby positive operator -lap + k^2.
 
-Every coarse space keeps a sparse basis B of locally supported columns and a
-sparse E = B* A B; the correction depends only on span(B), so no basis is
-orthonormalized globally.  The spectral spaces of both physics share one loop,
-``_local_modes``: per subdomain a local pencil, the selected eigenpairs and
-their lift to sparse global columns.  A builder supplies only its pencil and
-its lift; ``_independent_columns`` then keeps the independent columns.  The
-DtN, H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are
-four pencils on that loop.
+Every coarse space stores one basis, the sparse CSC matrix Z of locally
+supported columns, and a sparse E = Z* A Z; the correction depends only on
+span(Z), so no basis is orthonormalized globally.  The spectral spaces of
+both physics share one loop, ``_local_modes``: per subdomain a local pencil,
+the eigenpairs that ``dense_generalized_eig`` selects by an
+``EigenSelection`` (re-exported here from ``wavedd.linalg``), and their lift
+to sparse global columns.  A builder supplies only its pencil and its lift;
+``_independent_columns`` then keeps the independent columns.  The DtN,
+H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are four
+pencils on that loop.
 
 The loop solves complex pencils (DtN, H-GenEO) two at a time: one worker
 thread solves the pencil of one subdomain while the calling thread builds
@@ -45,8 +47,8 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,6 +66,7 @@ from .helmholtz import (
 from .linalg import (
     ComplexSparseMatrix,
     EigenPairs,
+    EigenSelection,
     dense_generalized_eig,
     lu_factorize,
     orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
@@ -79,41 +82,7 @@ __all__ = [
     "build_dtn_cs",
     "build_hgeneo_cs",
     "build_deltageneo_cs",
-    "dtn_interface_eigenpairs",
 ]
-
-
-@dataclass(frozen=True)
-class EigenSelection:
-    """Mode selection for spectral coarse spaces.
-
-    rule "re_below" keeps Re(lambda) < threshold (None means the subdomain
-    wavenumber k_j, the DtN heuristic); "re_above" keeps Re(lambda) >
-    threshold; "k_largest" keeps the m_max largest by real part;
-    "abs_largest" keeps the m_max largest by magnitude (for indefinite
-    pencils, whose troublesome quasi-resonant modes carry large |lambda| of
-    arbitrary phase).  At most m_max modes per subdomain are kept either way.
-    """
-
-    rule: str = "re_above"
-    threshold: float | None = 0.5
-    m_max: int = 20
-
-    def __post_init__(self):
-        if self.rule not in ("re_below", "re_above", "k_largest", "abs_largest"):
-            raise StructuralError(f"unknown selection rule {self.rule!r}")
-        if self.m_max < 0:
-            raise StructuralError("m_max must be nonnegative")
-
-    def which(self, k_j: float):
-        if self.rule == "re_below":
-            thr = self.threshold if self.threshold is not None else k_j
-            return ("re_below", thr)
-        if self.rule == "re_above":
-            return ("re_above", self.threshold)
-        if self.rule == "abs_largest":
-            return ("abs_largest", self.m_max)
-        return ("k_largest", self.m_max)
 
 
 class OneLevelOras:
@@ -140,70 +109,58 @@ class OneLevelOras:
 
 
 class CoarseSpace:
-    """Coarse space on the span of a sparse basis B, with the factorized
-    coarse matrix E = B* A B; the coarse correction is H v = B E^-1 B* v.
+    """Coarse space on the span of a sparse basis Z, with the factorized
+    coarse matrix E = Z* A Z; the coarse correction is H v = Z E^-1 Z* v.
 
-    B is stored once as CSC, a dense basis too.  E is sparse; E of a real
-    symmetric A is kept exactly Hermitian, so that H is symmetric to rounding,
-    as CG needs.  n0 = 0 is a legal empty coarse space.  ``Z`` is B, but with
-    ``orthonormal_view`` (the spectral spaces) a dense orthonormal basis of
-    span(B) formed on first access, and ``E`` then a dense copy of E.  A
-    spectral space records, per subdomain, its mode count in
+    ``Z`` is the one stored basis, CSC, for every space: grid, spectral and
+    Maxwell.  ``E`` is sparse; E of a real symmetric A is kept exactly
+    Hermitian, so that H is symmetric to rounding, as CG needs.  n0 = 0 is a
+    legal empty coarse space.  A spectral space records the indices of its
+    regularized subdomains in ``flags`` and, per subdomain, its mode count in
     ``per_subdomain`` and in ``rejected`` the number of eigenpairs that the
     residual contract of ``dense_generalized_eig`` dropped.
     Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
-    the rule of ``lu_factorize``: B has (numerically) dependent columns or
+    the rule of ``lu_factorize``: Z has (numerically) dependent columns or
     the indefinite E is singular.
     """
 
     def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None,
-                 rejected=None, orthonormal_view: bool = False):
+                 rejected=None):
         self.provenance = provenance
         self.flags = list(flags or [])
         self.per_subdomain = per_subdomain or []
         self.rejected = rejected or []
-        self.basis = sp.csc_matrix(Z)
-        self._view = orthonormal_view
+        self.Z = sp.csc_matrix(Z)
         if self.n0 == 0:
             self._solver = None
             return
         Aop = A.to_scipy() if isinstance(A, ComplexSparseMatrix) else A
-        # E = B* (A B), 64 columns at a time, as conj(B^T conj(A B_J)): no
-        # conjugated copy of B, and no copy of B or A B beyond one block
+        # E = Z* (A Z), 64 columns at a time, as conj(Z^T conj(A Z_J)): no
+        # conjugated copy of Z, and no copy of Z or A Z beyond one block
         blocks = []
         for j in range(0, self.n0, 64):
-            W = Aop @ self.basis[:, j:j + 64]
+            W = Aop @ self.Z[:, j:j + 64]
             np.conjugate(W.data, out=W.data)
-            W = self.basis.T @ W
+            W = self.Z.T @ W
             np.conjugate(W.data, out=W.data)
             blocks.append(W)
-        E = sp.hstack(blocks, format="csc")
+        self.E = sp.hstack(blocks, format="csc")
         if isinstance(A, ComplexSparseMatrix) and A.symmetric and A.dtype.kind == "f":
             # a real symmetric A makes E Hermitian; rounding in the product
             # breaks that, and cond(E) amplifies it into a non-symmetric H
-            E = (0.5 * (E + E.conj().T)).tocsc()
-        self._E = E
-        self._solver = lu_factorize(E).solve
+            self.E = (0.5 * (self.E + self.E.conj().T)).tocsc()
+        self._solver = lu_factorize(self.E).solve
 
     @property
     def n0(self) -> int:
-        return self.basis.shape[1]
-
-    @cached_property
-    def Z(self):
-        # Householder QR: B has full column rank, so Q spans span(B)
-        return np.linalg.qr(self.basis.toarray())[0] if self._view else self.basis
-
-    @property
-    def E(self):
-        return self._E.toarray() if self._view else self._E
+        return self.Z.shape[1]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Coarse correction H v = B E^-1 B* v."""
+        """Coarse correction H v = Z E^-1 Z* v."""
         if self.n0 == 0:
             return np.zeros_like(np.asarray(v, dtype=np.complex128))
-        r = (np.conj(v) @ self.basis).conj()
-        return self.basis @ self._solver(r)
+        r = (np.conj(v) @ self.Z).conj()
+        return self.Z @ self._solver(r)
 
     __call__ = apply
 
@@ -315,6 +272,7 @@ def _solved_pencils(dec: Decomposition, pencil, selection: EigenSelection):
     A complex pencil goes to the worker thread when that is idle; the next
     pencil is built and solved here, and both are yielded in order once
     solved, so at most two pencils are alive.  Real pencils are solved here.
+    A "re_below" threshold of None is the subdomain wavenumber k_j.
     """
     with ThreadPoolExecutor(max_workers=1) as worker:
         ahead = None  # (sd, lift, flagged, future) of the worker's pencil
@@ -325,8 +283,10 @@ def _solved_pencils(dec: Decomposition, pencil, selection: EigenSelection):
             else:
                 lhs, rhs, lift, flagged = local
                 overlap = ahead is None and (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
-                solve = partial(dense_generalized_eig, lhs, rhs,
-                                which=selection.which(sd.k_max))
+                which = selection
+                if selection.rule == "re_below" and selection.threshold is None:
+                    which = replace(selection, threshold=sd.k_max)
+                solve = partial(dense_generalized_eig, lhs, rhs, which=which)
                 del local, lhs, rhs  # only ``solve`` holds the pencil
                 if overlap:
                     ahead = sd, lift, flagged, worker.submit(solve)
@@ -347,11 +307,10 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     Per subdomain, ``pencil(sd)`` returns the local pencil (lhs, rhs), the
     lift of a local eigenvector to its values on ``sd.dofs``, and whether the
     pencil had to be regularized; or None to skip the subdomain.  The
-    eigenpairs that ``selection`` keeps, at most m_max of them, are lifted to
-    sparse global columns.  Returns those columns as one CSC matrix, the
-    indices of the flagged subdomains, and per subdomain the mode count and
-    the number of pairs that the residual contract of
-    ``dense_generalized_eig`` rejected.
+    eigenpairs that ``dense_generalized_eig`` selects by ``selection`` are
+    lifted to sparse global columns.  Returns those columns as one CSC
+    matrix, the indices of the flagged subdomains, and per subdomain the mode
+    count and the number of pairs that the residual contract rejected.
     """
     rows, vals = [], []
     flags = []
@@ -361,7 +320,6 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
         if flagged:
             flags.append(sd.index)
         rejected.append(pairs.rejected)
-        pairs = pairs[: selection.m_max]
         counts.append(len(pairs))
         for p in pairs:
             rows.append(sd.dofs)
@@ -389,8 +347,7 @@ def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
     ``_local_modes``."""
     Z, flags, counts, rejected = _local_modes(dec, pencil, selection)
     return CoarseSpace(_independent_columns(Z), system.A, provenance=provenance,
-                       flags=flags, per_subdomain=counts, rejected=rejected,
-                       orthonormal_view=True)
+                       flags=flags, per_subdomain=counts, rejected=rejected)
 
 
 def _dtn_pencil(sd):
@@ -421,15 +378,6 @@ def _dtn_pencil(sd):
         return sd.weights * v
 
     return S, M_G, lift, flagged
-
-
-def dtn_interface_eigenpairs(sd):
-    """Unselected DtN eigenpairs of one subdomain, S u = lambda M_Gamma u,
-    and their lift; ([], None) for an empty interface."""
-    if sd.interface_dofs is None or sd.interface_dofs.size == 0:
-        return [], None
-    S, M_G, lift, _ = _dtn_pencil(sd)
-    return dense_generalized_eig(S, M_G, which=None), lift
 
 
 def build_dtn_cs(dec: Decomposition, system: AssembledSystem,

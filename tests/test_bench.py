@@ -257,6 +257,37 @@ def test_cli_nonconverged_still_exits_zero(tmp_path):
     assert "NOT converged" in out.stdout
 
 
+def test_run_reports_rejected_eigenpairs(monkeypatch, capsys, tmp_path):
+    """A pair that fails the residual contract in every H-GenEO subdomain
+    reaches the report of ``run_case`` and the line that ``wavedd run``
+    prints for it; a one-level run reports nothing and prints no line."""
+    from wavedd.cli import main
+
+    cfg = RunConfig(f=2.0, ppwl=8.0, order=1, n_subdomains=4, partition="strips",
+                    preconditioner="hgeneo", m_max=6, max_iter=5)
+    clean = run_case(cfg)
+    assert clean.rejected == [0] * 4 and clean.flags == []
+    real = np.linalg.eig
+
+    def corrupting(T):
+        w, v = real(T)
+        v[:, np.argmax(np.abs(w))] = 1.0  # not an eigenvector
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", corrupting)
+    rep = run_case(cfg)
+    assert rep.rejected == [1] * 4 and rep.flags == []
+    assert rep.coarse_dim == clean.coarse_dim
+    one = run_case(replace(cfg, preconditioner="one-level"))
+    assert one.rejected == [] and one.flags == []
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text(render_config(cfg))
+    assert main(["run", str(cfgfile)]) == 0
+    assert "rejected eigenpairs=[1, 1, 1, 1] regularized subdomains=[]" in capsys.readouterr().out
+    assert main(["run", str(cfgfile), "--set", "preconditioner=one-level"]) == 0
+    assert "rejected" not in capsys.readouterr().out
+
+
 def test_perfbench_entry_points_resolve():
     """Every library name that the traced benchmark patches exists where it
     patches it, so that dropping an import breaks this test, not the trace."""

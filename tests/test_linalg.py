@@ -12,6 +12,7 @@ from wavedd.linalg import (
     ComplexSparseMatrix,
     EigenPairs,
     EigenPair,
+    EigenSelection,
     KrylovConfig,
     csr_from_triplets,
     dense_generalized_eig,
@@ -395,11 +396,11 @@ def test_eig_residual_invariant_many_instances():
 def test_eig_selection_rules():
     A = np.diag([1.0, 2.0, 3.0, 4.0])
     B = np.eye(4)
-    below = dense_generalized_eig(A, B, which=("re_below", 2.5))
+    below = dense_generalized_eig(A, B, which=EigenSelection("re_below", 2.5, 4))
     assert [p.value.real for p in below] == pytest.approx([1.0, 2.0])
-    above = dense_generalized_eig(A, B, which=("re_above", 2.5))
+    above = dense_generalized_eig(A, B, which=EigenSelection("re_above", 2.5, 4))
     assert [p.value.real for p in above] == pytest.approx([4.0, 3.0])
-    top2 = dense_generalized_eig(A, B, which=("k_largest", 2))
+    top2 = dense_generalized_eig(A, B, which=EigenSelection("k_largest", None, 2))
     assert [p.value.real for p in top2] == pytest.approx([4.0, 3.0])
 
 
@@ -470,10 +471,10 @@ def _corrupting_eig(monkeypatch, pick):
 
 def test_eig_rejected_pair_is_counted_and_replaced(monkeypatch):
     A, B = _general_pencil()
-    clean = dense_generalized_eig(A, B, which=("abs_largest", 4))
+    clean = dense_generalized_eig(A, B, which=EigenSelection("abs_largest", None, 4))
     assert isinstance(clean, EigenPairs) and clean.rejected == 0
     _corrupting_eig(monkeypatch, lambda w: [int(np.argmax(np.abs(w)))])
-    pairs = dense_generalized_eig(A, B, which=("abs_largest", 3))
+    pairs = dense_generalized_eig(A, B, which=EigenSelection("abs_largest", None, 3))
     assert pairs.rejected == 1
     assert [p.value for p in pairs] == [p.value for p in clean[1:]]
     assert all(np.array_equal(p.vector, q.vector) for p, q in zip(pairs, clean[1:]))
@@ -505,6 +506,15 @@ def _old_residual_rule(A, B, w, v, which):
     return [(complex(w[i]), v[:, i] / np.linalg.norm(v[:, i])) for i in sel]
 
 
+def _selection(which, n):
+    """The ``EigenSelection`` of an oracle tuple on a pencil of size n: a
+    threshold rule gets m_max = n, so that it caps nothing."""
+    rule, arg = which
+    if rule in ("re_below", "re_above"):
+        return EigenSelection(rule, arg, n)
+    return EigenSelection(rule, None, arg)
+
+
 @pytest.mark.parametrize("which", [("re_below", 0.0), ("re_above", 0.0),
                                    ("k_largest", 7), ("abs_largest", 7)],
                          ids=lambda which: which[0])
@@ -514,11 +524,28 @@ def test_lazy_residual_check_selects_the_pairs_of_the_eager_rule(monkeypatch, wh
     pair and then selecting kept; one pair in three is corrupted."""
     A, B = _general_pencil()
     solved = _corrupting_eig(monkeypatch, lambda w: list(range(0, len(w), 3)))
-    pairs = dense_generalized_eig(A, B, which=which)
+    pairs = dense_generalized_eig(A, B, which=_selection(which, A.shape[0]))
     w, v = solved[-1]
     ref = _old_residual_rule(A, B, w, np.asfortranarray(v), which)
     assert pairs.rejected > 0 and len(pairs) == len(ref) > 0
     for p, (value, vector) in zip(pairs, ref):
+        assert p.value == value
+        assert np.array_equal(p.vector, vector)
+
+
+def test_m_max_stops_the_residual_check_at_the_last_kept_pair(monkeypatch):
+    """A threshold rule with m_max = 3 checks no pair past its third kept
+    one: the corrupted fifth pair in the rule's order is never reached, so
+    nothing is rejected, and the three pairs are those of the eager rule,
+    bit for bit."""
+    A, B = _general_pencil()
+    solved = _corrupting_eig(monkeypatch, lambda w: [int(np.argsort(-w.real, kind="stable")[4])])
+    pairs = dense_generalized_eig(A, B, which=EigenSelection("re_above", 0.0, 3))
+    w, v = solved[-1]
+    assert (w.real > 0.0).sum() > 5
+    ref = _old_residual_rule(A, B, w, np.asfortranarray(v), ("re_above", 0.0))
+    assert pairs.rejected == 0 and len(pairs) == 3
+    for p, (value, vector) in zip(pairs, ref[:3]):
         assert p.value == value
         assert np.array_equal(p.vector, vector)
 
