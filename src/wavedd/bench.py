@@ -334,28 +334,31 @@ def run_case(cfg: RunConfig) -> SolveReport:
 # ----------------------------------------------------------------- sweeps
 
 SWEEP_COLUMNS = ("f", "dofs", "N", "method", "iterations", "coarse_dim",
-                 "converged", "setup_time", "solve_time")
+                 "converged", "rejected", "flagged", "setup_time", "solve_time")
 
 
 def _sweep_cell(base: RunConfig, f, N, method) -> dict:
+    """One sweep row.  ``rejected`` is the total of eigenpairs that the
+    residual contract dropped, ``flagged`` the flagged subdomains separated
+    by spaces, or "none"; a skipped or failed cell has "-" in both."""
     cfg = replace(base, f=float(f), n_subdomains=int(N), preconditioner=method)
     est = estimate_dofs(cfg)
-    if est / max(N, 1) < cfg.dofs_floor:
-        return {"f": f, "dofs": est, "N": N, "method": method,
-                "iterations": "-", "coarse_dim": "-", "converged": "skipped",
+    unsolved = {"f": f, "dofs": est, "N": N, "method": method,
+                "iterations": "-", "coarse_dim": "-", "rejected": "-", "flagged": "-",
                 "setup_time": "", "solve_time": ""}
+    if est / max(N, 1) < cfg.dofs_floor:
+        return {**unsolved, "converged": "skipped"}
     try:
         rep = run_case(cfg)
     except Exception as exc:  # isolate the cell, keep sweeping
-        return {"f": f, "dofs": est, "N": N, "method": method,
-                "iterations": "-", "coarse_dim": "-",
-                "converged": f"error:{type(exc).__name__}",
-                "setup_time": "", "solve_time": ""}
+        return {**unsolved, "converged": f"error:{type(exc).__name__}"}
     return {
         "f": f, "dofs": rep.n_dofs, "N": N, "method": method,
         "iterations": rep.iterations if rep.converged else "-",
         "coarse_dim": rep.coarse_dim,
         "converged": rep.converged,
+        "rejected": sum(rep.rejected),
+        "flagged": " ".join(map(str, rep.flags)) or "none",
         "setup_time": f"{rep.setup_time:.3f}",
         "solve_time": f"{rep.solve_time:.3f}",
     }

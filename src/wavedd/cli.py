@@ -44,7 +44,7 @@ def _cmd_run(args) -> int:
     print(f"dofs={rep.n_dofs} coarse_dim={rep.coarse_dim} "
           f"setup={rep.setup_time:.2f}s solve={rep.solve_time:.2f}s")
     if rep.rejected or rep.flags:
-        print(f"rejected eigenpairs={rep.rejected} regularized subdomains={rep.flags}")
+        print(f"rejected eigenpairs={rep.rejected} flagged subdomains={rep.flags}")
     if args.echo_config:
         print(render_config(rep.config), end="")
     return 0

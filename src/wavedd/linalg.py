@@ -430,9 +430,11 @@ def _is_hermitian(M: np.ndarray) -> bool:
 class EigenPairs(list):
     """The eigenpairs that ``dense_generalized_eig`` returns: a list of
     ``EigenPair``, whose ``rejected`` counts the pairs that the selection
-    reached and the residual contract dropped."""
+    reached and the residual contract dropped, and whose ``fallback`` says
+    that ARPACK failed on the pencil and it was solved densely instead."""
 
     rejected = 0
+    fallback = False
 
 
 def _ascending(values):
@@ -494,9 +496,49 @@ def _reduced_eig(A, B):
     return np.linalg.eig(sla.lu_solve((lu, piv), A))
 
 
+def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
+    """The pairs of the real symmetric pencil (A, B) that ``which`` selects,
+    by ARPACK (``eigsh``, largest algebraic values, B factorized once by
+    ``lu_factorize`` for its inverse); A is a LinearOperator, B sparse SPD.
+
+    Under "re_above", k starts at min(4, m_max) and doubles, up to m_max,
+    while all k values pass the threshold: only then can a wanted value lie
+    beyond the k computed.  "k_largest" asks for m_max values at once.
+    Returns None when the pencil is too small for ARPACK at k = m_max (ncv =
+    max(2 m_max + 1, 20) > n).  Raises NumericError when a pair fails the
+    residual contract ||A v - lambda B v|| <= 1e-8 (||A v|| + |lambda|
+    ||B v||), and ARPACK's own errors when it does not converge.
+    """
+    n = A.shape[0]
+    m_max = which.m_max
+    if m_max == 0:
+        return EigenPairs()
+    if max(2 * m_max + 1, 20) > n:
+        return None
+    Binv = spla.LinearOperator((n, n), matvec=lu_factorize(B).solve, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)  # fixed: runs repeat bit for bit
+    k = min(4, m_max) if which.rule == "re_above" else m_max
+    while True:
+        w, V = spla.eigsh(A, k, M=B, Minv=Binv, which="LA", ncv=max(2 * k + 1, 20),
+                          tol=0, v0=v0)
+        order = which.order(w)
+        if len(order) < k or k == m_max:
+            break
+        k = min(2 * k, m_max)
+    pairs = EigenPairs()
+    for i in order:
+        lam, x = w[i], V[:, i] / np.linalg.norm(V[:, i])
+        Ax, Bx = A @ x, B @ x
+        res = np.linalg.norm(Ax - lam * Bx)
+        if res > 1e-8 * (np.linalg.norm(Ax) + abs(lam) * np.linalg.norm(Bx)):
+            raise NumericError(f"ARPACK pair {lam:.6e} fails the residual contract")
+        pairs.append(EigenPair(complex(lam), x))
+    return pairs
+
+
 def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPairs:
-    """Solve the dense generalized eigenproblem A v = lambda B v and select
-    its pairs.
+    """Solve the generalized eigenproblem A v = lambda B v and select its
+    pairs.
 
     Hermitian A with Hermitian positive definite B goes through the fast
     symmetric path; otherwise the pencil is reduced to a standard problem by
@@ -509,7 +551,27 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     |lambda| ||B||_F); one that fails is dropped and the next takes its
     place.  Only the pairs up to the last one kept are checked; the returned
     ``EigenPairs`` counts the dropped ones in ``rejected``.
+
+    A real symmetric pencil given as a ``scipy.sparse.linalg.LinearOperator``
+    A and a sparse SPD B, under a "re_above" or "k_largest" rule, is solved
+    by ARPACK instead (``_arpack_eig``), with the residual contract taken per
+    pair, ||A v|| and ||B v|| in place of the Frobenius norms: a bound no
+    weaker for a unit v.  A pencil too small for ARPACK at m_max, or under
+    another rule, takes the dense path with A densified.  So does one on which ARPACK
+    fails (no convergence, or a pair past the contract); the returned
+    ``EigenPairs`` then has ``fallback`` set.
     """
+    fallback = False
+    if isinstance(A, spla.LinearOperator):
+        if which is not None and which.rule in ("re_above", "k_largest"):
+            try:
+                pairs = _arpack_eig(A, B, which)
+                if pairs is not None:
+                    return pairs
+            except (spla.ArpackError, NumericError, SingularityError):
+                fallback = True  # ArpackNoConvergence is an ArpackError
+        A = A @ np.eye(A.shape[0])
+        B = B.toarray() if sp.issparse(B) else B
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
@@ -539,6 +601,7 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     limit = None if which is None else which.m_max
     nA, nB = np.linalg.norm(A, "fro"), np.linalg.norm(B, "fro")
     pairs = EigenPairs()
+    pairs.fallback = fallback
     for i in finite[order]:
         if len(pairs) == limit:
             break

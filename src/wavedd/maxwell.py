@@ -11,7 +11,11 @@ they are never orthonormalized globally.  They share the code of the
 Helmholtz spectral spaces: the GenEO complement is one pencil on the
 subdomain loop ``schwarz._local_modes``, ``schwarz._independent_columns``
 drops the dependent columns of both bases, and each kept column is then
-scaled to unit A-norm.  The edge and nodal matrices are summed by
+scaled to unit A-norm.  That pencil holds no n_loc x n_loc array: its left
+side is a ``LinearOperator`` that applies the projector onto the
+b_j-orthogonal complement of the local gradients in low-rank form around the
+sparse D A_j D, its right side the sparse Neumann matrix, and ARPACK solves
+it for the few modes above tau.  The edge and nodal matrices are summed by
 ``helmholtz._scatter``, and the nodal auxiliary operators of ASP weight the
 P1 element matrices of ``helmholtz._element_matrices``.
 
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition, decompose
 from .errors import SingularityError, StructuralError
@@ -379,12 +384,14 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
     return cs
 
 
-def _bj_projector(Gq: np.ndarray, A_loc: np.ndarray) -> np.ndarray:
-    """b_j-orthogonal projector onto span(Gq), b_j(u, v) = (A_loc u, v)."""
+def _bj_projector(Gq: np.ndarray, A_loc) -> np.ndarray:
+    """The b_j-orthogonal projector onto span(Gq), b_j(u, v) = (A_loc u, v),
+    in low-rank form: xi = Gq S with S = (Gq^T A_loc Gq)^-1 (A_loc Gq)^T,
+    which is returned.  A_loc may be sparse; S is (Gq columns) x n_loc."""
     W = A_loc @ Gq
     M0 = Gq.T @ W
     cf = sla.cho_factor(0.5 * (M0 + M0.T))
-    return Gq @ sla.cho_solve(cf, W.T)
+    return sla.cho_solve(cf, W.T)
 
 
 def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float = 10.0,
@@ -393,6 +400,15 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     """GenEO modes in the b_j-orthogonal complement of the local gradient
     space: (I - xi^T) D A_j D (I - xi) V = lambda A~_j V, keep lambda > tau,
     lift by R_j^T D_j (I - xi) V, and append to the free coarse space.
+
+    No n_loc x n_loc array is formed for the pencil: its left side is a
+    ``LinearOperator`` that applies the sparse D A_j D between two
+    applications of P = I - xi, with xi = Gq S in the low-rank form of
+    ``_bj_projector``; its right side is the sparse Neumann matrix A~_j,
+    shifted and flagged when it is not SPD (the one dense step: the Cholesky
+    test of ``_spd_or_shifted``).  ``dense_generalized_eig`` solves it by
+    ARPACK, growing the number of wanted values only while all pass tau; a
+    subdomain on which ARPACK fails is re-solved densely and flagged.
 
     The subdomain loop is ``schwarz._local_modes``, that of the Helmholtz
     spectral spaces; this builder supplies only the pencil.  The lifted
@@ -404,22 +420,33 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     C = sys.C.tocsc()
 
     def pencil(sd):
-        A_loc = sd.A_loc.to_dense().real
-        Gl = C[sd.dofs, :]
-        touching = np.unique(Gl.nonzero()[1])
-        n_loc = sd.n_local
-        if touching.size:
-            xi = _bj_projector(orthonormalize(Gl[:, touching].toarray()), A_loc)
-        else:
-            xi = np.zeros((n_loc, n_loc))
-        P = np.eye(n_loc) - xi
-        D = sd.weights
-        lhs = P.T @ ((D[:, None] * A_loc) * D[None, :]) @ P
-        lhs = 0.5 * (lhs + lhs.T)
+        # the dense Cholesky test first, while no other local array is alive
         rhs, flagged = _spd_or_shifted(sd.neumann.to_dense().real)
+        rhs = sp.csr_matrix(rhs)
         if flagged:
             warnings.warn(f"subdomain {sd.index}: Neumann matrix shift-regularized")
-        return lhs, rhs, lambda v: D * (P @ v.real), flagged
+        A_loc = sd.A_loc.to_scipy().real
+        Gl = C[sd.dofs, :]
+        touching = np.unique(Gl.nonzero()[1])
+        if touching.size:
+            Gq = orthonormalize(Gl[:, touching].toarray())
+            S = _bj_projector(Gq, A_loc)
+        else:
+            Gq, S = np.zeros((sd.n_local, 0)), np.zeros((0, sd.n_local))
+        D = sd.weights
+        K = (sp.diags(D) @ A_loc @ sp.diags(D)).tocsr()
+
+        def lhs(v):  # P^T K P v, with P v = v - Gq (S v)
+            u = K @ (v - Gq @ (S @ v))
+            return u - S.T @ (Gq.T @ u)
+
+        op = spla.LinearOperator(K.shape, matvec=lhs, matmat=lhs, dtype=np.float64)
+
+        def lift(v):  # D P v
+            v = v.real
+            return D * (v - Gq @ (S @ v))
+
+        return op, rhs, lift, flagged
 
     selection = EigenSelection("re_above", tau, m_max)
     modes, flags, counts, rejected = _local_modes(dec, pencil, selection)

@@ -27,14 +27,18 @@ the eigenpairs that ``dense_generalized_eig`` selects by an
 to sparse global columns.  A builder supplies only its pencil and its lift;
 ``_independent_columns`` then keeps the independent columns.  The DtN,
 H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are four
-pencils on that loop.
+pencils on that loop.  The first three are dense arrays.  The GenEO
+complement is a ``LinearOperator`` against a sparse matrix, which
+``dense_generalized_eig`` solves by ARPACK; a subdomain on which ARPACK
+fails is re-solved densely and flagged.
 
 The loop solves complex pencils (DtN, H-GenEO) two at a time: one worker
 thread solves the pencil of one subdomain while the calling thread builds
 and solves the next.  numpy's ``eig``, which solves them after an LU
-reduction, releases the GIL.  scipy's ``eigh``, which solves the real
-symmetric pencils (Delta-GenEO, the GenEO complement), holds it, so those
-are solved on the calling thread, one after another.  No dense factor is
+reduction, releases the GIL.  The real symmetric pencils (Delta-GenEO by
+scipy's ``eigh``, the GenEO complement by ARPACK) are solved on the calling
+thread, one after another: ``eigh`` holds the GIL, and ARPACK's reverse
+communication runs Python for every operator apply.  No dense factor is
 shared between the threads: each call of ``dense_generalized_eig`` factors
 its own right side, since two threads calling ``scipy.linalg.lu_solve`` on
 one ``lu_factor`` result corrupt the heap (scipy 1.17.1).
@@ -115,10 +119,13 @@ class CoarseSpace:
     ``Z`` is the one stored basis, CSC, for every space: grid, spectral and
     Maxwell.  ``E`` is sparse; E of a real symmetric A is kept exactly
     Hermitian, so that H is symmetric to rounding, as CG needs.  n0 = 0 is a
-    legal empty coarse space.  A spectral space records the indices of its
-    regularized subdomains in ``flags`` and, per subdomain, its mode count in
-    ``per_subdomain`` and in ``rejected`` the number of eigenpairs that the
-    residual contract of ``dense_generalized_eig`` dropped.
+    legal empty coarse space.  A spectral space records, per subdomain, its
+    mode count in ``per_subdomain`` and in ``rejected`` the number of
+    eigenpairs that the residual contract of ``dense_generalized_eig``
+    dropped.  ``flags`` lists the subdomains whose modes did not come from
+    the plain solve of their pencil: the pencil was shift-regularized (a
+    singular Neumann matrix or DtN interior block), or ARPACK failed on it
+    and it was re-solved densely (``EigenPairs.fallback``).
     Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
     the rule of ``lu_factorize``: Z has (numerically) dependent columns or
     the indefinite E is singular.
@@ -297,6 +304,7 @@ def _solved_pencils(dec: Decomposition, pencil, selection: EigenSelection):
                 yield *ahead[:3], ahead[3].result()
                 ahead = None
             yield done
+            done = lift = None  # a lift may hold large factors: free it now
         if ahead is not None:
             yield *ahead[:3], ahead[3].result()
 
@@ -309,21 +317,23 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     pencil had to be regularized; or None to skip the subdomain.  The
     eigenpairs that ``dense_generalized_eig`` selects by ``selection`` are
     lifted to sparse global columns.  Returns those columns as one CSC
-    matrix, the indices of the flagged subdomains, and per subdomain the mode
-    count and the number of pairs that the residual contract rejected.
+    matrix, the indices of the flagged subdomains (regularized, or solved
+    densely after ARPACK failed), and per subdomain the mode count and the
+    number of pairs that the residual contract rejected.
     """
     rows, vals = [], []
     flags = []
     counts = []
     rejected = []
     for sd, lift, flagged, pairs in _solved_pencils(dec, pencil, selection):
-        if flagged:
+        if flagged or pairs.fallback:
             flags.append(sd.index)
         rejected.append(pairs.rejected)
         counts.append(len(pairs))
         for p in pairs:
             rows.append(sd.dofs)
             vals.append(lift(p.vector))
+        del lift  # before the next pencil is built
     Z = sp.csc_matrix((np.concatenate([np.empty(0)] + vals),
                        np.concatenate([np.empty(0, np.int64)] + rows),
                        np.cumsum([0] + [r.size for r in rows])), shape=(dec.n_dofs, len(rows)))

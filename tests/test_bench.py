@@ -283,9 +283,51 @@ def test_run_reports_rejected_eigenpairs(monkeypatch, capsys, tmp_path):
     cfgfile = tmp_path / "case.cfg"
     cfgfile.write_text(render_config(cfg))
     assert main(["run", str(cfgfile)]) == 0
-    assert "rejected eigenpairs=[1, 1, 1, 1] regularized subdomains=[]" in capsys.readouterr().out
+    assert "rejected eigenpairs=[1, 1, 1, 1] flagged subdomains=[]" in capsys.readouterr().out
     assert main(["run", str(cfgfile), "--set", "preconditioner=one-level"]) == 0
     assert "rejected" not in capsys.readouterr().out
+
+
+def test_sweep_rows_report_rejected_pairs_and_flags(monkeypatch):
+    """A sweep row carries the total of rejected eigenpairs and the flagged
+    subdomains of its coarse space, in columns before the two timing
+    columns; skipped and failed cells show "-" there."""
+    from wavedd.bench import SWEEP_COLUMNS
+
+    assert SWEEP_COLUMNS[-4:] == ("rejected", "flagged", "setup_time", "solve_time")
+    base = RunConfig(f=2.0, ppwl=8.0, order=1, partition="strips", m_max=6,
+                     max_iter=5, dofs_floor=1)
+    real = np.linalg.eig
+
+    def corrupting(T):
+        w, v = real(T)
+        v[:, np.argmax(np.abs(w))] = 1.0  # not an eigenvector
+        return w, v
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eig", corrupting)
+        hgeneo, one = run_sweep(base, [2.0], [4], ["hgeneo", "one-level"])
+    assert (hgeneo["rejected"], hgeneo["flagged"]) == (4, "none")
+    assert (one["rejected"], one["flagged"]) == (0, "none")
+    skipped, = run_sweep(replace(base, dofs_floor=10**7), [2.0], [4], ["hgeneo"])
+    failed, = run_sweep(base, [2.0], [4], ["no-such-method"])
+    assert failed["converged"] == "error:StructuralError"
+    for row in (skipped, failed):
+        assert (row["rejected"], row["flagged"]) == ("-", "-")
+
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    maxwell = replace(base, problem="maxwell", maxwell_cells=12, partition="grid:2x2",
+                      tau=1.5, m_max=20, max_iter=500)
+    row, = run_sweep(maxwell, [1.0], [4], ["geneo-complement"])
+    assert (row["rejected"], row["flagged"]) == (0, "0 1 2 3")
+    lines = sweep_to_csv([row]).splitlines()
+    assert lines[0].endswith("converged,rejected,flagged,setup_time,solve_time")
+    assert lines[1].split(",")[-4:-2] == ["0", "0 1 2 3"]
 
 
 def test_perfbench_entry_points_resolve():

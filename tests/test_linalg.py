@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from wavedd.errors import NumericError, SingularityError, StructuralError
@@ -548,6 +550,93 @@ def test_m_max_stops_the_residual_check_at_the_last_kept_pair(monkeypatch):
     for p, (value, vector) in zip(pairs, ref[:3]):
         assert p.value == value
         assert np.array_equal(p.vector, vector)
+
+
+def _operator_pencil(n=80):
+    """A real symmetric pencil: A, the tridiagonal [-1, 2 + x_i, -1] with x_i
+    spread over [0, 8], given as a LinearOperator, and a sparse SPD
+    tridiagonal B; and A as a sparse matrix, and the values in descending
+    order from a dense solve."""
+    x = np.linspace(0.0, 8.0, n) ** 2 / 8.0
+    A = sp.diags([-np.ones(n - 1), 2.0 + x, -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    B = sp.diags([-0.3 * np.ones(n - 1), 2.0 * np.ones(n), -0.3 * np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    values = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)[::-1]
+    return spla.aslinearoperator(A), B, A, values
+
+
+@pytest.mark.parametrize("rule,above,m_max,ks,count", [
+    ("re_above", 6, 20, [4, 8], 6),     # k grows 4 -> 8, and 8 hold all 6
+    ("re_above", 10, 6, [4, 6], 6),     # k grows 4 -> 6 = m_max, the cap
+    ("re_above", 2, 20, [4], 2),
+    ("k_largest", None, 3, [3], 3),     # m_max at once
+])
+def test_operator_pencil_is_solved_by_arpack(monkeypatch, rule, above, m_max, ks, count):
+    """Under "re_above" ARPACK starts at k = 4 and doubles k while all k
+    values pass the threshold, up to m_max; "k_largest" asks for m_max at
+    once.  The pairs are those of the dense solve of the same pencil."""
+    op, B, A, values = _operator_pencil()
+    threshold = None if above is None else 0.5 * (values[above - 1] + values[above])
+    which = EigenSelection(rule, threshold, m_max)
+    calls = []
+    real = spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    pairs = dense_generalized_eig(op, B, which=which)
+    assert calls == ks and not pairs.fallback and pairs.rejected == 0
+    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    assert len(pairs) == len(dense) == count
+    for p, q in zip(pairs, dense):
+        assert abs(p.value - q.value) <= 1e-10 * abs(q.value)
+        assert abs(abs(p.vector @ q.vector) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n,which", [
+    (30, EigenSelection("re_above", 4.0, 20)),   # too small for ncv = 41 at m_max
+    (80, EigenSelection("re_below", 1.0, 20)),   # a rule ARPACK does not serve
+    (80, EigenSelection("abs_largest", None, 3)),
+])
+def test_operator_pencil_outside_arpack_takes_the_dense_path(monkeypatch, n, which):
+    """A pencil too small for ARPACK, or under another rule, is densified
+    and solved by the dense path, without a flag."""
+    op, B, A, _ = _operator_pencil(n)
+    monkeypatch.setattr(spla, "eigsh", None)  # any call would fail
+    pairs = dense_generalized_eig(op, B, which=which)
+    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    assert not pairs.fallback and len(pairs) == len(dense) > 0
+    for p, q in zip(pairs, dense):
+        assert abs(p.value - q.value) <= 1e-10 * abs(q.value)
+
+
+def test_operator_pencil_with_m_max_zero_selects_nothing():
+    op, B, _, _ = _operator_pencil()
+    assert dense_generalized_eig(op, B, which=EigenSelection("re_above", 0.0, 0)) == []
+
+
+@pytest.mark.parametrize("failure", ["no_convergence", "residual"])
+def test_arpack_failure_is_solved_densely_and_flagged(monkeypatch, failure):
+    """ARPACK that does not converge, or returns a pair past the residual
+    contract, sends the pencil to the dense path, and ``fallback`` says so."""
+    op, B, A, values = _operator_pencil()
+    real = spla.eigsh
+
+    def failing(*args, **kwargs):
+        if failure == "no_convergence":
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        w, V = real(*args, **kwargs)
+        V[:, -1] = 1.0  # not an eigenvector
+        return w, V
+
+    monkeypatch.setattr(spla, "eigsh", failing)
+    which = EigenSelection("re_above", 0.5 * (values[2] + values[3]), 20)
+    pairs = dense_generalized_eig(op, B, which=which)
+    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    assert pairs.fallback and not dense.fallback and pairs.rejected == 0
+    assert [p.value for p in pairs] == [q.value for q in dense]
 
 
 # ---------------------------------------------------------------- orthonormalize
