@@ -164,11 +164,15 @@ def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> Comple
 
 
 class Factorization:
-    """Reusable sparse LU handle; safe for concurrent solves."""
+    """Reusable sparse LU handle; safe for concurrent solves.  ``matrix``, when
+    given, is the sparse matrix factored: a pencil's right side passed as its
+    factor keeps it for the products and the densified fallback of
+    ``dense_generalized_eig``."""
 
-    def __init__(self, superlu, n: int):
+    def __init__(self, superlu, n: int, matrix: sp.spmatrix | None = None):
         self._lu = superlu
         self.n = n
+        self.matrix = matrix
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b)
@@ -178,6 +182,9 @@ class Factorization:
 
     def __call__(self, b):
         return self.solve(b)
+
+    def toarray(self) -> np.ndarray:
+        return self.matrix.toarray()
 
 
 def _as_scipy(A):
@@ -498,8 +505,9 @@ def _reduced_eig(A, B):
 
 def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
     """The pairs of the real symmetric pencil (A, B) that ``which`` selects,
-    by ARPACK (``eigsh``, largest algebraic values, B factorized once by
-    ``lu_factorize`` for its inverse); A is a LinearOperator, B sparse SPD.
+    by ARPACK (``eigsh``, largest algebraic values); A is a LinearOperator, B
+    sparse SPD, or a ``Factorization`` of it that carries the matrix.  The
+    inverse of B is that factor, or else a ``lu_factorize`` of B.
 
     Under "re_above", k starts at min(4, m_max) and doubles, up to m_max,
     while all k values pass the threshold: only then can a wanted value lie
@@ -515,7 +523,11 @@ def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
         return EigenPairs()
     if max(2 * m_max + 1, 20) > n:
         return None
-    Binv = spla.LinearOperator((n, n), matvec=lu_factorize(B).solve, dtype=np.float64)
+    if isinstance(B, Factorization):
+        B, solve = B.matrix, B.solve
+    else:
+        solve = lu_factorize(B).solve
+    Binv = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed: runs repeat bit for bit
     k = min(4, m_max) if which.rule == "re_above" else m_max
     while True:
@@ -554,12 +566,14 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
 
     A real symmetric pencil given as a ``scipy.sparse.linalg.LinearOperator``
     A and a sparse SPD B, under a "re_above" or "k_largest" rule, is solved
-    by ARPACK instead (``_arpack_eig``), with the residual contract taken per
-    pair, ||A v|| and ||B v|| in place of the Frobenius norms: a bound no
-    weaker for a unit v.  A pencil too small for ARPACK at m_max, or under
-    another rule, takes the dense path with A densified.  So does one on which ARPACK
-    fails (no convergence, or a pair past the contract); the returned
-    ``EigenPairs`` then has ``fallback`` set.
+    by ARPACK instead (``_arpack_eig``); B may be passed as a
+    ``Factorization`` that carries it, and ARPACK then reuses that factor.
+    The residual contract is taken per pair, ||A v|| and ||B v|| in place of
+    the Frobenius norms: a bound no weaker for a unit v.  A pencil too small
+    for ARPACK at m_max, or under another rule, takes the dense path with A
+    and B densified.  So does one on which ARPACK fails (no convergence, or a
+    pair past the contract); the returned ``EigenPairs`` then has
+    ``fallback`` set.
     """
     fallback = False
     if isinstance(A, spla.LinearOperator):
@@ -571,7 +585,7 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
             except (spla.ArpackError, NumericError, SingularityError):
                 fallback = True  # ArpackNoConvergence is an ArpackError
         A = A @ np.eye(A.shape[0])
-        B = B.toarray() if sp.issparse(B) else B
+        B = B.toarray() if sp.issparse(B) or isinstance(B, Factorization) else B
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:

@@ -14,10 +14,12 @@ drops the dependent columns of both bases, and each kept column is then
 scaled to unit A-norm.  That pencil holds no n_loc x n_loc array: its left
 side is a ``LinearOperator`` that applies the projector onto the
 b_j-orthogonal complement of the local gradients in low-rank form around the
-sparse D A_j D, its right side the sparse Neumann matrix, and ARPACK solves
-it for the few modes above tau.  The edge and nodal matrices are summed by
-``helmholtz._scatter``, and the nodal auxiliary operators of ASP weight the
-P1 element matrices of ``helmholtz._element_matrices``.
+sparse D A_j D, through one pivoted Cholesky factor of an r x r Gram matrix;
+its right side is the sparse Neumann matrix with the factor of its sparse
+SPD test, which ARPACK reuses to solve it for the few modes above tau.  The
+edge and nodal matrices are summed by ``helmholtz._scatter``, and the nodal
+auxiliary operators of ASP weight the P1 element matrices of
+``helmholtz._element_matrices``.
 
 DOFs are tangential circulations on interior edges, every edge directed from
 its lower- to its higher-numbered vertex; boundary edges are eliminated by
@@ -42,7 +44,7 @@ from .linalg import (
     EigenSelection,
     dense_generalized_eig,  # noqa: F401 - perfbench/tracing.py patches this name here
     lu_factorize,
-    orthonormalize,
+    orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
 )
 from .mesh import Mesh
 from .helmholtz import _element_geometry, _element_matrices, _scatter
@@ -51,7 +53,7 @@ from .schwarz import (
     TwoLevel,
     _independent_columns,
     _local_modes,
-    _spd_or_shifted,
+    _sparse_spd_or_shifted,
 )
 
 __all__ = [
@@ -384,14 +386,41 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
     return cs
 
 
-def _bj_projector(Gq: np.ndarray, A_loc) -> np.ndarray:
-    """The b_j-orthogonal projector onto span(Gq), b_j(u, v) = (A_loc u, v),
-    in low-rank form: xi = Gq S with S = (Gq^T A_loc Gq)^-1 (A_loc Gq)^T,
-    which is returned.  A_loc may be sparse; S is (Gq columns) x n_loc."""
-    W = A_loc @ Gq
-    M0 = Gq.T @ W
-    cf = sla.cho_factor(0.5 * (M0 + M0.T))
-    return sla.cho_solve(cf, W.T)
+def _bj_projector(G: sp.csc_matrix, A_loc: sp.csr_matrix):
+    """The b_j-orthogonal projector xi onto span(G), b_j(u, v) = (A_loc u, v),
+    from sparse matrices and r x r arrays only, r the columns of G.
+
+    One pivoted Cholesky (LAPACK xPSTRF) of the diagonally scaled A-Gram
+    d_i d_j (G^T W)_ij, W = A_loc G and d_i = (G^T W)_ii^-1/2, keeps the
+    ``rank`` independent columns G_k, in pivot order, at pivots above 1e-12;
+    its leading factor L_k gives M0 = G_k^T W_k = D_k^-1 L_k L_k^T D_k^-1.
+    Returns xi v = G_k S v and xi^T u = W_k M0^-1 G_k^T u, with
+    S v = M0^-1 W_k^T v applied through that factor, for a vector or a block
+    of columns.
+    """
+    W = A_loc @ G
+    M = (G.T @ W).toarray()
+    d = 1.0 / np.sqrt(M.diagonal())
+    gram = np.asfortranarray(np.outer(d, d) * M)
+    pstrf, = sla.get_lapack_funcs(("pstrf",), (gram,))
+    L, piv, rank, _ = pstrf(gram, tol=1e-12, lower=1, overwrite_a=True)
+    keep = piv[:rank] - 1
+    Lk, dk = np.asfortranarray(L[:rank, :rank]), d[keep]
+    Gk, Wk = G[:, keep], W[:, keep]
+    GkT, WkT = Gk.T.tocsr(), Wk.T.tocsr()
+
+    def m0_solve(y):  # M0^-1 y = D_k L_k^-T L_k^-1 D_k y
+        s = dk if y.ndim == 1 else dk[:, None]
+        y = sla.solve_triangular(Lk, s * y, lower=True, check_finite=False)
+        return s * sla.solve_triangular(Lk, y, lower=True, trans="T", check_finite=False)
+
+    def xi(v):
+        return Gk @ m0_solve(WkT @ v)
+
+    def xi_t(u):
+        return Wk @ m0_solve(GkT @ u)
+
+    return xi, xi_t
 
 
 def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float = 10.0,
@@ -401,14 +430,16 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     space: (I - xi^T) D A_j D (I - xi) V = lambda A~_j V, keep lambda > tau,
     lift by R_j^T D_j (I - xi) V, and append to the free coarse space.
 
-    No n_loc x n_loc array is formed for the pencil: its left side is a
-    ``LinearOperator`` that applies the sparse D A_j D between two
-    applications of P = I - xi, with xi = Gq S in the low-rank form of
-    ``_bj_projector``; its right side is the sparse Neumann matrix A~_j,
-    shifted and flagged when it is not SPD (the one dense step: the Cholesky
-    test of ``_spd_or_shifted``).  ``dense_generalized_eig`` solves it by
-    ARPACK, growing the number of wanted values only while all pass tau; a
-    subdomain on which ARPACK fails is re-solved densely and flagged.
+    The pencil is built from sparse matrices and r x r arrays only, r the
+    local gradient columns.  Its left side is a ``LinearOperator`` that
+    applies the sparse D A_j D between two applications of P = I - xi, with
+    xi the low-rank projector of ``_bj_projector`` on the raw sparse columns
+    of C.  Its right side is the sparse Neumann matrix A~_j as the
+    ``Factorization`` of the sparse SPD test of ``_sparse_spd_or_shifted``,
+    shifted and flagged when A~_j is not SPD; ARPACK reuses that factor.
+    ``dense_generalized_eig`` solves the pencil by ARPACK, growing the number
+    of wanted values only while all pass tau; a subdomain on which ARPACK
+    fails is re-solved densely and flagged.
 
     The subdomain loop is ``schwarz._local_modes``, that of the Helmholtz
     spectral spaces; this builder supplies only the pencil.  The lifted
@@ -420,31 +451,28 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     C = sys.C.tocsc()
 
     def pencil(sd):
-        # the dense Cholesky test first, while no other local array is alive
-        rhs, flagged = _spd_or_shifted(sd.neumann.to_dense().real)
-        rhs = sp.csr_matrix(rhs)
+        rhs, flagged = _sparse_spd_or_shifted(sd.neumann.to_scipy().real)
         if flagged:
             warnings.warn(f"subdomain {sd.index}: Neumann matrix shift-regularized")
         A_loc = sd.A_loc.to_scipy().real
         Gl = C[sd.dofs, :]
         touching = np.unique(Gl.nonzero()[1])
         if touching.size:
-            Gq = orthonormalize(Gl[:, touching].toarray())
-            S = _bj_projector(Gq, A_loc)
+            xi, xi_t = _bj_projector(Gl[:, touching], A_loc)
         else:
-            Gq, S = np.zeros((sd.n_local, 0)), np.zeros((0, sd.n_local))
+            xi = xi_t = np.zeros_like
         D = sd.weights
         K = (sp.diags(D) @ A_loc @ sp.diags(D)).tocsr()
 
-        def lhs(v):  # P^T K P v, with P v = v - Gq (S v)
-            u = K @ (v - Gq @ (S @ v))
-            return u - S.T @ (Gq.T @ u)
+        def lhs(v):  # P^T K P v, with P = I - xi
+            u = K @ (v - xi(v))
+            return u - xi_t(u)
 
         op = spla.LinearOperator(K.shape, matvec=lhs, matmat=lhs, dtype=np.float64)
 
         def lift(v):  # D P v
             v = v.real
-            return D * (v - Gq @ (S @ v))
+            return D * (v - xi(v))
 
         return op, rhs, lift, flagged
 

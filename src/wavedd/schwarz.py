@@ -38,10 +38,12 @@ and solves the next.  numpy's ``eig``, which solves them after an LU
 reduction, releases the GIL.  The real symmetric pencils (Delta-GenEO by
 scipy's ``eigh``, the GenEO complement by ARPACK) are solved on the calling
 thread, one after another: ``eigh`` holds the GIL, and ARPACK's reverse
-communication runs Python for every operator apply.  No dense factor is
-shared between the threads: each call of ``dense_generalized_eig`` factors
+communication runs Python for every operator apply.  No factor is shared
+between the threads: each dense solve of ``dense_generalized_eig`` factors
 its own right side, since two threads calling ``scipy.linalg.lu_solve`` on
-one ``lu_factor`` result corrupt the heap (scipy 1.17.1).
+one ``lu_factor`` result corrupt the heap (scipy 1.17.1), and the GenEO
+complement hands ARPACK the sparse factor of its own SPD test
+(``_sparse_spd_or_shifted``), made on the calling thread.
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -71,6 +73,7 @@ from .linalg import (
     ComplexSparseMatrix,
     EigenPairs,
     EigenSelection,
+    Factorization,
     dense_generalized_eig,
     lu_factorize,
     orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
@@ -349,6 +352,38 @@ def _spd_or_shifted(rhs: np.ndarray):
     except np.linalg.LinAlgError:
         return rhs + (1e-12 * np.trace(rhs) / rhs.shape[0]) * np.eye(rhs.shape[0]), True
     return rhs, False
+
+
+def _symmetric_lu(B: sp.spmatrix):
+    """SuperLU factor of the sparse real symmetric B with diagonal pivots
+    (symmetric mode, minimum degree on A^T + A), and whether B is SPD: it is
+    exactly when every pivot is diagonal (perm_r == perm_c) and positive,
+    for then the pivots are the D of B = L D L^T.  A B on which ``splu``
+    fails is not SPD; its factor is None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return None, False
+    return lu, bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
+
+
+def _sparse_spd_or_shifted(rhs: sp.spmatrix):
+    """``_spd_or_shifted`` for a sparse right side, by the SPD test of
+    ``_symmetric_lu``; returns the ``Factorization`` of the (shifted) matrix,
+    carrying it, and whether it was shifted.  No dense array is formed.
+    Raises SingularityError when the shifted matrix cannot be factored."""
+    n = rhs.shape[0]
+    lu, spd = _symmetric_lu(rhs)
+    if spd:
+        return Factorization(lu, n, rhs), False
+    rhs = (rhs + (1e-12 * rhs.diagonal().sum() / n) * sp.eye(n)).tocsr()
+    lu, _ = _symmetric_lu(rhs)
+    if lu is None:
+        raise SingularityError("shift-regularized right side is singular")
+    return Factorization(lu, n, rhs), True
 
 
 def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,

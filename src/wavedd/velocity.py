@@ -13,6 +13,17 @@ from .errors import StructuralError
 __all__ = ["VelocityModel", "load_raster_model", "save_raster_model"]
 
 
+def _check_speeds(values, what: str) -> None:
+    """Raise StructuralError unless every speed in ``values`` is finite and
+    positive: ``<= 0`` is False for NaN, and assembly would fail later with
+    a misleading symmetry error."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise StructuralError(f"{what} must be finite (NaN or inf found)")
+    if np.any(values <= 0):
+        raise StructuralError(f"{what} must be positive")
+
+
 class VelocityModel:
     """Positive wave speed field, evaluable at any (x, y).
 
@@ -30,20 +41,20 @@ class VelocityModel:
         self.extent = None if extent is None else tuple(float(e) for e in extent)
         self.rho = rho
         self.cP = cP
-        if kind == "constant" and (value is None or value <= 0):
-            raise StructuralError("constant model needs a positive speed")
+        if kind == "constant":
+            if value is None:
+                raise StructuralError("constant model needs a speed")
+            _check_speeds(value, "constant speed")
         if kind == "layered-wedge":
             if self.speeds is None or self.interfaces is None:
                 raise StructuralError("wedge model needs speeds and interfaces")
             if len(self.speeds) != len(self.interfaces) + 1:
                 raise StructuralError("need one more layer speed than interfaces")
-            if np.any(self.speeds <= 0):
-                raise StructuralError("layer speeds must be positive")
+            _check_speeds(self.speeds, "layer speeds")
         if kind == "raster":
             if self.grid is None or self.extent is None:
                 raise StructuralError("raster model needs grid and extent")
-            if np.any(self.grid <= 0):
-                raise StructuralError("raster speeds must be positive")
+            _check_speeds(self.grid, "raster speeds")
 
     # -- constructors -------------------------------------------------
 
@@ -147,8 +158,7 @@ def load_raster_model(path, width: float | None = None,
     else:
         raise StructuralError(f"unknown raster unit {unit!r}")
     grid = (data.astype(np.float64) * scale).reshape(ny, nx)[::-1]  # to ascending y
-    if np.any(grid <= 0):
-        raise StructuralError("raster contains non-positive velocities")
+    _check_speeds(grid, f"raster speeds in {path!r}")
     extent = (xmin, xmax, ymin, ymax)
     if width is not None and height is not None:
         extent = (0.0, float(width), 0.0, float(height))

@@ -2,13 +2,20 @@
 
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wavedd.linalg import KrylovConfig, krylov_solve, orthonormalize
+from wavedd.linalg import (
+    ComplexSparseMatrix,
+    Factorization,
+    KrylovConfig,
+    krylov_solve,
+    orthonormalize,
+)
 from wavedd import maxwell, schwarz
 from wavedd.maxwell import (
     AspPreconditioner,
@@ -492,18 +499,23 @@ def test_arpack_failure_falls_back_to_the_dense_solve(grid12, monkeypatch):
 
 def test_geneo_pencils_hold_no_dense_local_matrix(channel36, monkeypatch):
     """The GenEO-complement loop on the benchmark channel holds no
-    n_loc x n_loc array beyond those of the Cholesky test of the Neumann
-    matrix: its traced peak exceeds that test's own peak on the largest
-    subdomain by less than half an n_loc x n_loc array."""
+    n_loc x n_loc array at all.  Its traced peak is bounded by what the
+    pencil of the largest subdomain needs: four r x r float64 arrays, r the
+    local gradient columns (the A-Gram, its scaled copy and the Fortran copy
+    that xPSTRF factors in place are alive at once, and one more for slack),
+    plus 128 bytes per nonzero of A_j for the sparse local matrices (A_j,
+    D A_j D, the Neumann matrix and the copy of U of its SPD test, G, W and
+    the transposes kept for the projector, at about 12 bytes per nonzero
+    each) and the modes.  Here r = 227 and n_loc = 644: the bound is
+    2.05 MB, the peak reads 1.52 MB, and one n_loc x n_loc array alone,
+    3.32 MB, exceeds the bound (a dense Cholesky test of the Neumann matrix
+    gives a peak of 6.68 MB)."""
     sys, dec = channel36
     free = build_free_cs(dec, sys)
     big = max(dec.subdomains, key=lambda sd: sd.n_local)
-    tracemalloc.start()
-    try:
-        schwarz._spd_or_shifted(big.neumann.to_dense().real)
-        spd_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    r = np.unique(sys.C[big.dofs].nonzero()[1]).size
+    bound = 8 * 4 * r**2 + 128 * big.A_loc.nnz
+    assert bound < 8 * big.n_local**2
     peaks = []
     real = maxwell._local_modes
 
@@ -518,23 +530,73 @@ def test_geneo_pencils_hold_no_dense_local_matrix(channel36, monkeypatch):
     monkeypatch.setattr(maxwell, "_local_modes", traced)
     cs = build_geneo_complement_cs(dec, sys, tau=10.0, free_cs=free)
     assert cs.per_subdomain == [0, 0, 0, 1, 1, 0, 0, 0]
-    assert peaks[0] < spd_peak + 0.5 * 8 * big.n_local**2
+    assert peaks[0] < bound
+
+
+def test_non_spd_neumann_matrix_is_shifted_flagged_and_stays_sparse(monkeypatch):
+    """A subdomain whose Neumann matrix is not SPD (here its curl-curl part
+    alone, singular on the local gradients) is flagged, and its pencil's
+    right side is the sparse matrix shifted by 1e-12 times its mean
+    diagonal, passed as the factor that ARPACK reuses; the other pencils
+    keep their Neumann matrices unshifted."""
+    _, prob, sys = _system(nx=8)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
+    free = build_free_cs(dec, sys)
+    sd = dec.subdomains[1]
+    K = maxwell.assemble_maxwell_subset(replace(prob, eps_r=0.0), sys, sd.elements,
+                                        sd.dofs).to_scipy()
+    sd.neumann = ComplexSparseMatrix(K)
+    rhs = []
+    real = schwarz.dense_generalized_eig
+
+    def recording(lhs, right, which=None):
+        rhs.append(right)
+        return real(lhs, right, which=which)
+
+    monkeypatch.setattr(schwarz, "dense_generalized_eig", recording)
+    with pytest.warns(UserWarning, match="subdomain 1: Neumann matrix shift-regularized"):
+        cs = build_geneo_complement_cs(dec, sys, free_cs=free)
+    assert cs.flags == [1]
+    assert all(isinstance(B, Factorization) and sp.issparse(B.matrix) for B in rhs)
+    shift = 1e-12 * K.diagonal().sum() / sd.n_local
+    assert np.array_equal(rhs[1].matrix.toarray(), (K + shift * sp.eye(sd.n_local)).toarray())
+    for j in (0, 2, 3):
+        assert (rhs[j].matrix != dec.subdomains[j].neumann.to_scipy()).nnz == 0
+
+
+def _check_projector(nx, grid, dropped):
+    """The projector of the GenEO-complement pencils as the builder builds it,
+    from the sparse A_loc and the raw sparse gradient columns through one
+    pivoted Cholesky factor, on every subdomain: it spans all columns but
+    ``dropped[j]``, is idempotent and b-self-adjoint (A xi symmetric), and
+    ``xi_t`` applies its transpose."""
+    _, prob, sys = _system(nx=nx)
+    dec = build_edge_decomposition(prob, sys, grid[0] * grid[1], shape="grid", grid=grid)
+    C = sys.C.tocsc()
+    for sd, drop in zip(dec.subdomains, dropped):
+        A_loc = sd.A_loc.to_scipy().real
+        Gl = C[sd.dofs, :]
+        G = Gl[:, np.unique(Gl.nonzero()[1])]
+        apply_xi, apply_xi_t = _bj_projector(G, A_loc)
+        eye = np.eye(sd.n_local)
+        xi = apply_xi(eye)
+        assert np.linalg.matrix_rank(xi) == G.shape[1] - drop
+        assert np.abs(xi @ xi - xi).max() <= 1e-12 * max(1.0, np.abs(xi).max())
+        bx = A_loc @ xi  # b-self-adjoint: A xi symmetric
+        assert np.abs(bx - bx.T).max() <= 1e-10 * np.abs(bx).max()
+        assert np.abs(apply_xi_t(eye) - xi.T).max() <= 1e-12 * np.abs(xi).max()
 
 
 def test_projector_idempotent_and_selfadjoint():
-    _, prob, sys = _system(nx=10)
-    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-    sd = dec.subdomains[0]
-    A_loc = sd.A_loc.to_dense().real
-    C = sys.C.tocsc()[sd.dofs, :]
-    cols = np.unique(C.nonzero()[1])
-    Gq = orthonormalize(C[:, cols].toarray())
-    S = _bj_projector(Gq, A_loc)
-    assert S.shape == (Gq.shape[1], sd.n_local)  # low rank: xi = Gq S
-    xi = Gq @ S
-    assert np.abs(xi @ xi - xi).max() <= 1e-12 * max(1.0, np.abs(xi).max())
-    bx = A_loc @ xi  # b-self-adjoint: A xi symmetric
-    assert np.abs(bx - bx.T).max() <= 1e-10 * np.abs(bx).max()
+    """``_check_projector`` on the 10-cell case: every subdomain keeps all
+    its 35-36 columns, with cond(M0) about 1.5e5."""
+    _check_projector(10, (2, 2), [0] * 4)
+
+
+def test_projector_drops_a_dependent_gradient_column():
+    """On a 3 x 3 grid the interior subdomain's 47 columns sum to zero on its
+    edges: the pivoted Cholesky keeps 46, and the projector stays exact."""
+    _check_projector(12, (3, 3), [0] * 4 + [1] + [0] * 4)
 
 
 def test_two_level_full_coarse_one_iteration():

@@ -614,15 +614,70 @@ def test_hgeneo_build_stays_below_one_dense_basis():
 
 
 def test_singular_right_side_shifted_and_flagged():
-    """The regularization shared by the Delta-GenEO and Maxwell pencils: an
-    SPD right side passes unchanged; one whose Cholesky factorization fails
-    gains 1e-12 times its mean diagonal on the diagonal and is flagged."""
+    """The regularization of the dense Delta-GenEO pencils: an SPD right
+    side passes unchanged; one whose Cholesky factorization fails gains
+    1e-12 times its mean diagonal on the diagonal and is flagged."""
     spd = np.array([[2.0, -1.0], [-1.0, 2.0]])
     same, flagged = schwarz._spd_or_shifted(spd)
     assert same is spd and not flagged
     singular = np.array([[4.0, -4.0], [-4.0, 4.0]])
     shifted, flagged = schwarz._spd_or_shifted(singular)
     assert flagged and np.array_equal(shifted, singular + 4e-12 * np.eye(2))
+
+
+def _path_laplacian(n, shift=0.0):
+    """The Laplacian of the path graph on n nodes, plus shift on the diagonal."""
+    main = np.full(n, 2.0 + shift)
+    main[[0, -1]] -= 1.0
+    return sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1], format="csr")
+
+
+def test_sparse_spd_test_keeps_an_spd_matrix_and_its_factor():
+    """An SPD matrix factors with diagonal pivots only, all positive; it is
+    returned unshifted, as the factor's own matrix, and the factor solves it."""
+    B = _path_laplacian(40, shift=0.1)
+    lu, spd = schwarz._symmetric_lu(B)
+    assert spd and np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0
+    fact, flagged = schwarz._sparse_spd_or_shifted(B)
+    assert not flagged and fact.matrix is B
+    b = np.random.default_rng(0).standard_normal(40)
+    assert np.linalg.norm(B @ fact.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case", ["graph_laplacian", "indefinite", "zero_diagonal"])
+def test_sparse_spd_test_shifts_and_flags_what_is_not_spd(case):
+    """A singular PSD matrix (a graph Laplacian), an indefinite one with a
+    positive diagonal (a negative diagonal pivot) and one with a zero
+    diagonal (off-diagonal pivots, all positive) are not SPD: each gains
+    1e-12 times its mean diagonal on the diagonal, stays sparse, and is
+    flagged."""
+    B = {"graph_laplacian": _path_laplacian(40),
+         "indefinite": sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
+         "zero_diagonal": sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))}[case]
+    lu, spd = schwarz._symmetric_lu(B)
+    assert not spd
+    if case == "indefinite":
+        assert np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() < 0
+    if case == "zero_diagonal":
+        assert not np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0
+    fact, flagged = schwarz._sparse_spd_or_shifted(B)
+    n = B.shape[0]
+    shift = 1e-12 * B.diagonal().sum() / n
+    assert flagged and sp.issparse(fact.matrix)
+    assert np.array_equal(fact.matrix.toarray(), (B + shift * sp.eye(n)).toarray())
+    b = np.ones(n)
+    assert np.allclose(fact.matrix @ fact.solve(b), b, rtol=0, atol=1e-6)
+
+
+def test_sparse_spd_test_counts_a_failed_factorization_as_not_spd():
+    """A matrix on which ``splu`` fails (an empty row and column) is not SPD;
+    the shifted matrix is factored, and flagged."""
+    B = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
+    with pytest.raises(RuntimeError):
+        spla.splu(B.tocsc())
+    assert schwarz._symmetric_lu(B) == (None, False)
+    fact, flagged = schwarz._sparse_spd_or_shifted(B)
+    assert flagged and fact.matrix.diagonal()[1] == 1e-12
 
 
 def test_lu_orderings_of_each_caller(monkeypatch):

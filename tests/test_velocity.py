@@ -128,3 +128,22 @@ def test_rho_cp_provenance():
     m = VelocityModel.from_rho_cp(1.0, 1.5)
     assert m(0, 0) == pytest.approx(1.5)
     assert m.rho == 1.0 and m.cP == 1.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_speeds_rejected(tmp_path, bad):
+    """NaN and +-inf speeds are rejected with an error that names the cause,
+    by every constructor and by the raster reader: ``c <= 0`` is False for
+    NaN and for +inf, so a check on the sign alone lets them through."""
+    with pytest.raises(StructuralError, match="finite"):
+        VelocityModel.constant(bad)
+    with pytest.raises(StructuralError, match="finite"):
+        VelocityModel.layered_wedge([1.0, bad], [(0.5, 0.0)])
+    with pytest.raises(StructuralError, match="finite"):
+        VelocityModel.raster(np.array([[1.5, bad]]), (0, 1, 0, 1))
+    path = tmp_path / "bad.vel"
+    with open(path, "wb") as fh:
+        fh.write(b"2 1 0 1 0 1 km/s\n")
+        fh.write(np.array([1.5, bad], dtype="<f4").tobytes())
+    with pytest.raises(StructuralError, match="finite"):
+        load_raster_model(path)
