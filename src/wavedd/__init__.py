@@ -24,6 +24,7 @@ from .linalg import (
     KrylovReport,
     csr_from_triplets,
     dense_generalized_eig,
+    is_symmetric,
     krylov_solve,
     lu_factorize,
     orthonormalize,

@@ -272,7 +272,7 @@ def _run_helmholtz(cfg: RunConfig) -> SolveReport:
     kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart)
     _, rep = krylov_solve(system.A, op, system.b, kcfg)
     solve = time.perf_counter() - t1
-    return _report(rep, setup, solve, system.A.nrows, cs, cfg)
+    return _report(rep, setup, solve, system.A.shape[0], cs, cfg)
 
 
 def _run_maxwell(cfg: RunConfig) -> SolveReport:

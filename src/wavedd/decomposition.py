@@ -26,7 +26,7 @@ from .helmholtz import (
     _scatter,
     assemble_helmholtz_subset,
 )
-from .linalg import ComplexSparseMatrix, Factorization, lu_factorize
+from .linalg import Factorization, lu_factorize
 from .mesh import Mesh
 
 __all__ = [
@@ -46,15 +46,14 @@ class SubdomainData:
     dofs: np.ndarray              # sorted global DOF ids; defines R_j
     elements: np.ndarray          # overlapping element set
     owned_elements: np.ndarray    # nonoverlapping part
-    weights: np.ndarray | None = None          # D_j diagonal
-    A_loc: ComplexSparseMatrix | None = None   # R_j A R_j^T (edge decompositions)
-    neumann: ComplexSparseMatrix | None = None # local Neumann matrix
-    robin: ComplexSparseMatrix | None = None   # Neumann + i k (interface mass)
+    weights: np.ndarray | None = None         # D_j diagonal
+    A_loc: sp.csr_matrix | None = None        # R_j A R_j^T (edge decompositions)
+    neumann: sp.csr_matrix | None = None      # local Neumann matrix
+    robin: sp.csr_matrix | None = None        # Neumann + i k (interface mass)
     robin_fact: Factorization | None = None
-    a_fact: Factorization | None = None        # factorized A_loc (Dirichlet solves)
+    a_fact: Factorization | None = None       # factorized A_loc (Dirichlet solves)
     interface_mass: sp.csr_matrix | None = None
-    interface_dofs: np.ndarray | None = None   # local indices into `dofs`
-    interface_edges: np.ndarray | None = None  # global edge ids
+    interface_dofs: np.ndarray | None = None  # local indices into `dofs`
     k_max: float = 0.0
 
     @property
@@ -258,7 +257,6 @@ def assemble_local_matrices(
         sd.k_max = float(k_elems.max()) if problem.omega > 0 else 0.0
 
         iface = _interface_edges(mesh, sd.elements)
-        sd.interface_edges = iface
         nloc = sd.dofs.size
         if iface.size:
             gdofs, weighted, plain = _gamma_blocks(problem, iface)
@@ -271,8 +269,7 @@ def assemble_local_matrices(
             Mk = sp.csr_matrix((nloc, nloc))
             sd.interface_dofs = np.empty(0, dtype=np.int64)
         sd.interface_mass = Mg
-        robin = sd.neumann.to_scipy() + 1j * Mk
-        sd.robin = ComplexSparseMatrix(robin)
+        sd.robin = sd.neumann + 1j * Mk
         if factorize:
             sd.robin_fact = lu_factorize(sd.robin, ordering="MMD_AT_PLUS_A")
     return dec

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import StructuralError
-from .linalg import ComplexSparseMatrix
+from .linalg import ComplexSparseMatrix, is_symmetric
 from .mesh import Mesh
 from .velocity import VelocityModel
 
@@ -144,11 +144,11 @@ class HelmholtzProblem:
 
 @dataclass
 class AssembledSystem:
-    A: ComplexSparseMatrix
+    A: ComplexSparseMatrix          # L - W + i*Gamma, complex symmetric CSR
     b: np.ndarray
-    L: ComplexSparseMatrix              # stiffness (Laplacian part), real values
-    weighted_mass: ComplexSparseMatrix  # k^2-weighted mass W
-    impedance_mass: ComplexSparseMatrix # boundary term Gamma (A = L - W + i*Gamma)
+    L: sp.csr_matrix                # stiffness (Laplacian part), real values
+    weighted_mass: sp.csr_matrix    # k^2-weighted mass W
+    impedance_mass: sp.csr_matrix   # boundary term Gamma (A = L - W + i*Gamma)
     dirichlet_dofs: np.ndarray
 
 
@@ -279,15 +279,11 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
         W = _mask_rows_cols(W, dirichlet)
         Gamma = _mask_rows_cols(Gamma, dirichlet)
 
-    A = (L - W).astype(np.complex128) + 1j * Gamma
-    return AssembledSystem(
-        A=ComplexSparseMatrix(A, symmetric=True),
-        b=assemble_load(problem),
-        L=ComplexSparseMatrix(L),
-        weighted_mass=ComplexSparseMatrix(W),
-        impedance_mass=ComplexSparseMatrix(Gamma),
-        dirichlet_dofs=dirichlet,
-    )
+    A = ComplexSparseMatrix((L - W).astype(np.complex128) + 1j * Gamma)
+    if not is_symmetric(A):
+        raise StructuralError("matrix flagged symmetric is not symmetric")
+    return AssembledSystem(A=A, b=assemble_load(problem), L=L, weighted_mass=W,
+                           impedance_mass=Gamma, dirichlet_dofs=dirichlet)
 
 
 def assemble_load(problem: HelmholtzProblem) -> np.ndarray:
@@ -358,7 +354,7 @@ def assemble_helmholtz_subset(
     sign_w: float = -1.0,
     impedance: bool = True,
     dirichlet_dofs: np.ndarray | None = None,
-) -> ComplexSparseMatrix:
+) -> sp.csr_matrix:
     """Assemble L + sign_w*W + i*Gamma from a subset of elements only, on the
     given (sorted, global) DOF set; natural boundary conditions on internal
     interfaces.  This is the local Neumann matrix builder; sign_w=+1 with
@@ -387,7 +383,7 @@ def assemble_helmholtz_subset(
         present = np.intersect1d(dirichlet_dofs, dofs)
         loc = np.searchsorted(dofs, present)
         S = _mask_rows_cols(S.tocsr(), loc, diag=1.0)
-    return ComplexSparseMatrix(S)
+    return S
 
 
 def ppwl(omega: float, c: float, h: float) -> float:

@@ -1,16 +1,17 @@
 """Minimal complex linear algebra kernel.
 
-CSR sparse matrices, a reusable sparse LU handle, a dense generalized
+A sparse symmetry test, a reusable sparse LU handle, a dense generalized
 eigensolver with the mode selection of the spectral coarse spaces, and
 Krylov methods (GMRES, CG) with pluggable preconditioners.
 
 Conventions:
+  * sparse matrices are scipy's own, CSR as assembled,
   * dense matrices are plain numpy arrays in C (row-major) order; the GMRES
     Krylov basis is stored one vector per row, so each vector is contiguous,
   * Hermitian products X* v are formed as (v.conj() @ X).conj() (or
     (X @ v.conj()).conj() for a row-stored basis): only the vector is
     conjugated, never a copy of the matrix,
-  * ``symmetric`` always means A = A^T (plain transpose, no conjugation),
+  * ``is_symmetric`` tests A = A^T (plain transpose, no conjugation),
   * operators passed to the Krylov driver may be matrices or callables,
   * GMRES is right-preconditioned, so the reported residual history is the
     history of true (unpreconditioned) relative residuals.
@@ -37,6 +38,7 @@ __all__ = [
     "EigenPairs",
     "EigenSelection",
     "csr_from_triplets",
+    "is_symmetric",
     "lu_factorize",
     "krylov_solve",
     "dense_generalized_eig",
@@ -45,103 +47,48 @@ __all__ = [
 ]
 
 
-class ComplexSparseMatrix:
-    """Compressed sparse row storage for complex symmetric (or general) operators.
+class ComplexSparseMatrix(sp.csr_matrix):
+    """A scipy CSR matrix plus four read-only aliases for callers outside
+    the library, which itself uses none of them: perfbench calls ``matvec``
+    and ``to_scipy``, and tests/test_acceptance.py reads ``nrows``
+    (criterion 2) and ``to_scipy`` and ``max_abs`` (criterion 7).  Only
+    ``AssembledSystem.A``, ``MaxwellSystem.A`` and ``MaxwellSystem.K`` are
+    built as this class.  ROADMAP item 2 deletes it."""
 
-    Real-valued matrices are the imaginary-part-zero special case and are kept
-    in float64 so downstream factorizations stay in real arithmetic.
-    """
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self @ x
 
-    __slots__ = ("_csr", "symmetric")
-
-    def __init__(self, matrix: sp.spmatrix, symmetric: bool = False):
-        csr = sp.csr_matrix(matrix)
-        if not np.issubdtype(csr.dtype, np.floating) and not np.issubdtype(
-            csr.dtype, np.complexfloating
-        ):
-            csr = csr.astype(np.float64)
-        csr.sort_indices()
-        self._csr = csr
-        self.symmetric = symmetric
-        if symmetric and not self.is_symmetric():
-            raise StructuralError("matrix flagged symmetric is not symmetric")
+    def to_scipy(self) -> sp.csr_matrix:
+        return self
 
     @property
     def nrows(self) -> int:
-        return self._csr.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._csr.shape[1]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
-    @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    @property
-    def dtype(self):
-        return self._csr.dtype
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
-
-    def __matmul__(self, x):
-        return self._csr @ x
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._csr
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def submatrix(self, rows: np.ndarray, cols: np.ndarray | None = None) -> "ComplexSparseMatrix":
-        """Exact submatrix extraction R A R^T (rows == cols by default)."""
-        cols = rows if cols is None else cols
-        return ComplexSparseMatrix(self._csr[np.ix_(rows, cols)])
-
-    def is_symmetric(self, rel_tol: float = 1e-13) -> bool:
-        """Check A = A^T entrywise on the stored pattern."""
-        if self.nrows != self.ncols:
-            return False
-        scale = np.abs(self._csr.data).max() if self.nnz else 0.0
-        if scale == 0.0:
-            return True
-        diff = self._csr - self._csr.T
-        if diff.nnz == 0:
-            return True
-        return np.abs(diff.data).max() <= rel_tol * scale
+        return self.shape[0]
 
     def max_abs(self) -> float:
-        return float(np.abs(self._csr.data).max()) if self.nnz else 0.0
-
-    def __repr__(self):
-        return (
-            f"ComplexSparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz}, "
-            f"dtype={self.dtype})"
-        )
+        return float(np.abs(self.data).max()) if self.nnz else 0.0
 
 
-def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> ComplexSparseMatrix:
+def is_symmetric(A: sp.spmatrix, rel_tol: float = 1e-13) -> bool:
+    """Check A = A^T (no conjugation) entrywise on the stored pattern."""
+    if A.shape[0] != A.shape[1]:
+        return False
+    scale = np.abs(A.data).max() if A.nnz else 0.0
+    if scale == 0.0:
+        return True
+    diff = A - A.T
+    if diff.nnz == 0:
+        return True
+    return np.abs(diff.data).max() <= rel_tol * scale
+
+
+def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> sp.csr_matrix:
     """Build a CSR matrix from (row, col, value) triplets.
 
     Duplicate entries are summed, explicit zeros are retained and rows come
     out with strictly increasing column indices.  ``triplets`` is either an
     iterable of 3-tuples or a ``(rows, cols, values)`` triple of arrays.
+    With ``symmetric``, raises StructuralError unless ``is_symmetric``.
     """
     if isinstance(triplets, tuple) and len(triplets) == 3:
         rows, cols, vals = (np.asarray(a) for a in triplets)
@@ -159,8 +106,10 @@ def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> Comple
         if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
             raise StructuralError("triplet index out of range")
     dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
-    coo = sp.coo_matrix((vals.astype(dtype), (rows, cols)), shape=(nrows, ncols))
-    return ComplexSparseMatrix(coo.tocsr(), symmetric=symmetric)
+    A = sp.coo_matrix((vals.astype(dtype), (rows, cols)), shape=(nrows, ncols)).tocsr()
+    if symmetric and not is_symmetric(A):
+        raise StructuralError("matrix flagged symmetric is not symmetric")
+    return A
 
 
 class Factorization:
@@ -187,14 +136,6 @@ class Factorization:
         return self.matrix.toarray()
 
 
-def _as_scipy(A):
-    if isinstance(A, ComplexSparseMatrix):
-        return A.to_scipy()
-    if sp.issparse(A):
-        return A.tocsr()
-    return sp.csr_matrix(np.asarray(A))
-
-
 def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     """Sparse LU with partial pivoting for square, structurally nonsingular A.
 
@@ -208,22 +149,22 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     """
     if ordering not in ("NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD"):
         raise StructuralError(f"unknown LU column ordering {ordering!r}")
-    csr = _as_scipy(A)
-    if csr.shape[0] != csr.shape[1]:
+    A = sp.csc_matrix(A)
+    if A.shape[0] != A.shape[1]:
         raise StructuralError("lu_factorize requires a square matrix")
-    scale = np.abs(csr.data).max() if csr.nnz else 0.0
+    scale = np.abs(A.data).max() if A.nnz else 0.0
     if scale == 0.0:
         raise SingularityError("zero matrix is singular")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            lu = spla.splu(csr.tocsc(), permc_spec=ordering)
+            lu = spla.splu(A, permc_spec=ordering)
     except RuntimeError as exc:
         raise SingularityError(f"sparse LU failed: {exc}") from exc
     piv = np.abs(lu.U.diagonal())
     if piv.min() <= 1e-14 * scale:
         raise SingularityError(f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}")
-    return Factorization(lu, csr.shape[0])
+    return Factorization(lu, A.shape[0])
 
 
 @dataclass(frozen=True)
@@ -257,8 +198,6 @@ def _as_operator(op) -> Callable[[np.ndarray], np.ndarray]:
         return None
     if callable(op) and not isinstance(op, np.ndarray):
         return op
-    if isinstance(op, ComplexSparseMatrix):
-        return op.matvec
     if sp.issparse(op):
         return lambda x, _m=op.tocsr(): _m @ x
     arr = np.asarray(op)

@@ -43,6 +43,7 @@ from .linalg import (
     ComplexSparseMatrix,
     EigenSelection,
     dense_generalized_eig,  # noqa: F401 - perfbench/tracing.py patches this name here
+    is_symmetric,
     lu_factorize,
     orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
 )
@@ -114,9 +115,9 @@ class MaxwellSystem:
     free_edges: np.ndarray   # edge ids of the dofs, in dof order
     node_dof: np.ndarray     # (n_vertices,) interior-node dof id or -1
     free_nodes: np.ndarray
-    K: ComplexSparseMatrix   # curl-curl part (real)
-    Mw: ComplexSparseMatrix  # eps_r-weighted edge mass
-    A: ComplexSparseMatrix   # K + alpha * Mw
+    K: ComplexSparseMatrix   # curl-curl part (real, symmetric)
+    Mw: sp.csr_matrix        # eps_r-weighted edge mass (symmetric)
+    A: ComplexSparseMatrix   # K + alpha * Mw (real, symmetric)
     C: sp.csr_matrix         # gradient matrix, n_edges_free x n_nodes_free
     Ltilde: sp.csr_matrix    # mu_r^-1-weighted vector nodal Laplacian (2 blocks)
     Qtilde: sp.csr_matrix    # eps_r-weighted vector nodal mass (2 blocks)
@@ -208,6 +209,8 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     K = _scatter(dofmap, Ke, ne)
     Mw = _scatter(dofmap, Me, ne)
     A = K + problem.alpha * Mw
+    if not (is_symmetric(K) and is_symmetric(Mw) and is_symmetric(A)):
+        raise StructuralError("matrix flagged symmetric is not symmetric")
 
     # gradient matrix: grad(phi_v) has circulation phi(head) - phi(tail)
     tails = mesh.edges[free_edges, 0]
@@ -266,16 +269,14 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
         mesh=mesh, alpha=problem.alpha,
         edge_dof=edge_dof, free_edges=free_edges,
         node_dof=node_dof, free_nodes=free_nodes,
-        K=ComplexSparseMatrix(K, symmetric=True),
-        Mw=ComplexSparseMatrix(Mw, symmetric=True),
-        A=ComplexSparseMatrix(A, symmetric=True),
+        K=ComplexSparseMatrix(K), Mw=Mw, A=ComplexSparseMatrix(A),
         C=C, Ltilde=Ltilde, Qtilde=Qtilde, Pinterp=Pinterp, L=Lplain, b=b,
     )
 
 
 def assemble_maxwell_subset(problem: MaxwellProblem, sys: MaxwellSystem,
                             elements: np.ndarray, dofs: np.ndarray
-                            ) -> ComplexSparseMatrix:
+                            ) -> sp.csr_matrix:
     """Local Neumann matrix K + alpha*Mw assembled from a subset of elements,
     natural conditions on internal interfaces."""
     mesh = problem.mesh
@@ -284,7 +285,7 @@ def assemble_maxwell_subset(problem: MaxwellProblem, sys: MaxwellSystem,
                                     _per_element(problem.eps_r, mesh)[elements])
     gdof = sys.edge_dof[mesh.tri_edges[elements]]
     loc = np.where(gdof >= 0, np.searchsorted(dofs, gdof), -1)
-    return ComplexSparseMatrix(_scatter(loc, Ke + problem.alpha * Me, dofs.size))
+    return _scatter(loc, Ke + problem.alpha * Me, dofs.size)
 
 
 # ------------------------------------------------------------------ ASP
@@ -303,8 +304,8 @@ class AspPreconditioner:
         self._C = sys.C
         self._alpha = sys.alpha
         aux = (sys.Ltilde + sys.alpha * sys.Qtilde).tocsc()
-        self._aux_fact = lu_factorize(ComplexSparseMatrix(aux))
-        self._l_fact = lu_factorize(ComplexSparseMatrix(sys.L.tocsc()))
+        self._aux_fact = lu_factorize(aux)
+        self._l_fact = lu_factorize(sys.L.tocsc())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = self._dinv * v
@@ -327,9 +328,8 @@ def build_edge_decomposition(problem: MaxwellProblem, sys: MaxwellSystem, N: int
     dec = decompose(problem.mesh, N, shape=shape, grid=grid, layers=layers,
                     mode=mode, element_dofs=sys.element_edge_dofs(),
                     n_dofs=sys.n_dofs)
-    A = sys.A.to_scipy()
     for sd in dec.subdomains:
-        sd.A_loc = ComplexSparseMatrix(A[np.ix_(sd.dofs, sd.dofs)])
+        sd.A_loc = sys.A[np.ix_(sd.dofs, sd.dofs)]
         if factorize:
             sd.a_fact = lu_factorize(sd.A_loc)
         sd.neumann = assemble_maxwell_subset(problem, sys, sd.elements, sd.dofs)
@@ -358,7 +358,7 @@ class OneLevelAdditiveSchwarz:
 TwoLevelAdditiveSchwarz = TwoLevel
 
 
-def _unit_a_norm(Z: sp.csc_matrix, A: ComplexSparseMatrix) -> sp.csc_matrix:
+def _unit_a_norm(Z: sp.csc_matrix, A: sp.csr_matrix) -> sp.csc_matrix:
     """The columns of Z, each scaled to unit A-norm."""
     a_norm = np.sqrt(np.asarray(Z.multiply(A @ Z).sum(axis=0)).ravel())
     return Z @ sp.diags(1.0 / a_norm)
@@ -380,7 +380,7 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
         Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
         blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
     Z = _unit_a_norm(_independent_columns(sp.hstack(blocks, format="csc")), sys.A)
-    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free")
+    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free", hermitian=True)
     cs.dim_gradient_space = int(sys.C.shape[1])
     cs.dim_vg = cs.n0
     return cs
@@ -451,10 +451,10 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     C = sys.C.tocsc()
 
     def pencil(sd):
-        rhs, flagged = _sparse_spd_or_shifted(sd.neumann.to_scipy().real)
+        rhs, flagged = _sparse_spd_or_shifted(sd.neumann.real)
         if flagged:
             warnings.warn(f"subdomain {sd.index}: Neumann matrix shift-regularized")
-        A_loc = sd.A_loc.to_scipy().real
+        A_loc = sd.A_loc.real
         Gl = C[sd.dofs, :]
         touching = np.unique(Gl.nonzero()[1])
         if touching.size:
@@ -480,7 +480,7 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     modes, flags, counts, rejected = _local_modes(dec, pencil, selection)
     Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z, modes])), sys.A)
     cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
-                     per_subdomain=counts, rejected=rejected)
+                     per_subdomain=counts, rejected=rejected, hermitian=True)
     cs.dim_gradient_space = free_cs.dim_gradient_space
     cs.dim_vg = free_cs.dim_vg
     return cs
@@ -505,7 +505,7 @@ def fsl_bounds_check(A, preconditioner, max_dofs: int = 500) -> FslCheck:
     """Empirical spectral bounds of M^-1 A on a small instance: densify the
     preconditioned operator column by column and report the extreme real
     parts (SPD pairs must give a real positive spectrum)."""
-    Ad = A.to_dense() if isinstance(A, ComplexSparseMatrix) else np.asarray(A)
+    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
     n = Ad.shape[0]
     if n > max_dofs:
         raise StructuralError(f"instance too large for the dense check ({n} > {max_dofs})")

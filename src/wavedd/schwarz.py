@@ -70,7 +70,6 @@ from .helmholtz import (
     assemble_helmholtz_subset,
 )
 from .linalg import (
-    ComplexSparseMatrix,
     EigenPairs,
     EigenSelection,
     Factorization,
@@ -120,9 +119,10 @@ class CoarseSpace:
     coarse matrix E = Z* A Z; the coarse correction is H v = Z E^-1 Z* v.
 
     ``Z`` is the one stored basis, CSC, for every space: grid, spectral and
-    Maxwell.  ``E`` is sparse; E of a real symmetric A is kept exactly
-    Hermitian, so that H is symmetric to rounding, as CG needs.  n0 = 0 is a
-    legal empty coarse space.  A spectral space records, per subdomain, its
+    Maxwell.  ``E`` is sparse; with ``hermitian``, which the Maxwell builders
+    pass for their real symmetric A, E is kept exactly Hermitian, so that H
+    is symmetric to rounding, as CG needs.  n0 = 0 is a legal empty coarse
+    space.  A spectral space records, per subdomain, its
     mode count in ``per_subdomain`` and in ``rejected`` the number of
     eigenpairs that the residual contract of ``dense_generalized_eig``
     dropped.  ``flags`` lists the subdomains whose modes did not come from
@@ -135,7 +135,7 @@ class CoarseSpace:
     """
 
     def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None,
-                 rejected=None):
+                 rejected=None, hermitian: bool = False):
         self.provenance = provenance
         self.flags = list(flags or [])
         self.per_subdomain = per_subdomain or []
@@ -144,20 +144,19 @@ class CoarseSpace:
         if self.n0 == 0:
             self._solver = None
             return
-        Aop = A.to_scipy() if isinstance(A, ComplexSparseMatrix) else A
         # E = Z* (A Z), 64 columns at a time, as conj(Z^T conj(A Z_J)): no
         # conjugated copy of Z, and no copy of Z or A Z beyond one block
         blocks = []
         for j in range(0, self.n0, 64):
-            W = Aop @ self.Z[:, j:j + 64]
+            W = A @ self.Z[:, j:j + 64]
             np.conjugate(W.data, out=W.data)
             W = self.Z.T @ W
             np.conjugate(W.data, out=W.data)
             blocks.append(W)
         self.E = sp.hstack(blocks, format="csc")
-        if isinstance(A, ComplexSparseMatrix) and A.symmetric and A.dtype.kind == "f":
-            # a real symmetric A makes E Hermitian; rounding in the product
-            # breaks that, and cond(E) amplifies it into a non-symmetric H
+        if hermitian:
+            # a Hermitian A makes E Hermitian; rounding in the product breaks
+            # that, and cond(E) amplifies it into a non-symmetric H
             self.E = (0.5 * (self.E + self.E.conj().T)).tocsc()
         self._solver = lu_factorize(self.E).solve
 
@@ -201,7 +200,7 @@ class TwoLevel:
             raise StructuralError(f"unknown two-level mode {mode!r}")
         self.one_level = one_level
         self.coarse = coarse
-        self.A = A.to_scipy() if isinstance(A, ComplexSparseMatrix) else A
+        self.A = A
         self.mode = mode
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -357,9 +356,11 @@ def _spd_or_shifted(rhs: np.ndarray):
 def _symmetric_lu(B: sp.spmatrix):
     """SuperLU factor of the sparse real symmetric B with diagonal pivots
     (symmetric mode, minimum degree on A^T + A), and whether B is SPD: it is
-    exactly when every pivot is diagonal (perm_r == perm_c) and positive,
-    for then the pivots are the D of B = L D L^T.  A B on which ``splu``
-    fails is not SPD; its factor is None."""
+    when every pivot is diagonal (perm_r == perm_c), for then the pivots are
+    the D of B = L D L^T, and above 1e-14 * max|B|, the pivot rule of
+    ``lu_factorize``: a singular PSD B whose last pivot rounds to a tiny
+    positive value is not SPD.  A B on which ``splu`` fails is not SPD; its
+    factor is None."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
@@ -367,7 +368,8 @@ def _symmetric_lu(B: sp.spmatrix):
                            options=dict(SymmetricMode=True))
     except RuntimeError:
         return None, False
-    return lu, bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
+    floor = 1e-14 * np.abs(B.data).max()
+    return lu, bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > floor))
 
 
 def _sparse_spd_or_shifted(rhs: sp.spmatrix):
@@ -402,7 +404,7 @@ def _dtn_pencil(sd):
     extension weighted with the partition of unity."""
     gam = sd.interface_dofs
     interior = np.setdiff1d(np.arange(sd.n_local), gam)
-    At = sd.neumann.to_scipy()
+    At = sd.neumann
     A_II = At[np.ix_(interior, interior)].tocsc()
     flagged = False
     try:
@@ -457,12 +459,12 @@ def build_hgeneo_cs(dec: Decomposition, system: AssembledSystem,
     a partition-of-unity-weighted lift consistently needs noticeably more
     modes for the same iteration counts on wave problems.
     """
-    L = system.L.to_scipy()
+    L = system.L
 
     def pencil(sd):
         D = sd.weights
         lhs = (D[:, None] * L[np.ix_(sd.dofs, sd.dofs)].toarray()) * D[None, :]
-        return lhs, sd.neumann.to_dense(), lambda u: u, False
+        return lhs, sd.neumann.toarray(), lambda u: u, False
 
     return _spectral_cs(dec, system, "hgeneo", pencil, selection)
 
@@ -473,7 +475,7 @@ def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
                         ) -> CoarseSpace:
     """GenEO on the nearby positive operator -lap + k^2 (zeroth-order sign
     flipped, impedance dropped): D_j A+_j D_j u = lambda A~+_j u."""
-    Apos = (system.L.to_scipy() + system.weighted_mass.to_scipy()).real.tocsr()
+    Apos = (system.L + system.weighted_mass).real.tocsr()
 
     def pencil(sd):
         D = sd.weights
@@ -481,7 +483,7 @@ def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
         rhs = assemble_helmholtz_subset(
             problem, sd.elements, sd.dofs, sign_w=+1.0, impedance=False,
             dirichlet_dofs=system.dirichlet_dofs,
-        ).to_dense().real
+        ).toarray().real
         rhs, flagged = _spd_or_shifted(rhs)
         return lhs, rhs, lambda u: D * u, flagged
 

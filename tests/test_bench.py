@@ -257,6 +257,16 @@ def test_cli_nonconverged_still_exits_zero(tmp_path):
     assert "NOT converged" in out.stdout
 
 
+def test_cli_check_passes_in_process(capsys):
+    """``wavedd check`` runs its five invariant checks on sparse matrices
+    and passes them all."""
+    from wavedd.cli import main
+
+    assert main(["check"]) == 0
+    out = capsys.readouterr().out
+    assert "5/5 checks passed" in out and "FAIL" not in out
+
+
 def test_run_reports_rejected_eigenpairs(monkeypatch, capsys, tmp_path):
     """A pair that fails the residual contract in every H-GenEO subdomain
     reaches the report of ``run_case`` and the line that ``wavedd run``

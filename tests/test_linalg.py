@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from wavedd.errors import NumericError, SingularityError, StructuralError
 from wavedd.linalg import (
-    ComplexSparseMatrix,
     EigenPairs,
     EigenPair,
     EigenSelection,
@@ -19,6 +18,7 @@ from wavedd.linalg import (
     csr_from_triplets,
     dense_generalized_eig,
     eigenpair_residual,
+    is_symmetric,
     krylov_solve,
     lu_factorize,
     orthonormalize,
@@ -31,19 +31,19 @@ from wavedd.linalg import _is_hermitian
 
 def test_single_entry():
     A = csr_from_triplets(1, 1, [(0, 0, 2 + 0j)])
-    assert A.to_dense() == pytest.approx(np.array([[2.0 + 0j]]))
+    assert A.toarray() == pytest.approx(np.array([[2.0 + 0j]]))
 
 
 def test_duplicates_summed():
     A = csr_from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 1.0)])
-    assert A.to_dense()[0, 0] == pytest.approx(2.0)
+    assert A.toarray()[0, 0] == pytest.approx(2.0)
 
 
 def test_symmetric_flag_passes():
     A = csr_from_triplets(2, 2, [(0, 1, 3j), (1, 0, 3j)], symmetric=True)
-    dense = A.to_dense()
+    dense = A.toarray()
     assert np.abs(dense - dense.T).max() == 0.0
-    assert A.symmetric
+    assert is_symmetric(A)
 
 
 def test_symmetric_flag_rejects():
@@ -73,10 +73,10 @@ def test_triplets_match_dense_accumulation(trips):
     dense = np.zeros((6, 6), dtype=complex)
     for r, c, v in trips:
         dense[r, c] += v
-    assert np.allclose(A.to_dense(), dense, atol=1e-12)
+    assert np.allclose(A.toarray(), dense, atol=1e-12)
     # rows sorted strictly increasing
     for i in range(6):
-        cols = A.col_indices[A.row_offsets[i]:A.row_offsets[i + 1]]
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
         assert np.all(np.diff(cols) > 0)
 
 
@@ -118,7 +118,7 @@ def test_lu_matches_dense_elimination():
     A = csr_from_triplets(n, n, trips)
     b = np.ones(n)
     x = lu_factorize(A).solve(b)
-    x_ref = _dense_gauss_solve(A.to_dense(), b)
+    x_ref = _dense_gauss_solve(A.toarray(), b)
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-12
 
 
@@ -138,7 +138,7 @@ def test_lu_residual_invariant():
     n = 40
     A = sp.random(n, n, density=0.2, random_state=3).tocsr()
     A = A + sp.eye(n) * 5.0
-    A = ComplexSparseMatrix(A + 1j * sp.random(n, n, density=0.2, random_state=4))
+    A = A + 1j * sp.random(n, n, density=0.2, random_state=4)
     f = lu_factorize(A)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = f.solve(b)
@@ -186,15 +186,15 @@ def test_gmres_exact_inverse_of_general_matrix_one_iteration():
     """M = A (applied through the LU handle) collapses GMRES to 1 iteration."""
     A = _shifted_laplacian(8, 0.7 + 0.3j)
     fact = lu_factorize(A)
-    b = np.random.default_rng(9).standard_normal(A.nrows)
+    b = np.random.default_rng(9).standard_normal(A.shape[0])
     x, rep = krylov_solve(A, fact, b, KrylovConfig(tol=1e-10))
     assert rep.iterations == 1 and rep.converged
 
 
 def test_gmres_matches_direct_solve():
     A = _shifted_laplacian(22, 0.5 + 0.4j)  # n = 484
-    b = np.zeros(A.nrows, dtype=complex)
-    b[A.nrows // 2] = 1.0
+    b = np.zeros(A.shape[0], dtype=complex)
+    b[A.shape[0] // 2] = 1.0
     x_lu = lu_factorize(A).solve(b)
     x, rep = krylov_solve(A, None, b, KrylovConfig(tol=1e-6, max_iter=2000))
     assert rep.converged
@@ -203,7 +203,7 @@ def test_gmres_matches_direct_solve():
 
 def test_gmres_residual_history_monotone():
     A = _shifted_laplacian(12, 0.3 + 0.2j)
-    b = np.random.default_rng(2).standard_normal(A.nrows)
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
     _, rep = krylov_solve(A, None, b, KrylovConfig(tol=1e-8, max_iter=400))
     h = np.array(rep.residuals)
     assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
@@ -211,7 +211,7 @@ def test_gmres_residual_history_monotone():
 
 def test_gmres_restarted_monotone_across_restarts():
     A = _shifted_laplacian(12, 0.3 + 0.2j)
-    b = np.random.default_rng(3).standard_normal(A.nrows)
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
     _, rep = krylov_solve(A, None, b, KrylovConfig(tol=1e-8, max_iter=600, restart=15))
     h = np.array(rep.residuals)
     assert np.all(h[1:] <= h[:-1] * (1 + 1e-8))
@@ -242,16 +242,14 @@ def test_krylov_agrees_with_lu_to_10x_tol():
     for trial in range(5):
         n = 60
         M = sp.random(n, n, density=0.15, random_state=100 + trial)
-        A = ComplexSparseMatrix(
-            M + M.T + sp.eye(n) * (4.0 + 0.5j) + 1j * sp.random(n, n, density=0.05,
+        A = M + M.T + sp.eye(n) * (4.0 + 0.5j) + 1j * sp.random(n, n, density=0.05,
                                                                 random_state=200 + trial)
-        )
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         tol = 1e-8
         x_it, rep = krylov_solve(A, None, b, KrylovConfig(tol=tol, max_iter=500))
         x_lu = lu_factorize(A).solve(b)
         assert rep.converged
-        assert np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu) <= 10 * tol * np.linalg.cond(A.to_dense())
+        assert np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu) <= 10 * tol * np.linalg.cond(A.toarray())
 
 
 def _complex_symmetric(n, seed):

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wavedd.linalg import (
-    ComplexSparseMatrix,
     Factorization,
     KrylovConfig,
     krylov_solve,
@@ -56,7 +55,7 @@ def test_single_triangle_curl_rank():
     tri_mesh = mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)], [(0, 1, 2)])
     prob = MaxwellProblem(mesh=tri_mesh, alpha=1.0, bc="natural")
     sys = assemble_maxwell(prob)
-    K = sys.K.to_dense()
+    K = sys.K.toarray()
     rank = np.linalg.matrix_rank(K, tol=1e-12)
     assert K.shape == (3, 3)
     assert rank == 1
@@ -67,8 +66,8 @@ def test_gradients_in_kernel():
     _, _, sys = _system(nx=9)
     rng = np.random.default_rng(0)
     phi = rng.standard_normal(sys.C.shape[1])
-    out = sys.K.to_scipy() @ (sys.C @ phi)
-    assert np.abs(out).max() <= 1e-14 * sys.K.max_abs() * np.abs(phi).max() * 10
+    out = sys.K @ (sys.C @ phi)
+    assert np.abs(out).max() <= 1e-14 * abs(sys.K).max() * np.abs(phi).max() * 10
 
 
 def test_kernel_identity_randomized():
@@ -79,14 +78,14 @@ def test_kernel_identity_randomized():
         mu = 1.0 + 9 * rng.random(mesh.n_triangles)
         eps = 10.0 ** rng.uniform(-2, 2, mesh.n_triangles)
         sys = assemble_maxwell(MaxwellProblem(mesh=mesh, mu_r=mu, eps_r=eps, alpha=0.5))
-        KC = np.abs((sys.K.to_scipy() @ sys.C).toarray()).max() if sys.C.nnz else 0.0
-        assert KC <= 1e-13 * sys.K.max_abs()
+        KC = np.abs((sys.K @ sys.C).toarray()).max() if sys.C.nnz else 0.0
+        assert KC <= 1e-13 * abs(sys.K).max()
 
 
 def test_spd_small_instance():
     _, _, sys = _system(nx=9, alpha=1.0)  # ~200 dofs
     assert sys.n_dofs <= 300
-    w = np.linalg.eigvalsh(sys.A.to_dense())
+    w = np.linalg.eigvalsh(sys.A.toarray())
     assert w[0] > 0
 
 
@@ -134,8 +133,8 @@ def test_disjoint_neumann_reassembly():
         gdof = sys.element_edge_dofs()[sd.owned_elements]
         dofs = np.unique(gdof[gdof >= 0])
         local = maxwell.assemble_maxwell_subset(prob, sys, sd.owned_elements, dofs)
-        acc[np.ix_(dofs, dofs)] += local.to_dense()
-    assert np.abs(acc - sys.A.to_dense()).max() < 1e-12
+        acc[np.ix_(dofs, dofs)] += local.toarray()
+    assert np.abs(acc - sys.A.toarray()).max() < 1e-12
 
 
 def test_asp_nodal_operators_match_p1_closed_form():
@@ -218,7 +217,7 @@ def test_free_cs_contains_gradients():
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
     free = build_free_cs(dec, sys)
     Z = free.Z.toarray()
-    A = sys.A.to_scipy()
+    A = sys.A
     E = Z.T @ (A @ Z)
     G = sys.C.toarray()
     proj = Z @ np.linalg.solve(E, Z.T @ (A @ G))
@@ -281,7 +280,7 @@ def test_sparse_coarse_space_drops_duplicate_column():
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     free = build_free_cs(dec, sys)
     Z = _independent_columns(sp.hstack([free.Z, 3.0 * free.Z[:, [5]]]))
-    cs = CoarseSpace(Z, sys.A, provenance="test")
+    cs = CoarseSpace(Z, sys.A, provenance="test", hermitian=True)
     assert cs.n0 == free.n0
     assert _projector_gap(cs.Z.toarray(), free.Z.toarray()) <= 1e-10
 
@@ -544,8 +543,8 @@ def test_non_spd_neumann_matrix_is_shifted_flagged_and_stays_sparse(monkeypatch)
     free = build_free_cs(dec, sys)
     sd = dec.subdomains[1]
     K = maxwell.assemble_maxwell_subset(replace(prob, eps_r=0.0), sys, sd.elements,
-                                        sd.dofs).to_scipy()
-    sd.neumann = ComplexSparseMatrix(K)
+                                        sd.dofs)
+    sd.neumann = K
     rhs = []
     real = schwarz.dense_generalized_eig
 
@@ -561,7 +560,7 @@ def test_non_spd_neumann_matrix_is_shifted_flagged_and_stays_sparse(monkeypatch)
     shift = 1e-12 * K.diagonal().sum() / sd.n_local
     assert np.array_equal(rhs[1].matrix.toarray(), (K + shift * sp.eye(sd.n_local)).toarray())
     for j in (0, 2, 3):
-        assert (rhs[j].matrix != dec.subdomains[j].neumann.to_scipy()).nnz == 0
+        assert (rhs[j].matrix != dec.subdomains[j].neumann).nnz == 0
 
 
 def _check_projector(nx, grid, dropped):
@@ -574,7 +573,7 @@ def _check_projector(nx, grid, dropped):
     dec = build_edge_decomposition(prob, sys, grid[0] * grid[1], shape="grid", grid=grid)
     C = sys.C.tocsc()
     for sd, drop in zip(dec.subdomains, dropped):
-        A_loc = sd.A_loc.to_scipy().real
+        A_loc = sd.A_loc.real
         Gl = C[sd.dofs, :]
         G = Gl[:, np.unique(Gl.nonzero()[1])]
         apply_xi, apply_xi_t = _bj_projector(G, A_loc)
@@ -603,7 +602,7 @@ def test_two_level_full_coarse_one_iteration():
     _, prob, sys = _system(nx=8)
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     one = OneLevelAdditiveSchwarz(dec)
-    cs = CoarseSpace(np.eye(sys.n_dofs), sys.A, provenance="full")
+    cs = CoarseSpace(np.eye(sys.n_dofs), sys.A, provenance="full", hermitian=True)
     two = TwoLevel(one, cs, sys.A)
     rep = _cg(sys, two.apply, tol=1e-10)
     assert rep.iterations == 1
@@ -614,7 +613,7 @@ def test_coarse_projection_idempotent():
     _, prob, sys = _system(nx=8, alpha=1.0)
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     free = build_free_cs(dec, sys)
-    A = sys.A.to_dense()
+    A = sys.A.toarray()
     Z = free.Z.toarray()
     H = Z @ np.linalg.solve(Z.T @ A @ Z, Z.T)
     HA = H @ A
@@ -658,7 +657,7 @@ def test_deflation_exactness():
     two = TwoLevel(one, free, sys.A)
     rng = np.random.default_rng(4)
     y = free.Z @ rng.standard_normal(free.n0)
-    out = two.apply(sys.A.to_scipy() @ y)
+    out = two.apply(sys.A @ y)
     assert np.linalg.norm(out - y) <= 1e-10 * np.linalg.norm(y)
 
 

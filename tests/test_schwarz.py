@@ -89,7 +89,7 @@ def test_oras_matches_dense_assembly():
     n = dec.n_dofs
     M = np.zeros((n, n), dtype=complex)
     for sd in dec.subdomains:
-        Binv = np.linalg.inv(sd.robin.to_dense())
+        Binv = np.linalg.inv(sd.robin.toarray())
         R = np.zeros((sd.n_local, n))
         R[np.arange(sd.n_local), sd.dofs] = 1.0
         M += R.T @ (sd.weights[:, None] * Binv) @ R
@@ -203,9 +203,7 @@ def test_dtn_empty_selection_falls_back_to_one_level():
     assert cs.n0 == 0
     # empty coarse space: the two-level operator equals the one-level one
     for sd in dec.subdomains:
-        sd.robin_fact = lu_factorize(
-            type(sys.A)(sd.robin.to_scipy() + 1e-6j * np.eye(sd.n_local))
-        )
+        sd.robin_fact = lu_factorize(sd.robin + 1e-6j * sp.eye(sd.n_local))
     one = OneLevelOras(dec)
     two = TwoLevel(one, cs, sys.A)
     v = np.random.default_rng(0).standard_normal(dec.n_dofs)
@@ -258,10 +256,9 @@ def test_hgeneo_laplace_limit_real_eigenvalues():
     dec = decompose(mesh, 2, shape="strips")
     assemble_local_matrices(dec, prob, sys, factorize=False)
     sd = dec.subdomains[0]
-    L = sys.L.to_scipy()
-    Ld = L[np.ix_(sd.dofs, sd.dofs)].toarray()
+    Ld = sys.L[np.ix_(sd.dofs, sd.dofs)].toarray()
     lhs = (sd.weights[:, None] * Ld) * sd.weights[None, :]
-    pairs = dense_generalized_eig(lhs, sd.neumann.to_dense())
+    pairs = dense_generalized_eig(lhs, sd.neumann.toarray())
     assert len(pairs) > 0
     for p in pairs:
         assert abs(p.value.imag) < 1e-10 * max(1.0, abs(p.value))
@@ -297,11 +294,11 @@ def test_deltageneo_positive_pencil_real():
     from wavedd.helmholtz import assemble_helmholtz_subset
     from wavedd.linalg import dense_generalized_eig
 
-    Apos = (sys.L.to_scipy() + sys.weighted_mass.to_scipy()).real
+    Apos = (sys.L + sys.weighted_mass).real
     sd = dec.subdomains[0]
     lhs = (sd.weights[:, None] * Apos[np.ix_(sd.dofs, sd.dofs)].toarray()) * sd.weights[None, :]
     rhs = assemble_helmholtz_subset(prob, sd.elements, sd.dofs, sign_w=+1.0,
-                                    impedance=False).to_dense().real
+                                    impedance=False).toarray().real
     assert np.linalg.eigvalsh(rhs)[0] > 0  # SPD right-hand side
     pairs = dense_generalized_eig(lhs, rhs)
     for p in pairs:
@@ -344,7 +341,7 @@ def test_coarse_projection_identity():
     _, _, _, sys, dec = _setup(nx=6, ny=6, order=1, N=2, shape="strips")
     cs = build_dtn_cs(dec, sys)
     n = dec.n_dofs
-    A = sys.A.to_dense()
+    A = sys.A.toarray()
     H = np.zeros((n, n), dtype=complex)
     for i in range(n):
         e = np.zeros(n)
@@ -361,7 +358,7 @@ def test_hybrid_coarse_exactness():
     cs = build_dtn_cs(dec, sys)
     assert cs.n0 > 0
     two = TwoLevel(one, cs, sys.A, mode="hybrid")
-    A = sys.A.to_scipy()
+    A = sys.A
     rng = np.random.default_rng(2)
     y = cs.Z @ (rng.standard_normal(cs.n0) + 1j * rng.standard_normal(cs.n0))
     out = two.apply(A @ y)
@@ -409,6 +406,19 @@ def test_coarse_apply_matches_dense_oracle(kind):
     out = cs.apply(v)
     assert out.shape == (n,)
     assert np.linalg.norm(out - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+def test_coarse_matrix_of_hermitian_operator_is_exactly_hermitian():
+    """With ``hermitian``, E of a real symmetric A and a random sparse Z has
+    E = E* entry for entry, and agrees with Z* A Z to rounding."""
+    n, n0 = 300, 40
+    off = sp.random(n, n, density=0.02, random_state=8)
+    A = (off + off.T + sp.diags(np.linspace(2.0, 4.0, n))).tocsr()
+    Z = sp.random(n, n0, density=0.1, random_state=9) + sp.eye(n, n0)
+    cs = CoarseSpace(Z, A, provenance="test", hermitian=True)
+    assert (cs.E - cs.E.conj().T).count_nonzero() == 0
+    E = (Z.T @ A @ Z).toarray()
+    assert np.abs(cs.E.toarray() - E).max() <= 1e-13 * np.abs(E).max()
 
 
 def test_coarse_dependent_columns_raise():
@@ -632,6 +642,18 @@ def _path_laplacian(n, shift=0.0):
     return sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1], format="csr")
 
 
+def _grid_laplacian(m, seed):
+    """The Laplacian of the m x m grid graph with edge weights drawn from
+    uniform(0.5, 2): singular PSD, its kernel the constants."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(m * m).reshape(m, m)
+    i = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    j = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    W = sp.coo_matrix((rng.uniform(0.5, 2.0, i.size), (i, j)), shape=(m * m, m * m))
+    W = (W + W.T).tocsr()
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+
+
 def test_sparse_spd_test_keeps_an_spd_matrix_and_its_factor():
     """An SPD matrix factors with diagonal pivots only, all positive; it is
     returned unshifted, as the factor's own matrix, and the factor solves it."""
@@ -646,11 +668,11 @@ def test_sparse_spd_test_keeps_an_spd_matrix_and_its_factor():
 
 @pytest.mark.parametrize("case", ["graph_laplacian", "indefinite", "zero_diagonal"])
 def test_sparse_spd_test_shifts_and_flags_what_is_not_spd(case):
-    """A singular PSD matrix (a graph Laplacian), an indefinite one with a
-    positive diagonal (a negative diagonal pivot) and one with a zero
-    diagonal (off-diagonal pivots, all positive) are not SPD: each gains
-    1e-12 times its mean diagonal on the diagonal, stays sparse, and is
-    flagged."""
+    """A singular PSD matrix (a graph Laplacian; also a weighted one whose
+    pivots are all diagonal and positive), an indefinite one with a positive
+    diagonal (a negative diagonal pivot) and one with a zero diagonal
+    (off-diagonal pivots, all positive) are not SPD: each gains 1e-12 times
+    its mean diagonal on the diagonal, stays sparse, and is flagged."""
     B = {"graph_laplacian": _path_laplacian(40),
          "indefinite": sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
          "zero_diagonal": sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))}[case]
@@ -667,6 +689,21 @@ def test_sparse_spd_test_shifts_and_flags_what_is_not_spd(case):
     assert np.array_equal(fact.matrix.toarray(), (B + shift * sp.eye(n)).toarray())
     b = np.ones(n)
     assert np.allclose(fact.matrix @ fact.solve(b), b, rtol=0, atol=1e-6)
+    if case == "graph_laplacian":
+        # a weighted grid Laplacian whose pivots are all diagonal and
+        # positive: only the floor 1e-14 * max|B| tells that the last one is
+        # rounding
+        B = _grid_laplacian(8, seed=2)
+        lu, spd = schwarz._symmetric_lu(B)
+        piv = lu.U.diagonal()
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert 0 < piv.min() <= 1e-14 * np.abs(B.data).max() and not spd
+        fact, flagged = schwarz._sparse_spd_or_shifted(B)
+        shift = 1e-12 * B.diagonal().sum() / 64
+        assert flagged and sp.issparse(fact.matrix)
+        assert np.array_equal(fact.matrix.toarray(), (B + shift * sp.eye(64)).toarray())
+        b = (-1.0) ** np.arange(64)  # orthogonal to the kernel, the constants
+        assert np.allclose(fact.matrix @ fact.solve(b), b, rtol=0, atol=1e-6)
 
 
 def test_sparse_spd_test_counts_a_failed_factorization_as_not_spd():
@@ -740,10 +777,10 @@ def test_every_coarse_basis_is_sparse_and_cheap_to_check():
     mx_prob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 8, 8), alpha=1e-2)
     mx = assemble_maxwell(mx_prob)
     mx_dec = build_edge_decomposition(mx_prob, mx, 4, shape="grid", grid=(2, 2))
-    A = hsys.A.to_scipy()
+    A = hsys.A
     spaces = [(build_grid_cs(prob, base, hsys), A), (build_dtn_cs(dec, hsys), A),
               (build_hgeneo_cs(dec, hsys), A), (build_deltageneo_cs(dec, prob, hsys), A),
-              (build_geneo_complement_cs(mx_dec, mx), mx.A.to_scipy())]
+              (build_geneo_complement_cs(mx_dec, mx), mx.A)]
     rng = np.random.default_rng(3)
     # one check on a throwaway space first: lazy imports do not count
     warm = CoarseSpace(sp.identity(A.shape[0], format="csc")[:, :2], hsys.A, "warm-up")

@@ -26,7 +26,7 @@ def test_single_cell_raster_assembles_like_constant():
     raster = VelocityModel.raster(np.array([[1.5]]), (0, 1, 0, 1))
     assert raster(np.zeros(3), np.zeros(3)).shape == (3,)
     A = [assemble_helmholtz(HelmholtzProblem(mesh=mesh, model=m, omega=2 * np.pi,
-                                             source=PointSource(0.5, 0.5))).A.to_dense()
+                                             source=PointSource(0.5, 0.5))).A.toarray()
          for m in (raster, VelocityModel.constant(1.5))]
     assert np.array_equal(A[0], A[1])
 
