@@ -333,29 +333,33 @@ def run_case(cfg: RunConfig) -> SolveReport:
 
 # ----------------------------------------------------------------- sweeps
 
-SWEEP_COLUMNS = ("f", "dofs", "N", "method", "iterations", "coarse_dim",
+SWEEP_COLUMNS = ("f", "dofs", "N", "method", "iterations", "coarse_dim", "error",
                  "converged", "rejected", "flagged", "setup_time", "solve_time")
 
 
 def _sweep_cell(base: RunConfig, f, N, method) -> dict:
     """One sweep row.  ``rejected`` is the total of eigenpairs that the
     residual contract dropped, ``flagged`` the flagged subdomains separated
-    by spaces, or "none"; a skipped or failed cell has "-" in both."""
+    by spaces, or "none"; a skipped or failed cell has "-" in both.  A failed
+    cell's ``converged`` names the exception's class and ``error`` holds the
+    first line of its message; ``error`` is empty on every other row."""
     cfg = replace(base, f=float(f), n_subdomains=int(N), preconditioner=method)
     est = estimate_dofs(cfg)
     unsolved = {"f": f, "dofs": est, "N": N, "method": method,
                 "iterations": "-", "coarse_dim": "-", "rejected": "-", "flagged": "-",
-                "setup_time": "", "solve_time": ""}
+                "error": "", "setup_time": "", "solve_time": ""}
     if est / max(N, 1) < cfg.dofs_floor:
         return {**unsolved, "converged": "skipped"}
     try:
         rep = run_case(cfg)
     except Exception as exc:  # isolate the cell, keep sweeping
-        return {**unsolved, "converged": f"error:{type(exc).__name__}"}
+        return {**unsolved, "converged": f"error:{type(exc).__name__}",
+                "error": (str(exc).splitlines() or [""])[0]}
     return {
         "f": f, "dofs": rep.n_dofs, "N": N, "method": method,
         "iterations": rep.iterations if rep.converged else "-",
         "coarse_dim": rep.coarse_dim,
+        "error": "",
         "converged": rep.converged,
         "rejected": sum(rep.rejected),
         "flagged": " ".join(map(str, rep.flags)) or "none",

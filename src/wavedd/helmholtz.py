@@ -10,6 +10,11 @@ element centroids, so quadrature is exact for the piecewise-constant
 coefficient) and Gamma the boundary mass weighted by k per boundary edge.
 L and W are returned separately since the spectral coarse spaces reuse them.
 
+The element stiffness is built in reference-tensor form: one tensor of
+reference-gradient integrals per call, contracted with each element's 2 x 2
+metric area J^-1 J^-T.  This is exact for affine P1 and P2 elements, with no
+quadrature per element.
+
 Resolution bookkeeping: the points-per-wavelength count is
 G = lambda / h = 2 pi c / (omega h) for mesh size h.
 """
@@ -168,20 +173,34 @@ def _element_geometry(mesh: Mesh, elements: np.ndarray):
 
 
 def _element_matrices(mesh: Mesh, elements: np.ndarray):
-    """Exact stiffness and mass element matrices for all given elements."""
-    order = mesh.order
-    p, J, Jinv, detJ = _element_geometry(mesh, elements)
+    """Exact stiffness and mass element matrices for all given elements.
+
+    Reference-tensor form (Kirby and Logg, ACM TOMS 32(3), 2006): on an
+    affine triangle the physical gradients are the reference ones times
+    J^-1, so
+
+        Ke[m, i, j] = sum_{d, e} T[i, j, d, e] G[m, d, e],
+        T[i, j, d, e] = sum_q w_q dN[q, i, d] dN[q, j, e],
+        G[m] = area_m J_m^-1 J_m^-T.
+
+    T is built once from the degree-5 rule, which integrates it exactly
+    for P1 and P2 (its integrand has degree 2 (order - 1) <= 2), and each
+    element needs only its 2 x 2 metric G.  Me is the reference mass
+    scaled by the element area.
+    """
+    _, _, Jinv, detJ = _element_geometry(mesh, elements)
     area = 0.5 * detJ
-    N = _shape_values(order, _TRI_QP)          # (nq, nd)
-    dN = _shape_grads(order, _TRI_QP)          # (nq, nd, 2)
-    # physical gradients: g[m, q, i, :] = dN[q, i, :] @ Jinv[m]
-    g = np.einsum("qid,mde->mqie", dN, Jinv)
-    Ke = np.einsum("q,mqie,mqje,m->mij", _TRI_QW, g, g, area)
+    N = _shape_values(mesh.order, _TRI_QP)     # (nq, nd)
+    dN = _shape_grads(mesh.order, _TRI_QP)     # (nq, nd, 2)
+    nd = dN.shape[1]
+    T = np.einsum("q,qid,qje->ijde", _TRI_QW, dN, dN).reshape(nd * nd, 4)
+    G = (Jinv @ Jinv.transpose(0, 2, 1)) * area[:, None, None]
+    Ke = (G.reshape(-1, 4) @ T.T).reshape(-1, nd, nd)
     Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))  # exact symmetry, not just roundoff-level
     Me_ref = np.einsum("q,qi,qj->ij", _TRI_QW, N, N)  # scale by element area
     Me_ref = 0.5 * (Me_ref + Me_ref.T)
     Me = Me_ref[None, :, :] * area[:, None, None]
-    return Ke, Me, area
+    return Ke, Me
 
 
 def _quad_points_xy(mesh: Mesh, elements: np.ndarray):
@@ -256,7 +275,7 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
     mesh = problem.mesh
     n = mesh.n_dofs
     elements = np.arange(mesh.n_triangles)
-    Ke, Me, _ = _element_matrices(mesh, elements)
+    Ke, Me = _element_matrices(mesh, elements)
     eldofs = mesh.element_dofs()
     cent = mesh.centroids()
     k_elem = problem.omega / problem.model(cent[:, 0], cent[:, 1])
@@ -363,7 +382,7 @@ def assemble_helmholtz_subset(
     elements = np.asarray(elements)
     if elements.size == 0:
         raise StructuralError("empty element subset")
-    Ke, Me, _ = _element_matrices(mesh, elements)
+    Ke, Me = _element_matrices(mesh, elements)
     eldofs_g = mesh.element_dofs()[elements]
     eldofs = np.searchsorted(dofs, eldofs_g)
     cent = mesh.centroids()[elements]

@@ -226,7 +226,7 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
                   np.concatenate(vals), ne, nn)
 
     # nodal auxiliary operators on interior nodes
-    Kn, Mn, _ = _element_matrices(mesh, np.arange(mesh.n_triangles))
+    Kn, Mn = _element_matrices(mesh, np.arange(mesh.n_triangles))
     ndofmap = node_dof[mesh.triangles]
     Lmu = _scatter(ndofmap, Kn * (1.0 / mu_e)[:, None, None], nn)
     Lplain = _scatter(ndofmap, Kn, nn)

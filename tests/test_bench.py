@@ -20,7 +20,7 @@ from wavedd.bench import (
     sweep_to_csv,
 )
 from wavedd.dispersion import DispersionSpec
-from wavedd.errors import StructuralError
+from wavedd.errors import SingularityError, StructuralError
 
 
 def test_config_round_trip_defaults():
@@ -338,6 +338,29 @@ def test_sweep_rows_report_rejected_pairs_and_flags(monkeypatch):
     lines = sweep_to_csv([row]).splitlines()
     assert lines[0].endswith("converged,rejected,flagged,setup_time,solve_time")
     assert lines[1].split(",")[-4:-2] == ["0", "0 1 2 3"]
+
+
+def test_failed_sweep_cell_keeps_its_message(monkeypatch):
+    """A failed cell names the exception's class in ``converged`` and keeps
+    the first line of its message in ``error``; the CSV quotes the message's
+    commas and keeps the two timing columns last."""
+    import wavedd.bench as bench
+
+    def singular(cfg):
+        raise SingularityError("pivot 1.2e-17, 3 of 40, below threshold\nsecond line")
+
+    base = RunConfig(f=2.0, ppwl=8.0, order=1, dofs_floor=1)
+    with monkeypatch.context() as m:
+        m.setattr(bench, "run_case", singular)
+        failed, = run_sweep(base, [2.0], [4], ["one-level"])
+    assert failed["converged"] == "error:SingularityError"
+    assert failed["error"] == "pivot 1.2e-17, 3 of 40, below threshold"
+    header, row = sweep_to_csv([failed]).splitlines()
+    assert header.endswith(",error,converged,rejected,flagged,setup_time,solve_time")
+    assert row.endswith(',"pivot 1.2e-17, 3 of 40, below threshold",error:SingularityError,-,-,,')
+    ok, = run_sweep(replace(base, max_iter=5), [2.0], [4], ["one-level"])
+    skipped, = run_sweep(replace(base, dofs_floor=10**7), [2.0], [4], ["one-level"])
+    assert ok["error"] == skipped["error"] == ""
 
 
 def test_perfbench_entry_points_resolve():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from wavedd.decomposition import (
     assemble_local_matrices,
-    build_partition_of_unity,
     decompose,
     extend_overlap,
     partition_geometric,

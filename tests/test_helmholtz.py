@@ -1,16 +1,22 @@
 """Helmholtz assembly: structure checks, FD oracle, convergence rates."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wavedd.helmholtz import (
-    AssembledSystem,
     HelmholtzProblem,
     PointSource,
+    _TRI_QP,
+    _TRI_QW,
     _boundary_edge_triangles,
+    _element_matrices,
     _scatter,
+    _shape_grads,
+    _shape_values,
     assemble_helmholtz,
     assemble_load,
     interpolate,
@@ -141,6 +147,63 @@ def test_zero_area_element_rejected():
     mesh.vertices[4] = mesh.vertices[1]  # collapse an interior vertex
     with pytest.raises(Exception):
         assemble_helmholtz(_problem(mesh, omega=1.0))
+
+
+# ------------------------------------------------------- element kernel
+
+
+def _random_triangles(m, seed):
+    """m positively oriented triangles of mixed size, skew and position:
+    the second edge is the first rotated by 0.05 to 3.09 rad and scaled by
+    0.1 to 3."""
+    rng = np.random.default_rng(seed)
+    p0 = rng.uniform(-10.0, 10.0, (m, 2))
+    phi = rng.uniform(0.0, 2 * np.pi, m)
+    e1 = rng.uniform(0.01, 1.0, m)[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+    theta = phi + rng.uniform(0.05, np.pi - 0.05, m)
+    e2 = (rng.uniform(0.1, 3.0, m) * np.hypot(*e1.T))[:, None] \
+        * np.column_stack([np.cos(theta), np.sin(theta)])
+    return np.stack([p0, p0 + e1, p0 + e2], axis=1)  # (m, 3, 2)
+
+
+def _pointwise_element_matrices(p, order):
+    """The element matrices by physical gradients at every quadrature point."""
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    area = 0.5 * np.linalg.det(J)
+    g = np.einsum("qid,mde->mqie", _shape_grads(order, _TRI_QP), np.linalg.inv(J))
+    Ke = np.einsum("q,mqie,mqje,m->mij", _TRI_QW, g, g, area)
+    N = _shape_values(order, _TRI_QP)
+    Me = np.einsum("q,qi,qj,m->mij", _TRI_QW, N, N, area)
+    return Ke, Me, area
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_element_matrices_match_pointwise_quadrature(order):
+    """The reference-tensor kernel against gradients at every quadrature
+    point, on skewed triangles; for P1 also against the closed forms
+    K_ij = area grad(lam_i) . grad(lam_j) and M_ij = area (1 + delta_ij) / 12."""
+    m = 200
+    p = _random_triangles(m, seed=13 + order)
+    mesh = SimpleNamespace(vertices=p.reshape(-1, 2), triangles=np.arange(3 * m).reshape(m, 3),
+                           order=order)
+    Ke, Me = _element_matrices(mesh, np.arange(m))
+    Ke_q, Me_q, area = _pointwise_element_matrices(p, order)
+    nd = 3 if order == 1 else 6
+    assert Ke.shape == Me.shape == (m, nd, nd)
+    scale = np.abs(Ke_q).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(Ke - Ke_q) <= 1e-14 * scale)
+    assert np.all(np.abs(Me - Me_q) <= 1e-14 * np.abs(Me_q).max(axis=(1, 2))[:, None, None])
+    assert np.array_equal(Ke, Ke.transpose(0, 2, 1))
+    assert np.all(np.abs(Ke.sum(axis=2)) <= 1e-14 * scale[:, :, 0])  # constants
+    if order == 1:
+        x, y = p[..., 0], p[..., 1]
+        grad = np.stack([np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1),
+                         np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)],
+                        axis=-1) / (2 * area)[:, None, None]
+        K_closed = np.einsum("mid,mjd,m->mij", grad, grad, area)
+        M_closed = area[:, None, None] * (1.0 + np.eye(3)) / 12.0
+        assert np.all(np.abs(Ke - K_closed) <= 1e-14 * scale)
+        assert np.all(np.abs(Me - M_closed) <= 1e-14 * M_closed.max(axis=(1, 2))[:, None, None])
 
 
 # ------------------------------------------------------- consistency rates

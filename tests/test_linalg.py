@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from wavedd.errors import NumericError, SingularityError, StructuralError
 from wavedd.linalg import (
     EigenPairs,
-    EigenPair,
     EigenSelection,
     KrylovConfig,
     csr_from_triplets,

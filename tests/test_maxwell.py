@@ -29,7 +29,7 @@ from wavedd.maxwell import (
     fsl_bounds_check,
 )
 from wavedd.errors import StructuralError
-from wavedd.mesh import build_rect_mesh, refine_uniform
+from wavedd.mesh import build_rect_mesh
 from wavedd.schwarz import CoarseSpace, TwoLevel, _independent_columns
 
 
