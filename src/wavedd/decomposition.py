@@ -65,8 +65,6 @@ class SubdomainData:
 class Decomposition:
     n_dofs: int
     subdomains: list
-    overlap_mode: str
-    overlap_layers: int
     mesh: Mesh | None = None
 
     @property
@@ -187,7 +185,7 @@ def extend_overlap(
         )
     if not covered.all():
         raise StructuralError("some DOFs belong to no subdomain")
-    return Decomposition(n_dofs, subdomains, mode, layers, mesh=mesh)
+    return Decomposition(n_dofs, subdomains, mesh=mesh)
 
 
 def build_partition_of_unity(dec: Decomposition) -> Decomposition:

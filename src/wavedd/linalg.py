@@ -115,8 +115,8 @@ def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> sp.csr
 class Factorization:
     """Reusable sparse LU handle; safe for concurrent solves.  ``matrix``, when
     given, is the sparse matrix factored: a pencil's right side passed as its
-    factor keeps it for the products and the densified fallback of
-    ``dense_generalized_eig``."""
+    factor keeps it for ARPACK's products and for the dense path of
+    ``dense_generalized_eig``, which densifies it by ``toarray``."""
 
     def __init__(self, superlu, n: int, matrix: sp.spmatrix | None = None):
         self._lu = superlu
@@ -509,10 +509,14 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     ``Factorization`` that carries it, and ARPACK then reuses that factor.
     The residual contract is taken per pair, ||A v|| and ||B v|| in place of
     the Frobenius norms: a bound no weaker for a unit v.  A pencil too small
-    for ARPACK at m_max, or under another rule, takes the dense path with A
-    and B densified.  So does one on which ARPACK fails (no convergence, or a
-    pair past the contract); the returned ``EigenPairs`` then has
-    ``fallback`` set.
+    for ARPACK at m_max, or under another rule, takes the dense path.  So
+    does one on which ARPACK fails (no convergence, or a pair past the
+    contract); the returned ``EigenPairs`` then has ``fallback`` set.
+
+    A and B may be dense arrays, sparse matrices or a ``Factorization``;
+    the dense path densifies each once, on entry: a ``LinearOperator`` by
+    its product with the identity, a sparse matrix by ``toarray``, and a
+    ``Factorization`` by its matrix.
     """
     fallback = False
     if isinstance(A, spla.LinearOperator):
@@ -524,9 +528,8 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
             except (spla.ArpackError, NumericError, SingularityError):
                 fallback = True  # ArpackNoConvergence is an ArpackError
         A = A @ np.eye(A.shape[0])
-        B = B.toarray() if sp.issparse(B) or isinstance(B, Factorization) else B
-    A = np.asarray(A)
-    B = np.asarray(B)
+    A, B = (M.toarray() if sp.issparse(M) or isinstance(M, Factorization)
+            else np.asarray(M) for M in (A, B))
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise StructuralError("A, B must be square and of equal size")
     n = A.shape[0]

@@ -42,6 +42,7 @@ from .errors import SingularityError, StructuralError
 from .linalg import (
     ComplexSparseMatrix,
     EigenSelection,
+    csr_from_triplets,
     dense_generalized_eig,  # noqa: F401 - perfbench/tracing.py patches this name here
     is_symmetric,
     lu_factorize,
@@ -178,10 +179,6 @@ def _edge_element_matrices(mesh: Mesh, elements: np.ndarray, mu_e: np.ndarray,
     return Ke, Me
 
 
-def _assemble(rows, cols, vals, n, m):
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
-
-
 def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     """Assemble the edge-element system and the nodal auxiliary operators."""
     mesh = problem.mesh
@@ -219,11 +216,10 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     for sign, nodes in ((-1.0, tails), (1.0, heads)):
         nd = node_dof[nodes]
         keep = nd >= 0
-        rows.append(np.flatnonzero(np.ones(ne, dtype=bool))[keep])
+        rows.append(np.flatnonzero(keep))
         cols.append(nd[keep])
         vals.append(np.full(int(keep.sum()), sign))
-    C = _assemble(np.concatenate(rows), np.concatenate(cols),
-                  np.concatenate(vals), ne, nn)
+    C = csr_from_triplets(ne, nn, tuple(map(np.concatenate, (rows, cols, vals))))
 
     # nodal auxiliary operators on interior nodes
     Kn, Mn = _element_matrices(mesh, np.arange(mesh.n_triangles))
@@ -249,8 +245,7 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
             prow.append(np.flatnonzero(keep))
             pcol.append(nd[keep] + comp * nn)
             pval.append(0.5 * d[keep, comp])
-    Pinterp = _assemble(np.concatenate(prow), np.concatenate(pcol),
-                        np.concatenate(pval), ne, 2 * nn)
+    Pinterp = csr_from_triplets(ne, 2 * nn, tuple(map(np.concatenate, (prow, pcol, pval))))
 
     b = problem.source
     if b is None:
@@ -380,7 +375,7 @@ def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
         Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
         blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
     Z = _unit_a_norm(_independent_columns(sp.hstack(blocks, format="csc")), sys.A)
-    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free", hermitian=True)
+    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free")
     cs.dim_gradient_space = int(sys.C.shape[1])
     cs.dim_vg = cs.n0
     return cs
@@ -480,7 +475,7 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     modes, flags, counts, rejected = _local_modes(dec, pencil, selection)
     Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z, modes])), sys.A)
     cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
-                     per_subdomain=counts, rejected=rejected, hermitian=True)
+                     per_subdomain=counts, rejected=rejected)
     cs.dim_gradient_space = free_cs.dim_gradient_space
     cs.dim_vg = free_cs.dim_vg
     return cs

@@ -59,13 +59,6 @@ class Mesh:
             return self.triangles
         return np.hstack([self.triangles, self.n_vertices + self.tri_edges])
 
-    def tri_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
-
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 

@@ -27,10 +27,14 @@ the eigenpairs that ``dense_generalized_eig`` selects by an
 to sparse global columns.  A builder supplies only its pencil and its lift;
 ``_independent_columns`` then keeps the independent columns.  The DtN,
 H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are four
-pencils on that loop.  The first three are dense arrays.  The GenEO
-complement is a ``LinearOperator`` against a sparse matrix, which
-``dense_generalized_eig`` solves by ARPACK; a subdomain on which ARPACK
-fails is re-solved densely and flagged.
+pencils on that loop.  DtN's Schur-complement pencil is dense.  The H-GenEO
+and Delta-GenEO pencils are sparse matrices, the Delta-GenEO right side
+passed as the ``Factorization`` of its SPD test; ``dense_generalized_eig``
+densifies them.  The GenEO complement is a ``LinearOperator`` against a
+sparse matrix, which ``dense_generalized_eig`` solves by ARPACK; a
+subdomain on which ARPACK fails is re-solved densely and flagged.  One
+SPD-or-shift rule, ``_sparse_spd_or_shifted``, regularizes the real
+symmetric right sides of Delta-GenEO and the GenEO complement.
 
 The loop solves complex pencils (DtN, H-GenEO) two at a time: one worker
 thread solves the pencil of one subdomain while the calling thread builds
@@ -41,9 +45,8 @@ thread, one after another: ``eigh`` holds the GIL, and ARPACK's reverse
 communication runs Python for every operator apply.  No factor is shared
 between the threads: each dense solve of ``dense_generalized_eig`` factors
 its own right side, since two threads calling ``scipy.linalg.lu_solve`` on
-one ``lu_factor`` result corrupt the heap (scipy 1.17.1), and the GenEO
-complement hands ARPACK the sparse factor of its own SPD test
-(``_sparse_spd_or_shifted``), made on the calling thread.
+one ``lu_factor`` result corrupt the heap (scipy 1.17.1), and the sparse
+factors of the SPD tests are made on the calling thread.
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -74,6 +77,7 @@ from .linalg import (
     EigenSelection,
     Factorization,
     dense_generalized_eig,
+    is_symmetric,
     lu_factorize,
     orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
 )
@@ -119,10 +123,10 @@ class CoarseSpace:
     coarse matrix E = Z* A Z; the coarse correction is H v = Z E^-1 Z* v.
 
     ``Z`` is the one stored basis, CSC, for every space: grid, spectral and
-    Maxwell.  ``E`` is sparse; with ``hermitian``, which the Maxwell builders
-    pass for their real symmetric A, E is kept exactly Hermitian, so that H
-    is symmetric to rounding, as CG needs.  n0 = 0 is a legal empty coarse
-    space.  A spectral space records, per subdomain, its
+    Maxwell.  ``E`` is sparse; for a real symmetric A (``is_symmetric``), as
+    every Maxwell A is, E is kept exactly symmetric, so that H is symmetric
+    to rounding, as CG needs.  n0 = 0 is a legal empty coarse space.  A
+    spectral space records, per subdomain, its
     mode count in ``per_subdomain`` and in ``rejected`` the number of
     eigenpairs that the residual contract of ``dense_generalized_eig``
     dropped.  ``flags`` lists the subdomains whose modes did not come from
@@ -135,7 +139,7 @@ class CoarseSpace:
     """
 
     def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None,
-                 rejected=None, hermitian: bool = False):
+                 rejected=None):
         self.provenance = provenance
         self.flags = list(flags or [])
         self.per_subdomain = per_subdomain or []
@@ -154,10 +158,10 @@ class CoarseSpace:
             np.conjugate(W.data, out=W.data)
             blocks.append(W)
         self.E = sp.hstack(blocks, format="csc")
-        if hermitian:
-            # a Hermitian A makes E Hermitian; rounding in the product breaks
+        if not np.iscomplexobj(A) and is_symmetric(A):
+            # a symmetric A makes E symmetric; rounding in the product breaks
             # that, and cond(E) amplifies it into a non-symmetric H
-            self.E = (0.5 * (self.E + self.E.conj().T)).tocsc()
+            self.E = (0.5 * (self.E + self.E.T)).tocsc()
         self._solver = lu_factorize(self.E).solve
 
     @property
@@ -342,17 +346,6 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     return Z, flags, counts, rejected
 
 
-def _spd_or_shifted(rhs: np.ndarray):
-    """The real symmetric right side of a local pencil, shifted by 1e-12 times
-    its mean diagonal when its Cholesky factorization fails; and whether it
-    was shifted."""
-    try:
-        np.linalg.cholesky(rhs)
-    except np.linalg.LinAlgError:
-        return rhs + (1e-12 * np.trace(rhs) / rhs.shape[0]) * np.eye(rhs.shape[0]), True
-    return rhs, False
-
-
 def _symmetric_lu(B: sp.spmatrix):
     """SuperLU factor of the sparse real symmetric B with diagonal pivots
     (symmetric mode, minimum degree on A^T + A), and whether B is SPD: it is
@@ -373,10 +366,11 @@ def _symmetric_lu(B: sp.spmatrix):
 
 
 def _sparse_spd_or_shifted(rhs: sp.spmatrix):
-    """``_spd_or_shifted`` for a sparse right side, by the SPD test of
-    ``_symmetric_lu``; returns the ``Factorization`` of the (shifted) matrix,
-    carrying it, and whether it was shifted.  No dense array is formed.
-    Raises SingularityError when the shifted matrix cannot be factored."""
+    """The real symmetric right side of a local pencil, shifted by 1e-12
+    times its mean diagonal when the SPD test of ``_symmetric_lu`` fails;
+    returns the ``Factorization`` of the (shifted) matrix, carrying it, and
+    whether it was shifted.  No dense array is formed.  Raises
+    SingularityError when the shifted matrix cannot be factored."""
     n = rhs.shape[0]
     lu, spd = _symmetric_lu(rhs)
     if spd:
@@ -462,9 +456,8 @@ def build_hgeneo_cs(dec: Decomposition, system: AssembledSystem,
     L = system.L
 
     def pencil(sd):
-        D = sd.weights
-        lhs = (D[:, None] * L[np.ix_(sd.dofs, sd.dofs)].toarray()) * D[None, :]
-        return lhs, sd.neumann.toarray(), lambda u: u, False
+        D = sp.diags(sd.weights)
+        return D @ L[np.ix_(sd.dofs, sd.dofs)] @ D, sd.neumann, lambda u: u, False
 
     return _spectral_cs(dec, system, "hgeneo", pencil, selection)
 
@@ -479,12 +472,11 @@ def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
 
     def pencil(sd):
         D = sd.weights
-        lhs = (D[:, None] * Apos[np.ix_(sd.dofs, sd.dofs)].toarray()) * D[None, :]
-        rhs = assemble_helmholtz_subset(
+        lhs = sp.diags(D) @ Apos[np.ix_(sd.dofs, sd.dofs)] @ sp.diags(D)
+        rhs, flagged = _sparse_spd_or_shifted(assemble_helmholtz_subset(
             problem, sd.elements, sd.dofs, sign_w=+1.0, impedance=False,
             dirichlet_dofs=system.dirichlet_dofs,
-        ).toarray().real
-        rhs, flagged = _spd_or_shifted(rhs)
+        ).real)
         return lhs, rhs, lambda u: D * u, flagged
 
     return _spectral_cs(dec, system, "deltageneo", pencil, selection)

@@ -13,6 +13,7 @@ from wavedd.errors import NumericError, SingularityError, StructuralError
 from wavedd.linalg import (
     EigenPairs,
     EigenSelection,
+    Factorization,
     KrylovConfig,
     csr_from_triplets,
     dense_generalized_eig,
@@ -634,6 +635,29 @@ def test_arpack_failure_is_solved_densely_and_flagged(monkeypatch, failure):
     dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
     assert pairs.fallback and not dense.fallback and pairs.rejected == 0
     assert [p.value for p in pairs] == [q.value for q in dense]
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_sparse_pencil_is_solved_as_its_dense_arrays(kind):
+    """A pencil of sparse matrices, or a real one whose B is passed as a
+    ``Factorization`` carrying it, gives the pairs of its densified arrays,
+    bit for bit."""
+    _, B, A, values = _operator_pencil(60)
+    if kind == "complex":
+        n = A.shape[0]
+        A = (A + 1j * sp.diags(np.linspace(0.0, 1.0, n))).tocsr()
+        B = (B - 0.5j * sp.eye(n)).tocsr()
+        which = EigenSelection("abs_largest", None, 8)
+        Bin = B
+    else:
+        which = EigenSelection("re_above", 0.5 * (values[9] + values[10]), 20)
+        Bin = Factorization(spla.splu(B.tocsc()), B.shape[0], B)
+    pairs = dense_generalized_eig(A, Bin, which=which)
+    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    assert len(pairs) == len(dense) > 0
+    assert (pairs.rejected, pairs.fallback) == (dense.rejected, dense.fallback)
+    for p, q in zip(pairs, dense):
+        assert p.value == q.value and np.array_equal(p.vector, q.vector)
 
 
 # ---------------------------------------------------------------- orthonormalize

@@ -280,7 +280,7 @@ def test_sparse_coarse_space_drops_duplicate_column():
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     free = build_free_cs(dec, sys)
     Z = _independent_columns(sp.hstack([free.Z, 3.0 * free.Z[:, [5]]]))
-    cs = CoarseSpace(Z, sys.A, provenance="test", hermitian=True)
+    cs = CoarseSpace(Z, sys.A, provenance="test")
     assert cs.n0 == free.n0
     assert _projector_gap(cs.Z.toarray(), free.Z.toarray()) <= 1e-10
 
@@ -602,7 +602,7 @@ def test_two_level_full_coarse_one_iteration():
     _, prob, sys = _system(nx=8)
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
     one = OneLevelAdditiveSchwarz(dec)
-    cs = CoarseSpace(np.eye(sys.n_dofs), sys.A, provenance="full", hermitian=True)
+    cs = CoarseSpace(np.eye(sys.n_dofs), sys.A, provenance="full")
     two = TwoLevel(one, cs, sys.A)
     rep = _cg(sys, two.apply, tol=1e-10)
     assert rep.iterations == 1

@@ -16,6 +16,7 @@ from wavedd.decomposition import assemble_local_matrices, decompose
 from wavedd.errors import SingularityError, StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
 from wavedd.linalg import (
+    Factorization,
     KrylovConfig,
     dense_generalized_eig,
     krylov_solve,
@@ -324,6 +325,16 @@ def test_deltageneo_improves_at_low_frequency():
     assert it_two < it_one
 
 
+@pytest.mark.parametrize("freq,flags", [(0.0, [0, 1, 2, 3]), (1.0, [])])
+def test_deltageneo_flags_the_shifted_right_sides(freq, flags):
+    """At omega = 0 every Delta-GenEO right side is a Neumann Laplacian,
+    singular on a strip that touches no Dirichlet boundary: each is shifted
+    and its subdomain flagged.  At 1 Hz the k^2 mass term makes them SPD."""
+    _, _, prob, sys, dec = _setup(nx=12, ny=12, N=4, shape="strips", order=1,
+                                  omega=2 * np.pi * freq, factorize=False)
+    assert build_deltageneo_cs(dec, prob, sys).flags == flags
+
+
 # --------------------------------------------------------------- two-level algebra
 
 
@@ -409,14 +420,14 @@ def test_coarse_apply_matches_dense_oracle(kind):
 
 
 def test_coarse_matrix_of_hermitian_operator_is_exactly_hermitian():
-    """With ``hermitian``, E of a real symmetric A and a random sparse Z has
-    E = E* entry for entry, and agrees with Z* A Z to rounding."""
+    """E of a real symmetric A and a random sparse Z has E = E* = E^T entry
+    for entry, with no option asked, and agrees with Z* A Z to rounding."""
     n, n0 = 300, 40
     off = sp.random(n, n, density=0.02, random_state=8)
     A = (off + off.T + sp.diags(np.linspace(2.0, 4.0, n))).tocsr()
     Z = sp.random(n, n0, density=0.1, random_state=9) + sp.eye(n, n0)
-    cs = CoarseSpace(Z, A, provenance="test", hermitian=True)
-    assert (cs.E - cs.E.conj().T).count_nonzero() == 0
+    cs = CoarseSpace(Z, A, provenance="test")
+    assert (cs.E - cs.E.T).count_nonzero() == 0
     E = (Z.T @ A @ Z).toarray()
     assert np.abs(cs.E.toarray() - E).max() <= 1e-13 * np.abs(E).max()
 
@@ -561,22 +572,28 @@ def test_overlapped_local_modes_match_a_serial_loop(monkeypatch):
 def test_complex_pencils_are_solved_two_at_a_time(monkeypatch):
     """H-GenEO pencils alternate between a worker thread and the calling
     thread; the Delta-GenEO pencils are real and stay on the calling
-    thread."""
+    thread.  Both arrive sparse, the Delta-GenEO right side as the
+    ``Factorization`` of its SPD test: ``dense_generalized_eig`` alone
+    densifies them."""
     _, _, prob, sys, dec = _wedge5()
-    threads = []
+    threads, forms = [], []
     real = schwarz.dense_generalized_eig
 
     def recording(lhs, rhs, which=None):
         threads.append(threading.get_ident())
+        forms.append((sp.issparse(lhs), sp.issparse(rhs), isinstance(rhs, Factorization)))
         return real(lhs, rhs, which=which)
 
     monkeypatch.setattr(schwarz, "dense_generalized_eig", recording)
     build_hgeneo_cs(dec, sys)
     main = threading.get_ident()
     assert len(threads) == 5 and threads.count(main) == 2 and len(set(threads)) == 2
+    assert forms == [(True, True, False)] * 5
     threads.clear()
+    forms.clear()
     build_deltageneo_cs(dec, prob, sys)
     assert threads == [main] * 5
+    assert forms == [(True, False, True)] * 5
 
 
 def test_rejected_pairs_counted_on_the_coarse_space(monkeypatch):
@@ -621,18 +638,6 @@ def test_hgeneo_build_stays_below_one_dense_basis():
         tracemalloc.stop()
     assert cs.n0 == 32 * 20
     assert peak < 16 * dec.n_dofs * cs.n0
-
-
-def test_singular_right_side_shifted_and_flagged():
-    """The regularization of the dense Delta-GenEO pencils: an SPD right
-    side passes unchanged; one whose Cholesky factorization fails gains
-    1e-12 times its mean diagonal on the diagonal and is flagged."""
-    spd = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    same, flagged = schwarz._spd_or_shifted(spd)
-    assert same is spd and not flagged
-    singular = np.array([[4.0, -4.0], [-4.0, 4.0]])
-    shifted, flagged = schwarz._spd_or_shifted(singular)
-    assert flagged and np.array_equal(shifted, singular + 4e-12 * np.eye(2))
 
 
 def _path_laplacian(n, shift=0.0):
