@@ -302,9 +302,10 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
         if method == "one-level":
             op = one.apply
         elif method in ("free-cs", "geneo-complement"):
-            free = build_free_cs(dec, system)
-            cs = free if method == "free-cs" else build_geneo_complement_cs(
-                dec, system, tau=cfg.tau, m_max=cfg.m_max, free_cs=free)
+            if method == "free-cs":
+                cs = build_free_cs(dec, system)
+            else:
+                cs = build_geneo_complement_cs(dec, system, tau=cfg.tau, m_max=cfg.m_max)
             op = TwoLevel(one, cs, system.A, mode=cfg.two_level_mode).apply
         else:
             raise StructuralError(f"unknown maxwell preconditioner {method!r}")

@@ -11,12 +11,15 @@ they are never orthonormalized globally.  They share the code of the
 Helmholtz spectral spaces: the GenEO complement is one pencil on the
 subdomain loop ``schwarz._local_modes``, ``schwarz._independent_columns``
 drops the dependent columns of both bases, and each kept column is then
-scaled to unit A-norm.  That pencil holds no n_loc x n_loc array: its left
-side is a ``LinearOperator`` that applies the projector onto the
-b_j-orthogonal complement of the local gradients in low-rank form around the
-sparse D A_j D, through one pivoted Cholesky factor of an r x r Gram matrix;
-its right side is the sparse Neumann matrix with the factor of its sparse
-SPD test, which ARPACK reuses to solve it for the few modes above tau.  The
+scaled to unit A-norm.  The free basis is kept whole in the GenEO
+complement: only the appended modes are tested, against its span and each
+other, so a dependent mode is dropped, never a free column.  The pencil
+holds no n_loc x n_loc array: its left side is a ``LinearOperator`` that
+applies the projector onto the b_j-orthogonal complement of the local
+gradients in low-rank form around the sparse D A_j D, through one pivoted
+Cholesky factor of an r x r Gram matrix; its right side is the sparse
+Neumann matrix with the factor of its sparse SPD test, which ARPACK reuses
+to solve it for the few modes above tau.  The
 edge and nodal matrices are summed by ``helmholtz._scatter``, and the nodal
 auxiliary operators of ASP weight the P1 element matrices of
 ``helmholtz._element_matrices``.
@@ -359,23 +362,26 @@ def _unit_a_norm(Z: sp.csc_matrix, A: sp.csr_matrix) -> sp.csc_matrix:
     return Z @ sp.diags(1.0 / a_norm)
 
 
-def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
-    """The gradient ("free") coarse space V_G = span{R_j^T D_j R_j C e_m}:
-    partition-of-unity-localized near-kernel vectors, no eigensolves.
-
-    Z is sparse: one column per subdomain j and interior node m whose
-    gradient touches subdomain j, less the dependent columns that
-    ``_independent_columns`` drops, each scaled to unit A-norm.  ``dim_vg``
-    is the rank of V_G.
-    """
+def _free_basis(dec: Decomposition, sys: MaxwellSystem) -> sp.csc_matrix:
+    """The sparse basis of V_G = span{R_j^T D_j R_j C e_m}: one column per
+    subdomain j and interior node m whose gradient touches subdomain j, less
+    the dependent columns that ``_independent_columns`` drops, each scaled to
+    unit A-norm."""
     n = dec.n_dofs
     C = sys.C.tocsc()
     blocks = []
     for sd in dec.subdomains:
         Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
         blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
-    Z = _unit_a_norm(_independent_columns(sp.hstack(blocks, format="csc")), sys.A)
-    cs = CoarseSpace(Z, sys.A, provenance="maxwell-free")
+    return _unit_a_norm(_independent_columns(sp.hstack(blocks, format="csc")), sys.A)
+
+
+def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
+    """The gradient ("free") coarse space V_G: partition-of-unity-localized
+    near-kernel vectors, no eigensolves.  Z is the sparse ``_free_basis``;
+    ``dim_vg`` is the rank of V_G.
+    """
+    cs = CoarseSpace(_free_basis(dec, sys), sys.A, provenance="maxwell-free")
     cs.dim_gradient_space = int(sys.C.shape[1])
     cs.dim_vg = cs.n0
     return cs
@@ -390,14 +396,16 @@ def _bj_projector(G: sp.csc_matrix, A_loc: sp.csr_matrix):
     ``rank`` independent columns G_k, in pivot order, at pivots above 1e-12;
     its leading factor L_k gives M0 = G_k^T W_k = D_k^-1 L_k L_k^T D_k^-1.
     Returns xi v = G_k S v and xi^T u = W_k M0^-1 G_k^T u, with
-    S v = M0^-1 W_k^T v applied through that factor, for a vector or a block
-    of columns.
+    S v = M0^-1 W_k^T v applied through that factor by two calls of LAPACK
+    xTRTRS, the routine behind ``scipy.linalg.solve_triangular`` without
+    its per-call checks (ARPACK applies xi over a thousand times per
+    set-up), for a vector or a block of columns.
     """
     W = A_loc @ G
     M = (G.T @ W).toarray()
     d = 1.0 / np.sqrt(M.diagonal())
     gram = np.asfortranarray(np.outer(d, d) * M)
-    pstrf, = sla.get_lapack_funcs(("pstrf",), (gram,))
+    pstrf, trtrs = sla.get_lapack_funcs(("pstrf", "trtrs"), (gram,))
     L, piv, rank, _ = pstrf(gram, tol=1e-12, lower=1, overwrite_a=True)
     keep = piv[:rank] - 1
     Lk, dk = np.asfortranarray(L[:rank, :rank]), d[keep]
@@ -406,8 +414,8 @@ def _bj_projector(G: sp.csc_matrix, A_loc: sp.csr_matrix):
 
     def m0_solve(y):  # M0^-1 y = D_k L_k^-T L_k^-1 D_k y
         s = dk if y.ndim == 1 else dk[:, None]
-        y = sla.solve_triangular(Lk, s * y, lower=True, check_finite=False)
-        return s * sla.solve_triangular(Lk, y, lower=True, trans="T", check_finite=False)
+        y, _ = trtrs(Lk, s * y, lower=1)
+        return s * trtrs(Lk, y, lower=1, trans=1)[0]
 
     def xi(v):
         return Gk @ m0_solve(WkT @ v)
@@ -438,11 +446,13 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
 
     The subdomain loop is ``schwarz._local_modes``, that of the Helmholtz
     spectral spaces; this builder supplies only the pencil.  The lifted
-    modes are appended to ``free_cs.Z``; ``_independent_columns`` drops any
-    dependent column, each kept column is scaled to unit A-norm, and
+    modes are appended to the free basis, ``free_cs.Z`` or, without
+    ``free_cs``, ``_free_basis`` (no free E is formed then).  The free basis
+    is kept whole: ``_independent_columns`` tests only the appended modes,
+    against its span and each other, so a dependent mode is dropped, never a
+    free column.  Each kept column is scaled to unit A-norm, and
     ``CoarseSpace`` forms and factors the sparse E of the joint basis."""
-    if free_cs is None:
-        free_cs = build_free_cs(dec, sys)
+    free = _free_basis(dec, sys) if free_cs is None else free_cs.Z
     C = sys.C.tocsc()
 
     def pencil(sd):
@@ -473,11 +483,11 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
 
     selection = EigenSelection("re_above", tau, m_max)
     modes, flags, counts, rejected = _local_modes(dec, pencil, selection)
-    Z = _unit_a_norm(_independent_columns(sp.hstack([free_cs.Z, modes])), sys.A)
-    cs = CoarseSpace(Z, sys.A, provenance="maxwell-geneo", flags=flags,
-                     per_subdomain=counts, rejected=rejected)
-    cs.dim_gradient_space = free_cs.dim_gradient_space
-    cs.dim_vg = free_cs.dim_vg
+    Z = _independent_columns(sp.hstack([free, modes]), kept=free.shape[1])
+    cs = CoarseSpace(_unit_a_norm(Z, sys.A), sys.A, provenance="maxwell-geneo",
+                     flags=flags, per_subdomain=counts, rejected=rejected)
+    cs.dim_gradient_space = int(sys.C.shape[1])
+    cs.dim_vg = free.shape[1]
     return cs
 
 

@@ -171,28 +171,49 @@ class CoarseSpace:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Coarse correction H v = Z E^-1 Z* v."""
         if self.n0 == 0:
-            return np.zeros_like(np.asarray(v, dtype=np.complex128))
+            return np.zeros(np.shape(v), dtype=np.result_type(v, self.Z.dtype))
         r = (np.conj(v) @ self.Z).conj()
         return self.Z @ self._solver(r)
 
     __call__ = apply
 
 
-def _independent_columns(Z) -> sp.csc_matrix:
+def _independent_columns(Z, kept: int = 0) -> sp.csc_matrix:
     """The columns of Z scaled to unit norm, in input order, less those that
     depend on the others: one pivoted Cholesky (LAPACK xPSTRF) of the Gram
     matrix G of the unit-norm columns stops at a pivot below 1e-12 =
     1e-12 * max(diag(G)).  G squares the conditioning, so that drops a column
     whose residual against the kept ones is below 1e-6 of its norm, whatever
-    the input scale."""
+    the input scale.
+
+    The first ``kept`` columns F of a real Z are known to be independent and
+    are all kept, whole; only the others, Y, are tested, against span(F)
+    and each other, so a dependent column of Y is dropped, never one of F.
+    F is eliminated first (Higham, 1990): G_FF, the Gram block of F, is
+    factored by ``_symmetric_lu`` (SingularityError if it is not SPD), and
+    xPSTRF runs with the same pivot floor on the Schur complement
+    S = G_YY - G_FY^T G_FF^-1 G_FY, formed through the full solve of that
+    factor.  Not as X^T D^-1 X with X = L^-1 P G_FY: the factor's order
+    reduces fill and does not pivot, so a near-dependent pair early in F
+    makes L^-1 large, and on such an F that form left a pivot of 1.6e-12,
+    above the floor, for a column of Y in span(F), where the full solve
+    leaves 0.  No dense array larger than kept x (columns of Y) is formed."""
     Z = sp.csc_matrix(Z)
     if not Z.shape[1]:
         return Z
     Z = Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
-    G = (Z.conj().T @ Z).toarray(order="F")
+    if kept:
+        F, Y = Z[:, :kept], Z[:, kept:]
+        lu, spd = _symmetric_lu(F.T @ F)
+        if not spd:
+            raise SingularityError("the kept columns are not independent")
+        B = (F.T @ Y).toarray()
+        G = np.asfortranarray((Y.T @ Y).toarray() - B.T @ lu.solve(B))
+    else:
+        G = (Z.conj().T @ Z).toarray(order="F")
     pstrf, = sla.get_lapack_funcs(("pstrf",), (G,))
     _, piv, rank, _ = pstrf(G, tol=1e-12, overwrite_a=True)
-    return Z[:, np.sort(piv[:rank] - 1)]
+    return Z[:, np.r_[:kept, kept + np.sort(piv[:rank] - 1)]]
 
 
 class TwoLevel:

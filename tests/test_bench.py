@@ -87,13 +87,33 @@ def test_wedge_one_level_grows_with_n():
     assert its[1] > its[0]
 
 
+MAXWELL_GENEO = RunConfig(problem="maxwell", model="constant", maxwell_cells=12,
+                          alpha=1e-2, n_subdomains=4, partition="grid:2x2",
+                          preconditioner="geneo-complement", tol=1e-8, max_iter=100)
+
+
 def test_maxwell_case_converges():
-    cfg = RunConfig(problem="maxwell", model="constant", maxwell_cells=12,
-                    alpha=1e-2, n_subdomains=4, partition="grid:2x2",
-                    preconditioner="geneo-complement", tol=1e-8, max_iter=100)
-    rep = run_case(cfg)
+    rep = run_case(MAXWELL_GENEO)
     assert rep.converged
     assert rep.iterations <= 50
+
+
+def test_maxwell_geneo_run_builds_one_coarse_space(monkeypatch):
+    """A GenEO-complement run forms and factors only the coarse matrix of
+    the joint basis, not that of the free space too."""
+    from wavedd import maxwell
+
+    made = []
+    real = maxwell.CoarseSpace
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(maxwell, "CoarseSpace", recording)
+    rep = run_case(MAXWELL_GENEO)
+    assert [cs.provenance for cs in made] == ["maxwell-geneo"]
+    assert (rep.iterations, rep.coarse_dim) == (12, 168)
 
 
 def test_maxwell_random_source_assembles_once(monkeypatch):

@@ -262,9 +262,9 @@ def test_sparse_coarse_spaces_span_the_raw_columns(monkeypatch):
     inputs = []
     real = maxwell._independent_columns
 
-    def recording(Z):
+    def recording(Z, kept=0):
         inputs.append(Z)
-        return real(Z)
+        return real(Z, kept)
 
     monkeypatch.setattr(maxwell, "_independent_columns", recording)
     geneo = build_geneo_complement_cs(dec, sys, tau=1.5, free_cs=free)
@@ -329,6 +329,50 @@ def test_free_cs_build_stays_below_one_dense_basis(channel36):
     finally:
         tracemalloc.stop()
     assert peak < 8 * dec.n_dofs * free.n0
+
+
+def test_geneo_complement_tests_only_the_appended_modes(channel36, monkeypatch):
+    """On the benchmark channel, testing only the appended modes against the
+    kept free basis keeps what the test of all columns keeps, bit for bit;
+    and the build without ``free_cs``, which forms no free E, gives the same
+    coarse space."""
+    sys, dec = channel36
+    free = build_free_cs(dec, sys)
+    inputs = []
+    real = maxwell._independent_columns
+
+    def recording(Z, kept=0):
+        inputs.append((Z, kept))
+        return real(Z, kept)
+
+    monkeypatch.setattr(maxwell, "_independent_columns", recording)
+    cs = build_geneo_complement_cs(dec, sys, tau=10.0, free_cs=free)
+    (Z, kept), = inputs
+    assert kept == free.n0 and cs.n0 == free.n0 + 2
+    tested, whole = real(Z, kept), real(Z)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(tested, part), getattr(whole, part))
+
+    alone = build_geneo_complement_cs(dec, sys, tau=10.0)
+    assert (alone.n0, alone.dim_vg, alone.per_subdomain) == (cs.n0, cs.dim_vg, cs.per_subdomain)
+    for M, N in ((alone.Z, cs.Z), (alone.E, cs.E)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(M, part), getattr(N, part))
+
+
+def test_geneo_complement_build_stays_below_one_dense_coarse_array(channel36):
+    """The GenEO-complement build holds no n0 x n0 array (18.3 MB here): the
+    free columns are not tested again, so no Gram of the joint basis is
+    formed."""
+    sys, dec = channel36
+    free = build_free_cs(dec, sys)
+    tracemalloc.start()
+    try:
+        build_geneo_complement_cs(dec, sys, tau=10.0, free_cs=free)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * free.n0**2
 
 
 def test_free_cs_alpha_regimes():
@@ -418,9 +462,9 @@ def _geneo_selection(monkeypatch, dec, sys, free, tau, m_max, densify=False):
         values.append(np.array([p.value.real for p in pairs]))
         return pairs
 
-    def cols(Z):
+    def cols(Z, kept=0):
         modes.append(Z[:, free.n0:].toarray())
-        return real_cols(Z)
+        return real_cols(Z, kept)
 
     def eigsh(A, k, **kwargs):
         ks.append(k)

@@ -419,6 +419,20 @@ def test_coarse_apply_matches_dense_oracle(kind):
     assert np.linalg.norm(out - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
 
 
+def test_empty_coarse_apply_keeps_the_input_type():
+    """The correction of an empty space is zero in the type that Z and v
+    give: real for a real basis and a real vector, complex otherwise."""
+    n = 30
+    A = _coarse_test_operator(n)
+    v = np.random.default_rng(2).standard_normal(n)
+    real = CoarseSpace(np.empty((n, 0)), A, provenance="test")
+    out = real.apply(v)
+    assert out.dtype == np.float64 and out.shape == (n,) and not out.any()
+    assert real.apply(v + 1j).dtype == np.complex128
+    assert CoarseSpace(np.empty((n, 0), dtype=np.complex128), A,
+                       provenance="test").apply(v).dtype == np.complex128
+
+
 def test_coarse_matrix_of_hermitian_operator_is_exactly_hermitian():
     """E of a real symmetric A and a random sparse Z has E = E* = E^T entry
     for entry, with no option asked, and agrees with Z* A Z to rounding."""
@@ -624,6 +638,33 @@ def test_spectral_space_drops_duplicate_complex_column():
     assert twin.n0 == cs.n0
     assert np.allclose(spla.norm(Z, axis=0), 1.0, atol=1e-14)
     assert _projector_gap(Z.toarray(), B.toarray()) <= 1e-10
+
+
+def _unit_columns(Z):
+    return Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
+
+
+def test_kept_columns_stay_and_appended_ones_are_tested():
+    """With ``kept``, the appended columns are tested against the kept ones
+    and each other: one in the span of the kept columns is dropped, and of
+    a column and its negative the first is kept.  Every kept column stays,
+    even one that a test of all columns drops (residual 3e-7 of its norm
+    against the others), and the output is the kept columns and the first of
+    the pair, scaled to unit norm, in input order."""
+    n, k = 200, 12
+    rng = np.random.default_rng(21)
+    F = (sp.random(n, k, density=0.1, random_state=21) + sp.eye(n, k)).tocsc()
+    e = rng.standard_normal(n)
+    near = F[:, [0]] + sp.csc_matrix(3e-7 * spla.norm(F[:, 0]) / np.linalg.norm(e) * e[:, None])
+    y = rng.standard_normal(n)
+    Y = np.column_stack([F @ rng.standard_normal(k), y, -y])
+    F = sp.hstack([F, near])
+    Z = sp.hstack([F, Y], format="csc")
+    assert schwarz._independent_columns(Z).shape[1] == k + 1  # a kept column is dropped
+    out = schwarz._independent_columns(Z, kept=k + 1)
+    assert np.array_equal(out.toarray(), _unit_columns(Z)[:, np.r_[:k + 1, k + 2]].toarray())
+    with pytest.raises(SingularityError):  # the kept block must be independent
+        schwarz._independent_columns(sp.hstack([F, F[:, [3]], Y]), kept=k + 2)
 
 
 def test_hgeneo_build_stays_below_one_dense_basis():
