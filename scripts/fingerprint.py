@@ -5,6 +5,7 @@ that a change leaves them bit for bit as they were.
     python3 scripts/fingerprint.py --out new.json
     python3 scripts/fingerprint.py --root ../parent --out old.json
     python3 scripts/fingerprint.py --out new.json --compare old.json
+    python3 scripts/fingerprint.py --only wedge-spectral --out new.json --compare old.json
 
 The JSON holds, for every coarse space of the full-size set-ups of the three
 ``perfbench`` workloads and for the free and GenEO-complement spaces of the
@@ -15,7 +16,9 @@ every solve of one round of each workload, its loads in their unseeded order.
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are imported
 (default: the one holding this script).  ``--compare`` lists every entry that
 differs from another fingerprint and exits with status 1 if one does.
-Nothing is written under ``perfbench/``.
+``--only NAME``, repeatable, takes a workload name or ``channels``: only
+those entries are computed, written and compared, so that a check of one
+workload takes seconds.  Nothing is written under ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -46,13 +49,14 @@ def _coarse_space(cs) -> dict:
     return out
 
 
-def _workloads() -> dict:
+def _workloads(names) -> dict:
     from wavedd.linalg import krylov_solve
     from perfbench.tracing import Tracer
     from perfbench.workloads import FULL
 
     out = {}
-    for name, workload in FULL.items():
+    for name in names:
+        workload = FULL[name]
         tr = Tracer()
         st = workload.setup(tr)
         iterations = {}
@@ -100,11 +104,22 @@ def differences(new: dict, old: dict) -> list[str]:
             for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
 
 
+def _selected(fingerprint: dict, only) -> dict:
+    """The entries of a fingerprint that ``only`` names, less its root."""
+    out = {"workloads": {k: v for k, v in fingerprint.get("workloads", {}).items()
+                         if k in only}}
+    if "channels" in only:
+        out["channels"] = fingerprint.get("channels", {})
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=ROOT, help="checkout to import (default: this one)")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--compare", help="fingerprint JSON to compare with")
+    ap.add_argument("--only", action="append", metavar="NAME",
+                    help="a workload name or 'channels'; repeatable (default: all)")
     args = ap.parse_args(argv)
     # one BLAS thread, as in the benchmark: the thread count can change rounding
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -113,15 +128,23 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), root]
 
-    fingerprint = {"root": root, "workloads": _workloads(), "channels": _channels()}
+    from perfbench.workloads import FULL
+
+    names = list(FULL) + ["channels"]
+    only = args.only or names
+    unknown = sorted(set(only) - set(names))
+    if unknown:
+        ap.error(f"--only: unknown {', '.join(unknown)}; choose from {', '.join(names)}")
+    fingerprint = {"root": root, "workloads": _workloads(n for n in FULL if n in only)}
+    if "channels" in only:
+        fingerprint["channels"] = _channels()
     with open(args.out, "w") as f:
         json.dump(fingerprint, f, indent=1)
     if not args.compare:
         return 0
     with open(args.compare) as f:
         old = json.load(f)
-    diff = differences({k: v for k, v in fingerprint.items() if k != "root"},
-                       {k: v for k, v in old.items() if k != "root"})
+    diff = differences(_selected(fingerprint, only), _selected(old, only))
     print("\n".join(diff) if diff else "identical")
     return 1 if diff else 0
 

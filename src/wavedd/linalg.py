@@ -53,7 +53,7 @@ class ComplexSparseMatrix(sp.csr_matrix):
     and ``to_scipy``, and tests/test_acceptance.py reads ``nrows``
     (criterion 2) and ``to_scipy`` and ``max_abs`` (criterion 7).  Only
     ``AssembledSystem.A``, ``MaxwellSystem.A`` and ``MaxwellSystem.K`` are
-    built as this class.  ROADMAP item 2 deletes it."""
+    built as this class.  ROADMAP item 1 deletes it."""
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self @ x
@@ -116,7 +116,7 @@ class Factorization:
     """Reusable sparse LU handle; safe for concurrent solves.  ``matrix``, when
     given, is the sparse matrix factored: a pencil's right side passed as its
     factor keeps it for ARPACK's products and for the dense path of
-    ``dense_generalized_eig``, which densifies it by ``toarray``."""
+    ``dense_generalized_eig``, which densifies it."""
 
     def __init__(self, superlu, n: int, matrix: sp.spmatrix | None = None):
         self._lu = superlu
@@ -428,18 +428,52 @@ class EigenSelection:
         return order[::-1]
 
 
-def _reduced_eig(A, B):
-    """Eigenpairs of B^-1 A, with B factorized by LU; LinAlgError when B is
-    numerically singular.  The factor and B^-1 A are this call's own and are
-    freed on return.  numpy's eig releases the GIL, so two threads can run
-    it at once; scipy's eig and eigh do not."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(B)
-    dg = np.abs(np.diagonal(lu))
-    if dg.min() <= 1e-13 * max(dg.max(), 1e-300):
-        raise np.linalg.LinAlgError("B numerically singular")
-    return np.linalg.eig(sla.lu_solve((lu, piv), A))
+def _densified(M, dtype):
+    """M as a dense array, and whether that is a new copy, which the caller
+    may overwrite: a sparse matrix, or a ``LinearOperator`` by its product
+    with the identity, becomes a new Fortran-ordered array of ``dtype``; a
+    dense array is used as it is."""
+    if isinstance(M, spla.LinearOperator):
+        return np.asarray(M @ np.eye(M.shape[0]), dtype=dtype, order="F"), True
+    if sp.issparse(M):
+        return M.astype(dtype, copy=False).toarray(order="F"), True
+    return M, False
+
+
+def _dense_eig(A, B):
+    """Every eigenpair (w, v) of the square pencil (A, B), densified by
+    ``_densified``, and the Frobenius norms of A and B.
+
+    Hermitian A with Hermitian positive definite B goes through ``eigh``.
+    Otherwise the LU of B overwrites the dense copy of B, B^-1 A that of A,
+    each freed once used, and numpy's ``eig`` solves B^-1 A: it releases the
+    GIL, so two threads can run it at once; scipy's eig and eigh do not.
+    When B is numerically singular, QZ (scipy's ``eig`` of the pencil,
+    densified again) solves it, and may give infinite values.  Raises
+    LinAlgError when that fails too."""
+    dtype = np.result_type(A.dtype, B.dtype)  # the dtype of B^-1 A
+    dA, own_A = _densified(A, dtype)
+    dB, own_B = _densified(B, B.dtype)
+    norms = np.linalg.norm(dA, "fro"), np.linalg.norm(dB, "fro")
+    if _is_hermitian(dB) and _is_hermitian(dA):
+        try:
+            w, v = sla.eigh(dA, dB)
+            return w.astype(np.complex128), v, *norms
+        except (np.linalg.LinAlgError, sla.LinAlgError):
+            pass  # B not definite; fall through to the general path
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(dB, overwrite_a=own_B)
+        del dB
+        dg = np.abs(np.diagonal(lu))
+        if dg.min() <= 1e-13 * max(dg.max(), 1e-300):
+            raise np.linalg.LinAlgError("B numerically singular")
+        T = sla.lu_solve((lu, piv), dA, overwrite_b=own_A)
+        del lu, piv, dA
+        return *np.linalg.eig(T), *norms
+    except (np.linalg.LinAlgError, sla.LinAlgError):
+        return *sla.eig(_densified(A, dtype)[0], _densified(B, B.dtype)[0]), *norms
 
 
 def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
@@ -500,8 +534,11 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     most its m_max of them (None: every pair, ascending real part).  Each
     must pass the residual contract ||A v - lambda B v|| <= 1e-8 (||A||_F +
     |lambda| ||B||_F); one that fails is dropped and the next takes its
-    place.  Only the pairs up to the last one kept are checked; the returned
-    ``EigenPairs`` counts the dropped ones in ``rejected``.
+    place.  The contract is checked a batch at a time, with one product by A
+    and one by B: first for the m_max leading pairs, then for as many of the
+    next ones as pairs were dropped, so only the pairs up to the last one
+    kept are checked; the returned ``EigenPairs`` counts the dropped ones in
+    ``rejected``.
 
     A real symmetric pencil given as a ``scipy.sparse.linalg.LinearOperator``
     A and a sparse SPD B, under a "re_above" or "k_largest" rule, is solved
@@ -513,10 +550,11 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     does one on which ARPACK fails (no convergence, or a pair past the
     contract); the returned ``EigenPairs`` then has ``fallback`` set.
 
-    A and B may be dense arrays, sparse matrices or a ``Factorization``;
-    the dense path densifies each once, on entry: a ``LinearOperator`` by
-    its product with the identity, a sparse matrix by ``toarray``, and a
-    ``Factorization`` by its matrix.
+    A and B may be dense arrays, sparse matrices or a ``Factorization``,
+    which stands for its matrix.  The dense path, ``_dense_eig``, solves
+    dense copies of a sparse or ``LinearOperator`` pencil, which it
+    overwrites; the residual contract takes its products from the pencil as
+    passed.
     """
     fallback = False
     if isinstance(A, spla.LinearOperator):
@@ -527,51 +565,42 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
                     return pairs
             except (spla.ArpackError, NumericError, SingularityError):
                 fallback = True  # ArpackNoConvergence is an ArpackError
-        A = A @ np.eye(A.shape[0])
-    A, B = (M.toarray() if sp.issparse(M) or isinstance(M, Factorization)
+    A, B = (M.matrix if isinstance(M, Factorization)
+            else M if sp.issparse(M) or isinstance(M, spla.LinearOperator)
             else np.asarray(M) for M in (A, B))
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise StructuralError("A, B must be square and of equal size")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return EigenPairs()
     try:
-        w = v = None
-        if _is_hermitian(A) and _is_hermitian(B):
-            try:
-                w, v = sla.eigh(A, B)
-                w = w.astype(np.complex128)
-            except (np.linalg.LinAlgError, sla.LinAlgError):
-                w = v = None  # B not definite; fall through to the general path
-        if w is None:
-            try:
-                w, v = _reduced_eig(A, B)
-            except (np.linalg.LinAlgError, sla.LinAlgError):
-                w, v = sla.eig(A, B)  # QZ; may produce inf for singular B
+        w, v, nA, nB = _dense_eig(A, B)
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise NumericError(f"generalized eigensolve failed: {exc}") from exc
-    # singular B pollutes every solver path: drop infinite values, then check
-    # the residual contract pair by pair
+    # singular B pollutes every solver path: drop infinite values
     finite = np.flatnonzero(np.isfinite(w))
-    order = _ascending(w[finite]) if which is None else which.order(w[finite])
-    limit = None if which is None else which.m_max
-    nA, nB = np.linalg.norm(A, "fro"), np.linalg.norm(B, "fro")
+    candidates = finite[_ascending(w[finite]) if which is None else which.order(w[finite])]
+    limit = len(candidates) if which is None else which.m_max
     pairs = EigenPairs()
     pairs.fallback = fallback
-    for i in finite[order]:
-        if len(pairs) == limit:
-            break
-        lam, x = w[i], v[:, i]
-        # two normalizations, by the summed column norm and then by the
-        # dot-product 2-norm: the coarse bases are pinned to this rounding
-        nrm = np.linalg.norm(x, axis=0)
-        if nrm > 0:
-            x = x / nrm
-            res = np.linalg.norm(A @ x - (B @ x) * lam)
-            if res <= max(1e-8 * (nA + abs(lam) * nB), 1e-300):
-                pairs.append(EigenPair(complex(lam), x / np.linalg.norm(x)))
+    start = 0
+    while len(pairs) < limit and start < len(candidates):
+        batch = candidates[start:start + limit - len(pairs)]
+        start += len(batch)
+        lam = w[batch]
+        X = v[:, batch]
+        nrm = np.linalg.norm(X, axis=0)
+        X = X / np.where(nrm > 0, nrm, 1.0)
+        res = np.linalg.norm(A @ X - (B @ X) * lam, axis=0)
+        passed = (nrm > 0) & (res <= np.maximum(1e-8 * (nA + np.abs(lam) * nB), 1e-300))
+        for i, ok in zip(batch, passed):
+            if not ok:
+                pairs.rejected += 1
                 continue
-        pairs.rejected += 1
+            # two normalizations, by the summed column norm and then by the
+            # dot-product 2-norm: the coarse bases are pinned to this rounding
+            x = v[:, i]
+            x = x / np.linalg.norm(x, axis=0)
+            pairs.append(EigenPair(complex(w[i]), x / np.linalg.norm(x)))
     return pairs
 
 

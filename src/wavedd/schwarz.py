@@ -36,17 +36,19 @@ subdomain on which ARPACK fails is re-solved densely and flagged.  One
 SPD-or-shift rule, ``_sparse_spd_or_shifted``, regularizes the real
 symmetric right sides of Delta-GenEO and the GenEO complement.
 
-The loop solves complex pencils (DtN, H-GenEO) two at a time: one worker
-thread solves the pencil of one subdomain while the calling thread builds
-and solves the next.  numpy's ``eig``, which solves them after an LU
-reduction, releases the GIL.  The real symmetric pencils (Delta-GenEO by
-scipy's ``eigh``, the GenEO complement by ARPACK) are solved on the calling
-thread, one after another: ``eigh`` holds the GIL, and ARPACK's reverse
-communication runs Python for every operator apply.  No factor is shared
-between the threads: each dense solve of ``dense_generalized_eig`` factors
-its own right side, since two threads calling ``scipy.linalg.lu_solve`` on
-one ``lu_factor`` result corrupt the heap (scipy 1.17.1), and the sparse
-factors of the SPD tests are made on the calling thread.
+The loop builds the pencils on the calling thread and solves the complex
+ones (DtN, H-GenEO) on a pool of two threads, at most two at a time, while
+it builds the next; it hands the pairs on strictly in subdomain order, so
+the bases do not depend on which solve ends first.  numpy's ``eig``, which
+solves them after an LU reduction, releases the GIL.  The real symmetric
+pencils (Delta-GenEO by scipy's ``eigh``, the GenEO complement by ARPACK)
+are solved on the calling thread, one after another: ``eigh`` holds the
+GIL, and ARPACK's reverse communication runs Python for every operator
+apply.  No factor is shared between the threads: each dense solve of
+``dense_generalized_eig`` factors its own right side, since two threads
+calling ``scipy.linalg.lu_solve`` on one ``lu_factor`` result corrupt the
+heap (scipy 1.17.1), and the sparse factors of the SPD tests are made on
+the calling thread.
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -55,7 +57,8 @@ stays a symmetric preconditioner for CG.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import replace
 from functools import partial
 
@@ -300,40 +303,59 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
 
 
 def _solved_pencils(dec: Decomposition, pencil, selection: EigenSelection):
-    """(sd, lift, flagged, pairs) of every subdomain, in subdomain order, for
-    ``_local_modes``; a skipped subdomain has no lift and no pairs.
+    """(sd, lift, flagged, pairs) of every subdomain, strictly in subdomain
+    order, for ``_local_modes``; a skipped subdomain has no lift and no
+    pairs.
 
-    A complex pencil goes to the worker thread when that is idle; the next
-    pencil is built and solved here, and both are yielded in order once
-    solved, so at most two pencils are alive.  Real pencils are solved here.
-    A "re_below" threshold of None is the subdomain wavenumber k_j.
+    The pencils are built here, one after another.  A complex one is solved
+    by a pool of two threads, at most two solves in flight: while both run,
+    the next pencil waits for one of them to end.  Real pencils are solved
+    here.  A result is yielded as soon as every earlier one has been, so an
+    exception of a solve is raised at its subdomain's turn, and the solves
+    still in flight end before it leaves.  A "re_below" threshold of None is
+    the subdomain wavenumber k_j.
     """
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = None  # (sd, lift, flagged, future) of the worker's pencil
+    pending = deque()  # (sd, lift, flagged, future of the pairs), not yet yielded
+    with ThreadPoolExecutor(max_workers=2) as pool:
         for sd in dec.subdomains:
             local = pencil(sd)
             if local is None:
-                done = sd, None, False, EigenPairs()
+                pending.append((sd, None, False, _resolved(EigenPairs())))
             else:
                 lhs, rhs, lift, flagged = local
-                overlap = ahead is None and (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
                 which = selection
                 if selection.rule == "re_below" and selection.threshold is None:
                     which = replace(selection, threshold=sd.k_max)
+                pooled = np.iscomplexobj(lhs) or np.iscomplexobj(rhs)
                 solve = partial(dense_generalized_eig, lhs, rhs, which=which)
                 del local, lhs, rhs  # only ``solve`` holds the pencil
-                if overlap:
-                    ahead = sd, lift, flagged, worker.submit(solve)
-                    continue
-                done = sd, lift, flagged, solve()
-                del solve
-            if ahead is not None:
-                yield *ahead[:3], ahead[3].result()
-                ahead = None
-            yield done
-            done = lift = None  # a lift may hold large factors: free it now
-        if ahead is not None:
-            yield *ahead[:3], ahead[3].result()
+                if pooled:
+                    running = [f for *_, f in pending if not f.done()]
+                    if len(running) == 2:
+                        wait(running, return_when=FIRST_COMPLETED)
+                    future = pool.submit(solve)
+                else:
+                    future = _resolved(solve())
+                pending.append((sd, lift, flagged, future))
+                del solve, lift  # a lift may hold large factors: only ``pending`` keeps it
+            while pending and pending[0][3].done():
+                yield _delivered(pending)
+        while pending:
+            yield _delivered(pending)
+
+
+def _resolved(pairs) -> Future:
+    """A future that is done, with ``pairs`` solved on the calling thread."""
+    future = Future()
+    future.set_result(pairs)
+    return future
+
+
+def _delivered(pending: deque):
+    """The oldest entry of ``pending``, removed, with its pairs; waits for
+    them, and raises the exception of their solve."""
+    sd, lift, flagged, future = pending.popleft()
+    return sd, lift, flagged, future.result()
 
 
 def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):

@@ -1,6 +1,7 @@
 """Tests for the sparse/dense linear algebra kernel."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -478,6 +479,20 @@ def test_eig_rejected_pair_is_counted_and_replaced(monkeypatch):
     assert pairs.rejected == 1
     assert [p.value for p in pairs] == [p.value for p in clean[1:]]
     assert all(np.array_equal(p.vector, q.vector) for p, q in zip(pairs, clean[1:]))
+
+
+def test_rejected_batch_is_refilled_from_the_next_pairs(monkeypatch):
+    """All m_max pairs of the first batch fail the residual contract: each
+    is counted, and the next m_max pairs in rule order take their places,
+    bit for bit the pairs of a clean solve."""
+    A, B = _general_pencil()
+    sel = EigenSelection("abs_largest", None, 4)
+    clean = dense_generalized_eig(A, B, which=replace(sel, m_max=8))
+    _corrupting_eig(monkeypatch, lambda w: sel.order(w)[:4])
+    pairs = dense_generalized_eig(A, B, which=sel)
+    assert pairs.rejected == 4 and len(pairs) == 4
+    assert [p.value for p in pairs] == [p.value for p in clean[4:8]]
+    assert all(np.array_equal(p.vector, q.vector) for p, q in zip(pairs, clean[4:8]))
 
 
 def _old_residual_rule(A, B, w, v, which):

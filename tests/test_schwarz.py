@@ -3,8 +3,10 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ import scipy.sparse.linalg as spla
 
 from wavedd import schwarz
 from wavedd.decomposition import assemble_local_matrices, decompose
-from wavedd.errors import SingularityError, StructuralError
+from wavedd.errors import NumericError, SingularityError, StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
 from wavedd.linalg import (
+    EigenPair,
+    EigenPairs,
     Factorization,
     KrylovConfig,
     dense_generalized_eig,
@@ -563,8 +567,7 @@ def _wedge5():
 def test_overlapped_local_modes_match_a_serial_loop(monkeypatch):
     """The DtN and H-GenEO bases built with two eigensolves in flight are the
     bases of a serial loop, bit for bit; built twice each, so that the order
-    in which the threads finish cannot show.  Five strips leave the last
-    pencil without a partner."""
+    in which the threads finish cannot show."""
     _, _, _, sys, dec = _wedge5()
     seen = []
     real = schwarz._local_modes
@@ -584,11 +587,11 @@ def test_overlapped_local_modes_match_a_serial_loop(monkeypatch):
 
 
 def test_complex_pencils_are_solved_two_at_a_time(monkeypatch):
-    """H-GenEO pencils alternate between a worker thread and the calling
-    thread; the Delta-GenEO pencils are real and stay on the calling
-    thread.  Both arrive sparse, the Delta-GenEO right side as the
-    ``Factorization`` of its SPD test: ``dense_generalized_eig`` alone
-    densifies them."""
+    """H-GenEO pencils are solved by the pool, on at most two threads and
+    never on the calling thread; the Delta-GenEO pencils are real and stay
+    on the calling thread.  Both arrive sparse, the Delta-GenEO right side
+    as the ``Factorization`` of its SPD test: ``dense_generalized_eig``
+    alone densifies them."""
     _, _, prob, sys, dec = _wedge5()
     threads, forms = [], []
     real = schwarz.dense_generalized_eig
@@ -601,13 +604,74 @@ def test_complex_pencils_are_solved_two_at_a_time(monkeypatch):
     monkeypatch.setattr(schwarz, "dense_generalized_eig", recording)
     build_hgeneo_cs(dec, sys)
     main = threading.get_ident()
-    assert len(threads) == 5 and threads.count(main) == 2 and len(set(threads)) == 2
+    assert len(threads) == 5 and main not in threads and len(set(threads)) <= 2
     assert forms == [(True, True, False)] * 5
     threads.clear()
     forms.clear()
     build_deltageneo_cs(dec, prob, sys)
     assert threads == [main] * 5
     assert forms == [(True, False, True)] * 5
+
+
+def test_pencils_arrive_in_order_when_solves_finish_out_of_order(monkeypatch):
+    """Pencil 0's solve waits until pencil 1's has ended, yet the pairs
+    arrive in subdomain order; no more than two solves are ever in flight,
+    and two are while pencil 0 waits.  Each stand-in pencil's complex
+    1 x 1 left side holds its subdomain index."""
+    dec = SimpleNamespace(subdomains=[SimpleNamespace(index=j, k_max=1.0) for j in range(6)])
+
+    def pencil(sd):
+        return np.full((1, 1), sd.index + 0j), np.eye(1), lambda u: u, False
+
+    lock = threading.Lock()
+    in_flight, peak, finished = 0, 0, []
+    one_done = threading.Event()
+
+    def solve(lhs, rhs, which=None):
+        nonlocal in_flight, peak
+        j = int(lhs[0, 0].real)
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        if j == 0:
+            assert one_done.wait(30)
+        time.sleep(0.01)
+        with lock:
+            in_flight -= 1
+            finished.append(j)
+        if j == 1:
+            one_done.set()
+        return EigenPairs([EigenPair(complex(j), np.ones(1))])
+
+    monkeypatch.setattr(schwarz, "dense_generalized_eig", solve)
+    got = [(sd.index, [p.value for p in pairs]) for sd, _, _, pairs
+           in schwarz._solved_pencils(dec, pencil, EigenSelection("abs_largest", None, 1))]
+    assert got == [(j, [j]) for j in range(6)]
+    assert finished.index(1) < finished.index(0)
+    assert peak == 2
+
+
+def test_failed_pencil_solve_is_raised_and_leaves_no_thread(monkeypatch):
+    """A NumericError of one H-GenEO pencil's solve reaches the builder,
+    and no thread of the pool is still running when it does."""
+    _, _, _, sys, dec = _wedge5()
+    real = schwarz.dense_generalized_eig
+    lock = threading.Lock()
+    calls = []
+
+    def failing(lhs, rhs, which=None):
+        with lock:
+            calls.append(threading.get_ident())
+            third = len(calls) == 3
+        if third:
+            raise NumericError("generalized eigensolve failed: injected")
+        return real(lhs, rhs, which=which)
+
+    monkeypatch.setattr(schwarz, "dense_generalized_eig", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(NumericError, match="injected"):
+        build_hgeneo_cs(dec, sys)
+    assert set(threading.enumerate()) <= before
 
 
 def test_rejected_pairs_counted_on_the_coarse_space(monkeypatch):
