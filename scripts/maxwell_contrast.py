@@ -13,14 +13,13 @@ from wavedd.linalg import KrylovConfig, krylov_solve
 from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
-    OneLevelAdditiveSchwarz,
     assemble_maxwell,
     build_edge_decomposition,
     build_geneo_complement_cs,
     channel_field,
 )
 from wavedd.mesh import build_rect_mesh
-from wavedd.schwarz import TwoLevel
+from wavedd.schwarz import OneLevel, TwoLevel
 
 
 def main():
@@ -53,7 +52,7 @@ def main():
         asp = AspPreconditioner(sys)
         dec = build_edge_decomposition(prob, sys, args.n, shape="grid",
                                        grid=(args.n // 2, 2))
-        one = OneLevelAdditiveSchwarz(dec)
+        one = OneLevel(dec)
         geneo = build_geneo_complement_cs(dec, sys, tau=args.tau)
         two = TwoLevel(one, geneo, sys.A)
         print(f"{contrast:>10g} {cg(asp.apply):>8s} {cg(one.apply):>10s} "

@@ -33,14 +33,13 @@ from .maxwell import (
     AspPreconditioner,
     MaxwellProblem,
     MaxwellSystem,
-    OneLevelAdditiveSchwarz,
     assemble_maxwell,
     fsl_bounds_check,
 )
 from .mesh import Mesh, build_rect_mesh, refine_uniform
 from .schwarz import (
     CoarseSpace,
-    OneLevelOras,
+    OneLevel,
     TwoLevel,
     build_deltageneo_cs,
     build_dtn_cs,

@@ -24,7 +24,6 @@ from .linalg import EigenSelection, KrylovConfig, krylov_solve
 from .maxwell import (
     AspPreconditioner,
     MaxwellProblem,
-    OneLevelAdditiveSchwarz,
     assemble_maxwell,
     build_edge_decomposition,
     build_free_cs,
@@ -33,7 +32,7 @@ from .maxwell import (
 )
 from .mesh import build_rect_mesh, refine_uniform
 from .schwarz import (
-    OneLevelOras,
+    OneLevel,
     TwoLevel,
     build_deltageneo_cs,
     build_dtn_cs,
@@ -44,9 +43,6 @@ from .velocity import VelocityModel, load_raster_model
 
 __all__ = ["RunConfig", "SolveReport", "run_case", "run_sweep", "sweep_to_csv",
            "emit_dispersion", "parse_config", "render_config"]
-
-HELMHOLTZ_METHODS = ("one-level", "grid", "dtn", "hgeneo", "deltageneo")
-MAXWELL_METHODS = ("asp", "one-level", "free-cs", "geneo-complement")
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,9 @@ def _partition_args(cfg: RunConfig):
     raise StructuralError(f"unknown partition {cfg.partition!r}")
 
 
-def _run_helmholtz(cfg: RunConfig) -> SolveReport:
-    t0 = time.perf_counter()
+def _helmholtz(cfg: RunConfig):
+    """The Helmholtz system of ``cfg``, its decomposition with Robin factors,
+    and the coarse-space builder of each two-level method."""
     model = _build_model(cfg)
     nx_c, ny_c = _helm_mesh_cells(cfg, model)
     coarse = build_rect_mesh(cfg.width, cfg.height, nx_c, ny_c, order=cfg.order)
@@ -246,37 +243,21 @@ def _run_helmholtz(cfg: RunConfig) -> SolveReport:
                     layers=cfg.overlap_layers, mode=cfg.overlap_mode,
                     coarse_levels=cfg.coarse_refine)
     assemble_local_matrices(dec, prob, system)
-    one = OneLevelOras(dec)
-    method = cfg.preconditioner
-    cs = None
-    if method == "one-level":
-        op = one.apply
-    else:
-        if method == "grid":
-            cs = build_grid_cs(prob, coarse, system)
-        elif method == "dtn":
-            cs = build_dtn_cs(dec, system,
-                              EigenSelection("re_below", cfg.dtn_threshold, cfg.m_max))
-        elif method == "hgeneo":
-            cs = build_hgeneo_cs(dec, system,
-                                 EigenSelection("abs_largest", None, cfg.m_max))
-        elif method == "deltageneo":
-            cs = build_deltageneo_cs(dec, prob, system,
-                                     EigenSelection("re_above", cfg.lambda_min, cfg.m_max))
-        else:
-            raise StructuralError(f"unknown helmholtz preconditioner {method!r}")
-        op = TwoLevel(one, cs, system.A, mode=cfg.two_level_mode).apply
-    setup = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart)
-    _, rep = krylov_solve(system.A, op, system.b, kcfg)
-    solve = time.perf_counter() - t1
-    return _report(rep, setup, solve, system.A.shape[0], cs, cfg)
+    return system, dec, {
+        "grid": lambda: build_grid_cs(prob, coarse, system),
+        "dtn": lambda: build_dtn_cs(
+            dec, system, EigenSelection("re_below", cfg.dtn_threshold, cfg.m_max)),
+        "hgeneo": lambda: build_hgeneo_cs(
+            dec, system, EigenSelection("abs_largest", None, cfg.m_max)),
+        "deltageneo": lambda: build_deltageneo_cs(
+            dec, prob, system, EigenSelection("re_above", cfg.lambda_min, cfg.m_max)),
+    }
 
 
-def _run_maxwell(cfg: RunConfig) -> SolveReport:
-    t0 = time.perf_counter()
+def _maxwell(cfg: RunConfig):
+    """The Maxwell system of ``cfg``, its edge decomposition with Dirichlet
+    factors (None for ASP, which needs none), and the coarse-space builder of
+    each two-level method."""
     mesh = build_rect_mesh(cfg.width, cfg.height, cfg.maxwell_cells, cfg.maxwell_cells)
     if cfg.model == "channel":
         eps = channel_field(mesh, 1.0 / cfg.contrast, n_channels=cfg.n_channels,
@@ -289,47 +270,45 @@ def _run_maxwell(cfg: RunConfig) -> SolveReport:
     system = assemble_maxwell(prob)
     if cfg.random_source:
         system.b = np.random.default_rng(cfg.seed).standard_normal(system.n_dofs)
-    method = cfg.preconditioner
-    cs = None
-    if method == "asp":
-        op = AspPreconditioner(system).apply
-    else:
-        shape, grid = _partition_args(cfg)
-        dec = build_edge_decomposition(prob, system, cfg.n_subdomains,
-                                       shape=shape, grid=grid,
-                                       layers=cfg.overlap_layers)
-        one = OneLevelAdditiveSchwarz(dec)
-        if method == "one-level":
-            op = one.apply
-        elif method in ("free-cs", "geneo-complement"):
-            if method == "free-cs":
-                cs = build_free_cs(dec, system)
-            else:
-                cs = build_geneo_complement_cs(dec, system, tau=cfg.tau, m_max=cfg.m_max)
-            op = TwoLevel(one, cs, system.A, mode=cfg.two_level_mode).apply
-        else:
-            raise StructuralError(f"unknown maxwell preconditioner {method!r}")
-    setup = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, variant="cg")
-    _, rep = krylov_solve(system.A, op, system.b, kcfg)
-    solve = time.perf_counter() - t1
-    return _report(rep, setup, solve, system.n_dofs, cs, cfg)
-
-
-def _report(rep, setup, solve, n_dofs, cs, cfg: RunConfig) -> SolveReport:
-    """The report of one solve; ``cs`` is its coarse space, or None."""
-    n0, rejected, flags = (0, [], []) if cs is None else (cs.n0, cs.rejected, cs.flags)
-    return SolveReport(rep.iterations, rep.converged, rep.final_residual, setup, solve,
-                       n_dofs, n0, cfg, list(rejected), list(flags))
+    if cfg.preconditioner == "asp":
+        return system, None, {}
+    shape, grid = _partition_args(cfg)
+    dec = build_edge_decomposition(prob, system, cfg.n_subdomains, shape=shape,
+                                   grid=grid, layers=cfg.overlap_layers)
+    return system, dec, {
+        "free-cs": lambda: build_free_cs(dec, system),
+        "geneo-complement": lambda: build_geneo_complement_cs(
+            dec, system, tau=cfg.tau, m_max=cfg.m_max),
+    }
 
 
 def run_case(cfg: RunConfig) -> SolveReport:
-    """One deterministic benchmark run; non-convergence is reported, not raised."""
-    if cfg.problem == "maxwell":
-        return _run_maxwell(cfg)
-    return _run_helmholtz(cfg)
+    """One deterministic benchmark run; non-convergence is reported, not raised.
+    Helmholtz is solved by GMRES, Maxwell by CG."""
+    set_up, variant = (_maxwell, "cg") if cfg.problem == "maxwell" else (_helmholtz, "gmres")
+    kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart,
+                        variant=variant)
+    t0 = time.perf_counter()
+    system, dec, coarse_builders = set_up(cfg)
+    method = cfg.preconditioner
+    cs = None
+    if dec is None:
+        op = AspPreconditioner(system).apply
+    elif method == "one-level":
+        op = OneLevel(dec).apply
+    elif method in coarse_builders:
+        cs = coarse_builders[method]()
+        op = TwoLevel(OneLevel(dec), cs, system.A, mode=cfg.two_level_mode).apply
+    else:
+        raise StructuralError(f"unknown {cfg.problem} preconditioner {method!r}")
+    setup = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    _, rep = krylov_solve(system.A, op, system.b, kcfg)
+    solve = time.perf_counter() - t1
+    n0, rejected, flags = (0, [], []) if cs is None else (cs.n0, cs.rejected, cs.flags)
+    return SolveReport(rep.iterations, rep.converged, rep.final_residual, setup, solve,
+                       system.A.shape[0], n0, cfg, list(rejected), list(flags))
 
 
 # ----------------------------------------------------------------- sweeps

@@ -113,19 +113,23 @@ def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> sp.csr
 
 
 class Factorization:
-    """Reusable sparse LU handle; safe for concurrent solves.  ``matrix``, when
-    given, is the sparse matrix factored: a pencil's right side passed as its
-    factor keeps it for ARPACK's products and for the dense path of
-    ``dense_generalized_eig``, which densifies it."""
+    """Reusable sparse LU handle; safe for concurrent solves.  ``dtype`` is
+    the dtype of the matrix factored, taken from ``matrix`` when not given:
+    ``solve`` splits a complex right side of a real factor into two real
+    solves, and a caller that sums solves sizes its output by it.
+    ``matrix``, when given, is the sparse matrix factored: a pencil's right
+    side passed as its factor keeps it for ARPACK's products and for the
+    dense path of ``dense_generalized_eig``, which densifies it."""
 
-    def __init__(self, superlu, n: int, matrix: sp.spmatrix | None = None):
+    def __init__(self, superlu, n: int, matrix: sp.spmatrix | None = None, dtype=None):
         self._lu = superlu
         self.n = n
         self.matrix = matrix
+        self.dtype = np.dtype(matrix.dtype if dtype is None else dtype)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b)
-        if np.iscomplexobj(b) and not np.issubdtype(self._lu.U.dtype, np.complexfloating):
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
             return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
         return self._lu.solve(b)
 
@@ -164,7 +168,7 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     piv = np.abs(lu.U.diagonal())
     if piv.min() <= 1e-14 * scale:
         raise SingularityError(f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}")
-    return Factorization(lu, A.shape[0])
+    return Factorization(lu, A.shape[0], dtype=A.dtype)
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,8 @@ class KrylovConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise StructuralError("tol must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise StructuralError("max_iter must be >= 1")
         if self.restart is not None and self.restart < 1:
             raise StructuralError("restart must be >= 1 when present")
         if self.variant not in ("gmres", "cg"):

@@ -3,8 +3,11 @@
     curl(mu_r^-1 curl u) + alpha eps_r u = f,   u x n = 0 on the boundary,
 
 plus its preconditioners: the nodal auxiliary space preconditioner (ASP),
-one- and two-level additive Schwarz with the gradient ("free") coarse space,
-and the GenEO enrichment built in the orthogonal complement of that space.
+and the local Dirichlet factors and coarse spaces of additive Schwarz.
+``build_edge_decomposition`` attaches the factors, on which
+``schwarz.OneLevel`` is the one-level additive Schwarz (weights W_j = I);
+``schwarz.TwoLevel`` adds the gradient ("free") coarse space or the GenEO
+enrichment built in the orthogonal complement of that space.
 Both coarse bases are sparse matrices of locally supported columns, with a
 sparse coarse matrix E: the coarse correction depends only on their span, so
 they are never orthonormalized globally.  They share the code of the
@@ -55,6 +58,7 @@ from .mesh import Mesh
 from .helmholtz import _element_geometry, _element_matrices, _scatter
 from .schwarz import (
     CoarseSpace,
+    OneLevel,
     TwoLevel,
     _independent_columns,
     _local_modes,
@@ -334,25 +338,10 @@ def build_edge_decomposition(problem: MaxwellProblem, sys: MaxwellSystem, N: int
     return dec
 
 
-class OneLevelAdditiveSchwarz:
-    """Plain additive Schwarz with local Dirichlet solves (SPD setting)."""
-
-    def __init__(self, dec: Decomposition):
-        for sd in dec.subdomains:
-            if sd.a_fact is None:
-                raise StructuralError("local Dirichlet factorizations missing")
-        self.dec = dec
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dec.n_dofs)
-        for sd in self.dec.subdomains:
-            out[sd.dofs] += sd.a_fact.solve(v[sd.dofs])
-        return out
-
-    __call__ = apply
-
-
-# perfbench/workloads.py imports the combinator under this name
+# names kept for their importers: OneLevelAdditiveSchwarz for
+# perfbench/workloads.py and tests/test_acceptance.py, TwoLevelAdditiveSchwarz
+# for perfbench/workloads.py
+OneLevelAdditiveSchwarz = OneLevel
 TwoLevelAdditiveSchwarz = TwoLevel
 
 

@@ -1,10 +1,13 @@
-"""Schwarz preconditioners for the Helmholtz system.
+"""Schwarz preconditioners for Helmholtz and Maxwell, and the Helmholtz
+coarse spaces.
 
-One-level ORAS:
+One one-level method, ``OneLevel``, serves both physics:
 
-    M^-1 = sum_j R_j^T D_j B_j^-1 R_j,
+    M^-1 = sum_j R_j^T W_j F_j^-1 R_j,
 
-with B_j the local Robin (impedance) matrices.  A two-level method adds the
+ORAS for Helmholtz, with F_j the local Robin (impedance) matrices and
+W_j = D_j the partition of unity; additive Schwarz for Maxwell, with F_j
+the local Dirichlet matrices and W_j = I.  A two-level method adds the
 coarse correction H = Z E^-1 Z* with E = Z* A Z, combined either additively
 (M2^-1 = M^-1 + H) or in hybrid form
 
@@ -88,6 +91,7 @@ from .mesh import Mesh
 
 __all__ = [
     "EigenSelection",
+    "OneLevel",
     "OneLevelOras",
     "CoarseSpace",
     "TwoLevel",
@@ -98,27 +102,41 @@ __all__ = [
 ]
 
 
-class OneLevelOras:
-    """Optimized restricted additive Schwarz: local Robin solves weighted by
-    the partition of unity."""
+class OneLevel:
+    """One-level Schwarz M^-1 v = sum_j R_j^T W_j F_j^-1 R_j v, on the local
+    factors that the set-up attached to each subdomain: a Robin factor
+    (``assemble_local_matrices``) is weighted by the partition of unity,
+    W_j = D_j (ORAS); otherwise a Dirichlet factor
+    (``maxwell.build_edge_decomposition``) has W_j = I (additive Schwarz).
+    The output has the dtype of v and the factors combined, so a real
+    Maxwell preconditioner serves GMRES's complex vectors as well as CG's.
+    Raises StructuralError naming the first subdomain with neither factor."""
 
     def __init__(self, dec: Decomposition):
-        for sd in dec.subdomains:
-            if sd.robin_fact is None:
-                raise StructuralError("subdomain Robin factorizations missing")
         self.dec = dec
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dec.n_dofs
+        self._local = []
+        for sd in dec.subdomains:
+            if sd.robin_fact is not None:
+                self._local.append((sd.dofs, sd.robin_fact, sd.weights))
+            elif sd.a_fact is not None:
+                self._local.append((sd.dofs, sd.a_fact, None))
+            else:
+                raise StructuralError(f"subdomain {sd.index} has no local factorization")
+        self._dtype = np.result_type(*(f.dtype for _, f, _ in self._local))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dec.n_dofs, dtype=np.complex128)
-        for sd in self.dec.subdomains:
-            out[sd.dofs] += sd.weights * sd.robin_fact.solve(v[sd.dofs])
+        out = np.zeros(self.dec.n_dofs, dtype=np.result_type(v, self._dtype))
+        for dofs, fact, weights in self._local:
+            x = fact.solve(v[dofs])
+            out[dofs] += x if weights is None else weights * x
         return out
 
     __call__ = apply
+
+
+# perfbench/workloads.py and tests/test_acceptance.py import the one-level
+# ORAS under this name
+OneLevelOras = OneLevel
 
 
 class CoarseSpace:

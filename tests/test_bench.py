@@ -135,6 +135,24 @@ def test_maxwell_random_source_assembles_once(monkeypatch):
     assert np.array_equal(systems[0].b, np.random.default_rng(5).standard_normal(rep.n_dofs))
 
 
+def test_maxwell_asp_run_builds_no_decomposition(monkeypatch):
+    """ASP needs no subdomains: an ASP run makes no edge decomposition."""
+    from wavedd import bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an ASP run built an edge decomposition")
+
+    monkeypatch.setattr(bench, "build_edge_decomposition", forbidden)
+    assert run_case(RunConfig(problem="maxwell", maxwell_cells=6, preconditioner="asp")).converged
+
+
+def test_unknown_preconditioner_names_the_problem():
+    with pytest.raises(StructuralError, match="unknown helmholtz preconditioner 'asp'"):
+        run_case(RunConfig(f=1.0, ppwl=8, order=1, n_subdomains=2, preconditioner="asp"))
+    with pytest.raises(StructuralError, match="unknown maxwell preconditioner 'grid'"):
+        run_case(RunConfig(problem="maxwell", maxwell_cells=6, preconditioner="grid"))
+
+
 def test_sweep_single_cell_matches_run_case():
     cfg = RunConfig(f=2.0, ppwl=8, order=1, n_subdomains=4,
                     preconditioner="one-level", dofs_floor=1)
@@ -266,6 +284,14 @@ def test_cli_structural_error_exit_code(tmp_path):
     cfgfile.write_text("nonsense_key = 1\n")
     out = _cli("run", str(cfgfile))
     assert out.returncode == 2
+
+
+def test_cli_nonpositive_max_iter_exit_code(tmp_path):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("f = 1.0\nppwl = 8\norder = 1\nmax_iter = -3\n")
+    out = _cli("run", str(cfgfile))
+    assert out.returncode == 2
+    assert "max_iter must be >= 1" in out.stderr
 
 
 def test_cli_nonconverged_still_exits_zero(tmp_path):

@@ -117,10 +117,12 @@ def test_lu_matches_dense_elimination():
     trips += [(i, i + 1, -1.0) for i in range(n - 1)]
     trips += [(i + 1, i, -1.0) for i in range(n - 1)]
     A = csr_from_triplets(n, n, trips)
-    b = np.ones(n)
-    x = lu_factorize(A).solve(b)
-    x_ref = _dense_gauss_solve(A.toarray(), b)
-    assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-12
+    f = lu_factorize(A)
+    assert f.dtype == np.float64
+    for b in (np.ones(n), np.ones(n) + 1j * np.arange(n)):
+        x = f.solve(b)
+        x_ref = _dense_gauss_solve(A.toarray(), b)
+        assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-12
 
 
 def test_lu_singular_raises():
@@ -332,6 +334,9 @@ def test_bad_config_rejected():
         KrylovConfig(tol=2.0)
     with pytest.raises(StructuralError):
         KrylovConfig(restart=0)
+    for max_iter in (0, -3):
+        with pytest.raises(StructuralError, match="max_iter must be >= 1"):
+            KrylovConfig(max_iter=max_iter)
     with pytest.raises(StructuralError):
         KrylovConfig(variant="bicg")
 

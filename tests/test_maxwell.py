@@ -19,7 +19,6 @@ from wavedd import maxwell, schwarz
 from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
-    OneLevelAdditiveSchwarz,
     _bj_projector,
     assemble_maxwell,
     build_edge_decomposition,
@@ -30,7 +29,7 @@ from wavedd.maxwell import (
 )
 from wavedd.errors import StructuralError
 from wavedd.mesh import build_rect_mesh
-from wavedd.schwarz import CoarseSpace, TwoLevel, _independent_columns
+from wavedd.schwarz import CoarseSpace, OneLevel, TwoLevel, _independent_columns
 
 
 def _system(nx=12, alpha=1e-2, eps=1.0, mu=1.0, source=None):
@@ -206,9 +205,24 @@ def test_asp_degrades_with_contrast():
 def test_one_level_as_solves():
     _, prob, sys = _system(nx=16)
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-    one = OneLevelAdditiveSchwarz(dec)
+    one = OneLevel(dec)
     rep = _cg(sys, one.apply)
     assert rep.converged
+
+
+def test_gmres_with_additive_schwarz():
+    """GMRES, the default Krylov method, runs with the one-level and the
+    two-level (free space) additive Schwarz: the real Dirichlet factors take
+    its complex vectors, and each solution matches CG's to 10 x tol."""
+    _, prob, sys = _system(nx=8)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
+    one = OneLevel(dec)
+    cfg = KrylovConfig()
+    for M, iterations in ((one, 13), (TwoLevel(one, build_free_cs(dec, sys), sys.A), 11)):
+        x, rep = krylov_solve(sys.A, M.apply, sys.b, cfg)
+        x_cg, rep_cg = krylov_solve(sys.A, M.apply, sys.b, replace(cfg, variant="cg"))
+        assert rep.converged and rep_cg.converged and rep.iterations == iterations
+        assert np.linalg.norm(x - x_cg) / np.linalg.norm(x_cg) <= 10 * cfg.tol
 
 
 def test_free_cs_contains_gradients():
@@ -381,7 +395,7 @@ def test_free_cs_alpha_regimes():
         prob = MaxwellProblem(mesh=mesh, alpha=alpha)
         sys = assemble_maxwell(prob)
         dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-        one = OneLevelAdditiveSchwarz(dec)
+        one = OneLevel(dec)
         it_one = _cg(sys, one.apply).iterations
         free = build_free_cs(dec, sys)
         two = TwoLevel(one, free, sys.A)
@@ -645,7 +659,7 @@ def test_projector_drops_a_dependent_gradient_column():
 def test_two_level_full_coarse_one_iteration():
     _, prob, sys = _system(nx=8)
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
-    one = OneLevelAdditiveSchwarz(dec)
+    one = OneLevel(dec)
     cs = CoarseSpace(np.eye(sys.n_dofs), sys.A, provenance="full")
     two = TwoLevel(one, cs, sys.A)
     rep = _cg(sys, two.apply, tol=1e-10)
@@ -667,7 +681,7 @@ def test_coarse_projection_idempotent():
 def test_two_level_symmetric():
     _, prob, sys = _system(nx=6)
     dec = build_edge_decomposition(prob, sys, 2, shape="strips")
-    one = OneLevelAdditiveSchwarz(dec)
+    one = OneLevel(dec)
     free = build_free_cs(dec, sys)
     two = TwoLevel(one, free, sys.A)
     n = sys.n_dofs
@@ -685,7 +699,7 @@ def test_two_level_real_for_real_input():
     in both modes."""
     _, prob, sys = _system(nx=10)
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-    one = OneLevelAdditiveSchwarz(dec)
+    one = OneLevel(dec)
     geneo = build_geneo_complement_cs(dec, sys, tau=10.0)
     v = np.random.default_rng(6).standard_normal(sys.n_dofs)
     for mode in ("hybrid", "additive"):
@@ -696,7 +710,7 @@ def test_deflation_exactness():
     """M^-1 A acts as the identity on range(Z)."""
     _, prob, sys = _system(nx=10)
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-    one = OneLevelAdditiveSchwarz(dec)
+    one = OneLevel(dec)
     free = build_free_cs(dec, sys)
     two = TwoLevel(one, free, sys.A)
     rng = np.random.default_rng(4)
@@ -726,7 +740,7 @@ def test_fsl_one_level_lower_bound_decays_with_n():
         dec = build_edge_decomposition(prob, sys, N,
                                        shape="grid" if N > 2 else "strips",
                                        grid={4: (2, 2), 8: (4, 2)}.get(N))
-        one = OneLevelAdditiveSchwarz(dec)
+        one = OneLevel(dec)
         chk = fsl_bounds_check(sys.A, one)
         assert chk.max_imag <= 1e-8
         lows.append(chk.c_lower)
@@ -743,7 +757,7 @@ def test_fsl_two_level_ratio_contrast_insensitive():
         prob = MaxwellProblem(mesh=mesh, eps_r=eps, alpha=1e-2)
         sys = assemble_maxwell(prob)
         dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-        one = OneLevelAdditiveSchwarz(dec)
+        one = OneLevel(dec)
         geneo = build_geneo_complement_cs(dec, sys, tau=10.0)
         chk = fsl_bounds_check(sys.A, TwoLevel(one, geneo, sys.A))
         assert chk.c_lower > 0

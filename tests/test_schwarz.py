@@ -37,7 +37,7 @@ from wavedd.mesh import build_rect_mesh, refine_uniform
 from wavedd.schwarz import (
     CoarseSpace,
     EigenSelection,
-    OneLevelOras,
+    OneLevel,
     TwoLevel,
     build_deltageneo_cs,
     build_dtn_cs,
@@ -78,35 +78,57 @@ def _iterations(sys, M, tol=1e-6, max_iter=400):
 
 def test_single_domain_is_exact_solve():
     _, _, _, sys, dec = _setup(N=1)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     assert _iterations(sys, one.apply, tol=1e-10) == 1
 
 
 def test_apply_zero_is_zero():
     _, _, _, sys, dec = _setup()
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     assert np.all(one.apply(np.zeros(dec.n_dofs)) == 0)
 
 
 def test_oras_matches_dense_assembly():
-    """Explicit dense sum R^T D B^-1 R equals the operator application."""
+    """Explicit dense sum R^T W F^-1 R equals the operator application: for
+    ORAS (Robin F, W = D) and for Maxwell additive Schwarz (Dirichlet F,
+    W = I), whose real factors take the complex vector too."""
     _, _, _, sys, dec = _setup(nx=6, ny=6, N=2, shape="strips", order=1)
-    n = dec.n_dofs
-    M = np.zeros((n, n), dtype=complex)
-    for sd in dec.subdomains:
-        Binv = np.linalg.inv(sd.robin.toarray())
-        R = np.zeros((sd.n_local, n))
-        R[np.arange(sd.n_local), sd.dofs] = 1.0
-        M += R.T @ (sd.weights[:, None] * Binv) @ R
-    one = OneLevelOras(dec)
+    oras = (dec, [(sd.robin, sd.weights) for sd in dec.subdomains])
+    mprob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 6, 6), alpha=1e-2)
+    edec = build_edge_decomposition(mprob, assemble_maxwell(mprob), 2, shape="strips")
+    additive = (edec, [(sd.A_loc, np.ones(sd.n_local)) for sd in edec.subdomains])
     rng = np.random.default_rng(3)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.linalg.norm(one.apply(v) - M @ v) / np.linalg.norm(M @ v) < 1e-12
+    for dec, local in (oras, additive):
+        n = dec.n_dofs
+        M = np.zeros((n, n), dtype=complex)
+        for sd, (F, W) in zip(dec.subdomains, local):
+            R = np.zeros((sd.n_local, n))
+            R[np.arange(sd.n_local), sd.dofs] = 1.0
+            M += R.T @ (W[:, None] * np.linalg.inv(F.toarray())) @ R
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.linalg.norm(OneLevel(dec).apply(v) - M @ v) / np.linalg.norm(M @ v) < 1e-12
+
+
+def test_one_level_names_a_subdomain_without_factor():
+    """With ``factorize=False`` neither set-up attaches a local factor, and
+    ``OneLevel`` names the first subdomain that lacks one."""
+    _, _, _, _, dec = _setup(factorize=False)
+    with pytest.raises(StructuralError, match="subdomain 0 has no local factorization"):
+        OneLevel(dec)
+    mprob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 6, 6), alpha=1e-2)
+    edec = build_edge_decomposition(mprob, assemble_maxwell(mprob), 2, shape="strips",
+                                    factorize=False)
+    with pytest.raises(StructuralError, match="subdomain 0 has no local factorization"):
+        OneLevel(edec)
+    _, _, _, _, dec = _setup()
+    dec.subdomains[2].robin_fact = None
+    with pytest.raises(StructuralError, match="subdomain 2 has no local factorization"):
+        OneLevel(dec)
 
 
 def test_oras_linear():
     _, _, _, sys, dec = _setup()
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(dec.n_dofs)
     v = rng.standard_normal(dec.n_dofs)
@@ -119,7 +141,7 @@ def test_thread_safe_concurrent_apply():
     from concurrent.futures import ThreadPoolExecutor
 
     _, _, _, sys, dec = _setup()
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     v = np.random.default_rng(0).standard_normal(dec.n_dofs)
     expect = one.apply(v)
     with ThreadPoolExecutor(max_workers=4) as ex:
@@ -134,7 +156,7 @@ def test_thread_safe_concurrent_apply():
 def test_grid_cs_degenerate_identity():
     _, mesh, prob, sys, dec = _setup(N=1, nx=8, ny=8)
     cs = build_grid_cs(prob, mesh, sys)  # coarse == fine
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     two = TwoLevel(one, cs, sys.A, mode="hybrid")
     assert _iterations(sys, two.apply, tol=1e-10) == 1
 
@@ -169,7 +191,7 @@ def test_grid_cs_rejects_non_ancestor_of_ancestor_size():
 def test_grid_cs_two_level_improves():
     base, mesh, prob, sys, dec = _setup(nx=10, ny=10, refine=1, N=4,
                                         omega=2 * np.pi * 3)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_grid_cs(prob, base, sys)
     assert _iterations(sys, TwoLevel(one, cs, sys.A).apply) <= _iterations(sys, one.apply)
 
@@ -209,7 +231,7 @@ def test_dtn_empty_selection_falls_back_to_one_level():
     # empty coarse space: the two-level operator equals the one-level one
     for sd in dec.subdomains:
         sd.robin_fact = lu_factorize(sd.robin + 1e-6j * sp.eye(sd.n_local))
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     two = TwoLevel(one, cs, sys.A)
     v = np.random.default_rng(0).standard_normal(dec.n_dofs)
     assert np.array_equal(two.apply(v), one.apply(v))
@@ -219,7 +241,7 @@ def test_dtn_two_level_beats_one_level_on_wedge():
     model = VelocityModel.layered_wedge([1.0, 2.0, 5.0], [(0.4, 0.05), (0.7, -0.05)])
     _, _, prob, sys, dec = _setup(nx=40, ny=40, N=2, shape="strips",
                                   omega=2 * np.pi * 5, order=1, model=model)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_dtn_cs(dec, sys)
     assert cs.n0 > 0
     it_two = _iterations(sys, TwoLevel(one, cs, sys.A).apply)
@@ -274,7 +296,7 @@ def test_hgeneo_empty_threshold_equals_one_level():
     _, _, _, sys, dec = _setup(omega=2 * np.pi * 2)
     cs = build_hgeneo_cs(dec, sys, EigenSelection("re_above", np.inf, 20))
     assert cs.n0 == 0
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     two = TwoLevel(one, cs, sys.A)
     v = np.random.default_rng(1).standard_normal(dec.n_dofs)
     assert np.array_equal(two.apply(v), one.apply(v))
@@ -285,7 +307,7 @@ def test_hgeneo_two_level_improves_on_wedge():
     model = VelocityModel.layered_wedge([1.0, 2.0, 5.0], [(0.4, 0.05), (0.7, -0.05)])
     _, _, prob, sys, dec = _setup(nx=48, ny=48, N=4, shape="grid", grid=(2, 2),
                                   omega=2 * np.pi * 4, order=1, model=model)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_hgeneo_cs(dec, sys)
     it_two = _iterations(sys, TwoLevel(one, cs, sys.A).apply)
     assert it_two < _iterations(sys, one.apply)
@@ -313,7 +335,7 @@ def test_deltageneo_positive_pencil_real():
 
 def test_deltageneo_single_domain_still_converges():
     _, _, prob, sys, dec = _setup(N=1, omega=2 * np.pi * 2)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_deltageneo_cs(dec, prob, sys)
     two = TwoLevel(one, cs, sys.A)
     assert _iterations(sys, two.apply) <= 5
@@ -322,7 +344,7 @@ def test_deltageneo_single_domain_still_converges():
 def test_deltageneo_improves_at_low_frequency():
     _, _, prob, sys, dec = _setup(nx=32, ny=32, N=16, shape="grid", grid=(4, 4),
                                   omega=2 * np.pi * 1.0, order=1)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_deltageneo_cs(dec, prob, sys)
     it_one = _iterations(sys, one.apply)
     it_two = _iterations(sys, TwoLevel(one, cs, sys.A).apply)
@@ -344,7 +366,7 @@ def test_deltageneo_flags_the_shifted_right_sides(freq, flags):
 
 def test_full_rank_coarse_space_one_iteration():
     _, mesh, prob, sys, dec = _setup(nx=8, ny=8, N=4)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_grid_cs(prob, mesh, sys)  # Z = I
     assert cs.n0 == mesh.n_dofs
     assert _iterations(sys, TwoLevel(one, cs, sys.A, mode="hybrid").apply,
@@ -369,7 +391,7 @@ def test_coarse_projection_identity():
 def test_hybrid_coarse_exactness():
     """M2^-1 A acts as the identity on range(Z)."""
     _, _, _, sys, dec = _setup(nx=8, ny=8, order=1, N=4, omega=2 * np.pi * 2)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_dtn_cs(dec, sys)
     assert cs.n0 > 0
     two = TwoLevel(one, cs, sys.A, mode="hybrid")
@@ -382,7 +404,7 @@ def test_hybrid_coarse_exactness():
 
 def test_additive_mode():
     _, _, _, sys, dec = _setup(nx=8, ny=8, order=1, N=4, omega=2 * np.pi * 2)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     cs = build_dtn_cs(dec, sys)
     two = TwoLevel(one, cs, sys.A, mode="additive")
     v = np.random.default_rng(0).standard_normal(dec.n_dofs)
@@ -861,7 +883,7 @@ def test_one_level_grows_with_subdomains():
     for N, grid in ((4, (2, 2)), (16, (4, 4))):
         _, _, _, sys, dec = _setup(nx=32, ny=32, order=1, N=N, shape="grid",
                                    grid=grid, omega=2 * np.pi * 4)
-        one = OneLevelOras(dec)
+        one = OneLevel(dec)
         counts.append(_iterations(sys, one.apply))
     assert counts[1] > counts[0]
 
