@@ -11,11 +11,14 @@ The JSON holds, for every coarse space of the full-size set-ups of the three
 ``perfbench`` workloads and for the free and GenEO-complement spaces of the
 48-cell channels of acceptance criterion 8 (contrast 1, 1e2 and 1e4), the
 sha256 digests of the data, indices and indptr of Z and of E, with n0,
-``per_subdomain``, ``flags`` and ``rejected``; and the iteration count of
-every solve of one round of each workload, its loads in their unseeded order.
-``--root`` names the checkout whose ``src/`` and ``perfbench/`` are imported
-(default: the one holding this script).  ``--compare`` lists every entry that
-differs from another fingerprint and exits with status 1 if one does.
+``per_subdomain``, ``flags`` and ``rejected``; and the iteration count and
+final relative residual of every solve of one round of each workload, its
+loads in their unseeded order.  The residuals show how close each solve
+stopped to its tolerance.  ``--root`` names the checkout whose ``src/`` and
+``perfbench/`` are imported (default: the one holding this script).
+``--compare`` lists every entry that differs from another fingerprint and
+exits with status 1 if one does; residuals that differ are listed as
+information only, and do not fail the comparison.
 ``--only NAME``, repeatable, takes a workload name or ``channels``: only
 those entries are computed, written and compared, so that a check of one
 workload takes seconds.  Nothing is written under ``perfbench/``.
@@ -59,13 +62,14 @@ def _workloads(names) -> dict:
         workload = FULL[name]
         tr = Tracer()
         st = workload.setup(tr)
-        iterations = {}
+        iterations, residuals = {}, {}
         for m in workload.methods(st, tr, traced=False):
-            iterations[m.name] = [int(krylov_solve(m.A, m.M, b, m.cfg)[1].iterations)
-                                  for b in workload.loads(st)]
+            reports = [krylov_solve(m.A, m.M, b, m.cfg)[1] for b in workload.loads(st)]
+            iterations[m.name] = [int(r.iterations) for r in reports]
+            residuals[m.name] = [float(r.final_residual) for r in reports]
         out[name] = {"coarse_spaces": {k: _coarse_space(cs)
                                        for k, cs in st.coarse_spaces.items()},
-                     "iterations": iterations}
+                     "iterations": iterations, "residuals": residuals}
     return out
 
 
@@ -97,11 +101,24 @@ def _flatten(tree, prefix="") -> dict:
     return out
 
 
-def differences(new: dict, old: dict) -> list[str]:
-    """One line per entry that is missing from one fingerprint or differs."""
+def differences(new: dict, old: dict) -> tuple[list[str], list[str]]:
+    """One line per entry that is missing from one fingerprint or differs:
+    the digests, counts and lists that fail a comparison, and apart from
+    them the final residuals, which are information only."""
     a, b = _flatten(new), _flatten(old)
-    return [f"{k}: {b.get(k, '<missing>')} -> {a.get(k, '<missing>')}"
-            for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+    fail, info = [], []
+    for k in sorted(a.keys() | b.keys()):
+        if a.get(k) == b.get(k):
+            continue
+        if "/residuals/" in k:
+            info.append(f"{k}: {_floats(b.get(k))} -> {_floats(a.get(k))}")
+        else:
+            fail.append(f"{k}: {b.get(k, '<missing>')} -> {a.get(k, '<missing>')}")
+    return fail, info
+
+
+def _floats(values) -> str:
+    return "<missing>" if values is None else "[" + ", ".join(f"{v:.4e}" for v in values) + "]"
 
 
 def _selected(fingerprint: dict, only) -> dict:
@@ -144,7 +161,9 @@ def main(argv=None) -> int:
         return 0
     with open(args.compare) as f:
         old = json.load(f)
-    diff = differences(_selected(fingerprint, only), _selected(old, only))
+    diff, drift = differences(_selected(fingerprint, only), _selected(old, only))
+    if drift:
+        print("final residuals that differ (information only):", *drift, sep="\n  ")
     print("\n".join(diff) if diff else "identical")
     return 1 if diff else 0
 

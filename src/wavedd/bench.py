@@ -224,6 +224,14 @@ def _partition_args(cfg: RunConfig):
     raise StructuralError(f"unknown partition {cfg.partition!r}")
 
 
+# the preconditioners of each problem: "one-level", ASP, and the two-level
+# methods, one per coarse-space builder of ``_helmholtz`` and ``_maxwell``
+_METHODS = {
+    "helmholtz": ("one-level", "grid", "dtn", "hgeneo", "deltageneo"),
+    "maxwell": ("asp", "one-level", "free-cs", "geneo-complement"),
+}
+
+
 def _helmholtz(cfg: RunConfig):
     """The Helmholtz system of ``cfg``, its decomposition with Robin factors,
     and the coarse-space builder of each two-level method."""
@@ -284,23 +292,24 @@ def _maxwell(cfg: RunConfig):
 
 def run_case(cfg: RunConfig) -> SolveReport:
     """One deterministic benchmark run; non-convergence is reported, not raised.
-    Helmholtz is solved by GMRES, Maxwell by CG."""
+    Helmholtz is solved by GMRES, Maxwell by CG.  An unknown preconditioner
+    raises StructuralError before any set-up."""
+    method = cfg.preconditioner
+    if method not in _METHODS[cfg.problem]:
+        raise StructuralError(f"unknown {cfg.problem} preconditioner {method!r}")
     set_up, variant = (_maxwell, "cg") if cfg.problem == "maxwell" else (_helmholtz, "gmres")
     kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart,
                         variant=variant)
     t0 = time.perf_counter()
     system, dec, coarse_builders = set_up(cfg)
-    method = cfg.preconditioner
     cs = None
     if dec is None:
         op = AspPreconditioner(system).apply
     elif method == "one-level":
         op = OneLevel(dec).apply
-    elif method in coarse_builders:
+    else:
         cs = coarse_builders[method]()
         op = TwoLevel(OneLevel(dec), cs, system.A, mode=cfg.two_level_mode).apply
-    else:
-        raise StructuralError(f"unknown {cfg.problem} preconditioner {method!r}")
     setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()

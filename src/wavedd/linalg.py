@@ -1,8 +1,9 @@
 """Minimal complex linear algebra kernel.
 
-A sparse symmetry test, a reusable sparse LU handle, a dense generalized
-eigensolver with the mode selection of the spectral coarse spaces, and
-Krylov methods (GMRES, CG) with pluggable preconditioners.
+A sparse symmetry test, a reusable sparse LU handle with its two factor
+rules (partial pivoting, and the SPD test of symmetric mode), a dense
+generalized eigensolver with the mode selection of the spectral coarse
+spaces, and Krylov methods (GMRES, CG) with pluggable preconditioners.
 
 Conventions:
   * sparse matrices are scipy's own, CSR as assembled,
@@ -40,6 +41,8 @@ __all__ = [
     "csr_from_triplets",
     "is_symmetric",
     "lu_factorize",
+    "spd_factorize",
+    "symmetric_lu",
     "krylov_solve",
     "dense_generalized_eig",
     "eigenpair_residual",
@@ -146,7 +149,8 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     ``ordering`` is SuperLU's column ordering (``permc_spec``): COLAMD, or
     "MMD_AT_PLUS_A", which the Helmholtz Robin matrices and DtN interior
     blocks pass: their pattern is symmetric, and minimum degree on A^T + A
-    gives them less fill.  The Maxwell factors and coarse matrices keep COLAMD.
+    gives them less fill.  The Maxwell local factors and the complex coarse
+    matrices keep COLAMD; ``spd_factorize`` serves the real SPD ones.
     Raises StructuralError for an unknown ordering, and SingularityError when
     SuperLU hits an exact zero pivot or when the factorization leaves a pivot
     below 1e-14 * max|A|.
@@ -169,6 +173,36 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     if piv.min() <= 1e-14 * scale:
         raise SingularityError(f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}")
     return Factorization(lu, A.shape[0], dtype=A.dtype)
+
+
+def symmetric_lu(B: sp.spmatrix):
+    """The SPD factor rule: SuperLU's factor of the sparse real symmetric B
+    in symmetric mode (diagonal pivots, minimum degree on A^T + A), as a
+    ``Factorization`` that carries B, and whether B is SPD.  It is when
+    every pivot is diagonal (perm_r == perm_c), for then the pivots are the
+    D of B = L D L^T, and above 1e-14 * max|B|, the pivot rule of
+    ``lu_factorize``: a singular PSD B whose last pivot rounds to a tiny
+    positive value is not SPD.  A B on which ``splu`` fails is not SPD; its
+    factor is None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return None, False
+    floor = 1e-14 * np.abs(B.data).max(initial=0.0)
+    spd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > floor)
+    return Factorization(lu, B.shape[0], B), bool(spd)
+
+
+def spd_factorize(A: sp.spmatrix) -> Factorization:
+    """Factor of the sparse real symmetric A: the ``symmetric_lu`` factor
+    when A passes its SPD test, else ``lu_factorize`` (COLAMD, partial
+    pivoting), with its SingularityError rule.  An SPD A has less fill in
+    symmetric mode, and its pivots pass that rule."""
+    fact, spd = symmetric_lu(A)
+    return fact if spd else lu_factorize(A)
 
 
 @dataclass(frozen=True)

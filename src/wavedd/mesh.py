@@ -82,11 +82,16 @@ class Mesh:
             m = m.parent
 
 
-def _build_edges(triangles: np.ndarray):
+def _build_edges(triangles: np.ndarray, n_vertices: int):
+    """Edges (endpoints low -> high, in lexicographic order), the edge of
+    each local edge of every triangle, and the boundary edges.  An edge
+    (a, b) is deduplicated by its scalar key a * n_vertices + b, which
+    orders edges as the rows (a, b) do."""
     nt = triangles.shape[0]
     pairs = np.concatenate([triangles[:, list(e)] for e in _LOCAL_EDGES])
     pairs = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    keys, inverse = np.unique(pairs[:, 0] * n_vertices + pairs[:, 1], return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, n_vertices))
     tri_edges = inverse.reshape(3, nt).T.copy()
     counts = np.bincount(tri_edges.ravel(), minlength=edges.shape[0])
     boundary = np.flatnonzero(counts == 1)
@@ -123,7 +128,7 @@ def _orient_positive(vertices, triangles):
 
 def _finish(vertices, triangles, order, parent=None, parent_triangle=None) -> Mesh:
     triangles = _orient_positive(vertices, triangles)
-    edges, tri_edges, boundary = _build_edges(triangles)
+    edges, tri_edges, boundary = _build_edges(triangles, vertices.shape[0])
     tags = _tag_boundary(vertices, edges, boundary)
     return Mesh(vertices, triangles, order, edges, tri_edges, boundary, tags,
                 parent=parent, parent_triangle=parent_triangle)
@@ -136,6 +141,8 @@ def mesh_from_arrays(vertices, triangles, order: int = 1) -> Mesh:
     triangles = np.asarray(triangles, dtype=np.int64)
     if order not in (1, 2):
         raise StructuralError("order must be 1 or 2")
+    if triangles.size and (triangles.min() < 0 or triangles.max() >= vertices.shape[0]):
+        raise StructuralError("triangle vertex index out of range")
     return _finish(vertices, triangles, order)
 
 

@@ -51,7 +51,14 @@ apply.  No factor is shared between the threads: each dense solve of
 ``dense_generalized_eig`` factors its own right side, since two threads
 calling ``scipy.linalg.lu_solve`` on one ``lu_factor`` result corrupt the
 heap (scipy 1.17.1), and the sparse factors of the SPD tests are made on
-the calling thread.
+the calling thread.  No sparse factor is made on a pool thread: ``splu``
+releases the GIL, but scipy 1.17.1 does not return the memory of a SuperLU
+factor that is freed on another thread than the one that made it.  In a
+minimal test (the 5-point Laplacian of a 150 x 150 grid, fill 1.75 M), the
+resident size grew by about 19 MB with each factor made on a pool thread
+and freed on the calling one, and not at all when both ran on one thread.
+So the Robin factors are made serially, though two threads would overlap
+them (see ROADMAP's closed list).
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -81,11 +88,12 @@ from .helmholtz import (
 from .linalg import (
     EigenPairs,
     EigenSelection,
-    Factorization,
     dense_generalized_eig,
     is_symmetric,
     lu_factorize,
     orthonormalize,  # noqa: F401 - perfbench/tracing.py patches this name here
+    spd_factorize,
+    symmetric_lu,
 )
 from .mesh import Mesh
 
@@ -144,9 +152,13 @@ class CoarseSpace:
     coarse matrix E = Z* A Z; the coarse correction is H v = Z E^-1 Z* v.
 
     ``Z`` is the one stored basis, CSC, for every space: grid, spectral and
-    Maxwell.  ``E`` is sparse; for a real symmetric A (``is_symmetric``), as
-    every Maxwell A is, E is kept exactly symmetric, so that H is symmetric
-    to rounding, as CG needs.  n0 = 0 is a legal empty coarse space.  A
+    Maxwell; the restriction Z* v goes through its transpose, a CSR view of
+    the same arrays.  ``E`` is sparse; for a real symmetric A
+    (``is_symmetric``), as every Maxwell A is, E is kept exactly symmetric,
+    so that H is symmetric to rounding, as CG needs, and factored by
+    ``spd_factorize``: in symmetric mode when it is SPD, as it is for
+    independent columns.  Any other E is factored by ``lu_factorize``.
+    n0 = 0 is a legal empty coarse space.  A
     spectral space records, per subdomain, its
     mode count in ``per_subdomain`` and in ``rejected`` the number of
     eigenpairs that the residual contract of ``dense_generalized_eig``
@@ -154,9 +166,9 @@ class CoarseSpace:
     the plain solve of their pencil: the pencil was shift-regularized (a
     singular Neumann matrix or DtN interior block), or ARPACK failed on it
     and it was re-solved densely (``EigenPairs.fallback``).
-    Raises SingularityError when a pivot of E falls below 1e-14 * max|E|,
-    the rule of ``lu_factorize``: Z has (numerically) dependent columns or
-    the indefinite E is singular.
+    Raises SingularityError when a pivot of the partial-pivoting factor of E
+    falls below 1e-14 * max|E|, the rule of ``lu_factorize``: Z has
+    (numerically) dependent columns or the indefinite E is singular.
     """
 
     def __init__(self, Z, A, provenance: str, flags=None, per_subdomain=None,
@@ -166,8 +178,9 @@ class CoarseSpace:
         self.per_subdomain = per_subdomain or []
         self.rejected = rejected or []
         self.Z = sp.csc_matrix(Z)
+        self._ZT = self.Z.T
         if self.n0 == 0:
-            self._solver = None
+            self._fact = None
             return
         # E = Z* (A Z), 64 columns at a time, as conj(Z^T conj(A Z_J)): no
         # conjugated copy of Z, and no copy of Z or A Z beyond one block
@@ -179,11 +192,13 @@ class CoarseSpace:
             np.conjugate(W.data, out=W.data)
             blocks.append(W)
         self.E = sp.hstack(blocks, format="csc")
-        if not np.iscomplexobj(A) and is_symmetric(A):
-            # a symmetric A makes E symmetric; rounding in the product breaks
-            # that, and cond(E) amplifies it into a non-symmetric H
-            self.E = (0.5 * (self.E + self.E.T)).tocsc()
-        self._solver = lu_factorize(self.E).solve
+        if np.iscomplexobj(A) or not is_symmetric(A):
+            self._fact = lu_factorize(self.E)
+            return
+        # a symmetric A makes E symmetric; rounding in the product breaks
+        # that, and cond(E) amplifies it into a non-symmetric H
+        self.E = (0.5 * (self.E + self.E.T)).tocsc()
+        self._fact = spd_factorize(self.E)
 
     @property
     def n0(self) -> int:
@@ -193,8 +208,9 @@ class CoarseSpace:
         """Coarse correction H v = Z E^-1 Z* v."""
         if self.n0 == 0:
             return np.zeros(np.shape(v), dtype=np.result_type(v, self.Z.dtype))
-        r = (np.conj(v) @ self.Z).conj()
-        return self.Z @ self._solver(r)
+        # for a real Z, conj(Z^T conj(v)) is Z^T v bit for bit: no conj copies
+        r = self._ZT @ v if self._ZT.dtype.kind != "c" else (self._ZT @ np.conj(v)).conj()
+        return self.Z @ self._fact.solve(r)
 
     __call__ = apply
 
@@ -211,7 +227,7 @@ def _independent_columns(Z, kept: int = 0) -> sp.csc_matrix:
     are all kept, whole; only the others, Y, are tested, against span(F)
     and each other, so a dependent column of Y is dropped, never one of F.
     F is eliminated first (Higham, 1990): G_FF, the Gram block of F, is
-    factored by ``_symmetric_lu`` (SingularityError if it is not SPD), and
+    factored by ``symmetric_lu`` (SingularityError if it is not SPD), and
     xPSTRF runs with the same pivot floor on the Schur complement
     S = G_YY - G_FY^T G_FF^-1 G_FY, formed through the full solve of that
     factor.  Not as X^T D^-1 X with X = L^-1 P G_FY: the factor's order
@@ -225,11 +241,11 @@ def _independent_columns(Z, kept: int = 0) -> sp.csc_matrix:
     Z = Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
     if kept:
         F, Y = Z[:, :kept], Z[:, kept:]
-        lu, spd = _symmetric_lu(F.T @ F)
+        fact, spd = symmetric_lu(F.T @ F)
         if not spd:
             raise SingularityError("the kept columns are not independent")
         B = (F.T @ Y).toarray()
-        G = np.asfortranarray((Y.T @ Y).toarray() - B.T @ lu.solve(B))
+        G = np.asfortranarray((Y.T @ Y).toarray() - B.T @ fact.solve(B))
     else:
         G = (Z.conj().T @ Z).toarray(order="F")
     pstrf, = sla.get_lapack_funcs(("pstrf",), (G,))
@@ -407,40 +423,20 @@ def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
     return Z, flags, counts, rejected
 
 
-def _symmetric_lu(B: sp.spmatrix):
-    """SuperLU factor of the sparse real symmetric B with diagonal pivots
-    (symmetric mode, minimum degree on A^T + A), and whether B is SPD: it is
-    when every pivot is diagonal (perm_r == perm_c), for then the pivots are
-    the D of B = L D L^T, and above 1e-14 * max|B|, the pivot rule of
-    ``lu_factorize``: a singular PSD B whose last pivot rounds to a tiny
-    positive value is not SPD.  A B on which ``splu`` fails is not SPD; its
-    factor is None."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-    except RuntimeError:
-        return None, False
-    floor = 1e-14 * np.abs(B.data).max()
-    return lu, bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > floor))
-
-
 def _sparse_spd_or_shifted(rhs: sp.spmatrix):
     """The real symmetric right side of a local pencil, shifted by 1e-12
-    times its mean diagonal when the SPD test of ``_symmetric_lu`` fails;
+    times its mean diagonal when the SPD test of ``symmetric_lu`` fails;
     returns the ``Factorization`` of the (shifted) matrix, carrying it, and
     whether it was shifted.  No dense array is formed.  Raises
     SingularityError when the shifted matrix cannot be factored."""
-    n = rhs.shape[0]
-    lu, spd = _symmetric_lu(rhs)
+    fact, spd = symmetric_lu(rhs)
     if spd:
-        return Factorization(lu, n, rhs), False
-    rhs = (rhs + (1e-12 * rhs.diagonal().sum() / n) * sp.eye(n)).tocsr()
-    lu, _ = _symmetric_lu(rhs)
-    if lu is None:
+        return fact, False
+    n = rhs.shape[0]
+    fact, _ = symmetric_lu((rhs + (1e-12 * rhs.diagonal().sum() / n) * sp.eye(n)).tocsr())
+    if fact is None:
         raise SingularityError("shift-regularized right side is singular")
-    return Factorization(lu, n, rhs), True
+    return fact, True
 
 
 def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,

@@ -153,6 +153,32 @@ def test_unknown_preconditioner_names_the_problem():
         run_case(RunConfig(problem="maxwell", maxwell_cells=6, preconditioner="grid"))
 
 
+def test_unknown_preconditioner_is_rejected_before_any_set_up(monkeypatch):
+    from wavedd import bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("set-up ran for an unknown preconditioner")
+
+    monkeypatch.setattr(bench, "assemble_helmholtz", forbidden)
+    monkeypatch.setattr(bench, "build_edge_decomposition", forbidden)
+    monkeypatch.setattr(bench, "assemble_maxwell", forbidden)
+    with pytest.raises(StructuralError, match="unknown helmholtz preconditioner 'hgenoe'"):
+        run_case(RunConfig(f=8.0, ppwl=8, order=2, n_subdomains=8, preconditioner="hgenoe"))
+    with pytest.raises(StructuralError, match="unknown maxwell preconditioner 'grid'"):
+        run_case(RunConfig(problem="maxwell", preconditioner="grid"))
+
+
+def test_method_names_are_those_the_set_up_serves():
+    """Every name that passes the early check is served: ASP for Maxwell,
+    "one-level", and one coarse-space builder per two-level method."""
+    from wavedd import bench
+
+    helm = RunConfig(f=1.0, ppwl=8, order=1, n_subdomains=2)
+    maxw = RunConfig(problem="maxwell", maxwell_cells=6, n_subdomains=2)
+    assert set(bench._METHODS["helmholtz"]) == {"one-level", *bench._helmholtz(helm)[2]}
+    assert set(bench._METHODS["maxwell"]) == {"asp", "one-level", *bench._maxwell(maxw)[2]}
+
+
 def test_sweep_single_cell_matches_run_case():
     cfg = RunConfig(f=2.0, ppwl=8, order=1, n_subdomains=4,
                     preconditioner="one-level", dofs_floor=1)
@@ -422,3 +448,27 @@ def test_perfbench_entry_points_resolve():
     names = [(m, attr) for m, attr, _ in LIBRARY_ENTRY_POINTS]
     for module, attr in names + [("schwarz", "CoarseSpace"), ("maxwell", "CoarseSpace")]:
         assert callable(getattr(importlib.import_module(f"wavedd.{module}"), attr))
+
+
+def test_fingerprint_compare_fails_on_counts_not_on_residuals():
+    """``scripts/fingerprint.py``: a final residual that differs is listed as
+    information, while a digest or an iteration count that differs fails."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "fingerprint.py")
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    old = {"workloads": {"w": {"iterations": {"m": [18, 16]}, "residuals": {"m": [5e-7, 9.86e-7]},
+                               "coarse_spaces": {"cs": {"E.data": "<f8:ab"}}}}}
+    new = {"workloads": {"w": {"iterations": {"m": [18, 16]}, "residuals": {"m": [5e-7, 9.84e-7]},
+                               "coarse_spaces": {"cs": {"E.data": "<f8:ab"}}}}}
+    fail, info = fingerprint.differences(new, old)
+    assert fail == [] and info == ["workloads/w/residuals/m: [5.0000e-07, 9.8600e-07] -> "
+                                   "[5.0000e-07, 9.8400e-07]"]
+    new["workloads"]["w"]["iterations"]["m"] = [18, 17]
+    new["workloads"]["w"]["coarse_spaces"]["cs"]["E.data"] = "<f8:cd"
+    fail, _ = fingerprint.differences(new, old)
+    assert fail == ["workloads/w/coarse_spaces/cs/E.data: <f8:ab -> <f8:cd",
+                    "workloads/w/iterations/m: [18, 16] -> [18, 17]"]

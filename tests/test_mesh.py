@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavedd.errors import StructuralError
-from wavedd.mesh import build_rect_mesh, refine_uniform
+from wavedd.mesh import _LOCAL_EDGES, build_rect_mesh, mesh_from_arrays, refine_uniform
 
 
 def test_unit_cell_counts():
@@ -96,3 +96,32 @@ def test_counting_invariants(nx, ny, order):
     r = refine_uniform(m, 1)
     assert r.n_triangles == 4 * m.n_triangles
     assert r.n_vertices == m.n_vertices + m.n_edges
+
+
+def _edges_by_rows(triangles):
+    """Edges, tri_edges and boundary by row-wise ``np.unique`` of the sorted
+    vertex pairs: the reference for the scalar-key deduplication."""
+    nt = triangles.shape[0]
+    pairs = np.sort(np.concatenate([triangles[:, list(e)] for e in _LOCAL_EDGES]), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(3, nt).T
+    counts = np.bincount(tri_edges.ravel(), minlength=edges.shape[0])
+    return edges, tri_edges, np.flatnonzero(counts == 1)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_rect_mesh(2.0, 1.0, 7, 5, order=1),
+    refine_uniform(build_rect_mesh(1.0, 1.0, 3, 4, order=2), 2),
+    mesh_from_arrays([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.4]],
+                     [[0, 1, 4], [1, 2, 4], [2, 3, 4], [4, 3, 0]]),
+], ids=["p1-rect", "p2-rect-refined", "from-arrays"])
+def test_edges_match_row_wise_unique(mesh):
+    edges, tri_edges, boundary = _edges_by_rows(mesh.triangles)
+    assert np.array_equal(mesh.edges, edges) and mesh.edges.dtype == edges.dtype
+    assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert np.array_equal(mesh.boundary_edges, boundary)
+
+
+def test_mesh_from_arrays_rejects_out_of_range_vertex():
+    with pytest.raises(StructuralError, match="out of range"):
+        mesh_from_arrays([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 3]])

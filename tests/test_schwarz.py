@@ -26,11 +26,14 @@ from wavedd.linalg import (
     krylov_solve,
     lu_factorize,
     orthonormalize,
+    symmetric_lu,
 )
 from wavedd.maxwell import (
+    AspPreconditioner,
     MaxwellProblem,
     assemble_maxwell,
     build_edge_decomposition,
+    build_free_cs,
     build_geneo_complement_cs,
 )
 from wavedd.mesh import build_rect_mesh, refine_uniform
@@ -790,7 +793,8 @@ def test_sparse_spd_test_keeps_an_spd_matrix_and_its_factor():
     """An SPD matrix factors with diagonal pivots only, all positive; it is
     returned unshifted, as the factor's own matrix, and the factor solves it."""
     B = _path_laplacian(40, shift=0.1)
-    lu, spd = schwarz._symmetric_lu(B)
+    sym, spd = symmetric_lu(B)
+    lu = sym._lu  # SuperLU's own factor, with its permutations and U
     assert spd and np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0
     fact, flagged = schwarz._sparse_spd_or_shifted(B)
     assert not flagged and fact.matrix is B
@@ -808,7 +812,8 @@ def test_sparse_spd_test_shifts_and_flags_what_is_not_spd(case):
     B = {"graph_laplacian": _path_laplacian(40),
          "indefinite": sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
          "zero_diagonal": sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))}[case]
-    lu, spd = schwarz._symmetric_lu(B)
+    sym, spd = symmetric_lu(B)
+    lu = getattr(sym, "_lu", None)  # SuperLU's own factor, if splu succeeded
     assert not spd
     if case == "indefinite":
         assert np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() < 0
@@ -826,7 +831,8 @@ def test_sparse_spd_test_shifts_and_flags_what_is_not_spd(case):
         # positive: only the floor 1e-14 * max|B| tells that the last one is
         # rounding
         B = _grid_laplacian(8, seed=2)
-        lu, spd = schwarz._symmetric_lu(B)
+        sym, spd = symmetric_lu(B)
+        lu = sym._lu
         piv = lu.U.diagonal()
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert 0 < piv.min() <= 1e-14 * np.abs(B.data).max() and not spd
@@ -844,22 +850,22 @@ def test_sparse_spd_test_counts_a_failed_factorization_as_not_spd():
     B = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
     with pytest.raises(RuntimeError):
         spla.splu(B.tocsc())
-    assert schwarz._symmetric_lu(B) == (None, False)
+    assert symmetric_lu(B) == (None, False)
     fact, flagged = schwarz._sparse_spd_or_shifted(B)
     assert flagged and fact.matrix.diagonal()[1] == 1e-12
 
 
 def test_lu_orderings_of_each_caller(monkeypatch):
-    """Symmetric-pattern Helmholtz factors use minimum degree on A^T + A; the
-    Maxwell factors and every coarse matrix keep COLAMD."""
-    from wavedd.maxwell import (MaxwellProblem, assemble_maxwell,
-                                build_edge_decomposition, build_free_cs)
-
+    """Symmetric-pattern Helmholtz factors use minimum degree on A^T + A with
+    partial pivoting, and the complex coarse matrices COLAMD; the Maxwell
+    local factors keep COLAMD, while the SPD Maxwell E and the two ASP nodal
+    factors are factored in symmetric mode."""
     orderings = []
     real = spla.splu
 
     def recording(A, permc_spec=None, **kwargs):
-        orderings.append(permc_spec)
+        symmetric = kwargs.get("options", {}).get("SymmetricMode", False)
+        orderings.append(permc_spec + (" symmetric" if symmetric else ""))
         return real(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording)
@@ -875,7 +881,69 @@ def test_lu_orderings_of_each_caller(monkeypatch):
     assert orderings == ["COLAMD"] * 2  # a_fact
     orderings.clear()
     build_free_cs(build_edge_decomposition(prob, msys, 2, shape="strips", factorize=False), msys)
-    assert orderings == ["COLAMD"]  # E
+    assert orderings == ["MMD_AT_PLUS_A symmetric"]  # E
+    orderings.clear()
+    AspPreconditioner(msys)
+    assert orderings == ["MMD_AT_PLUS_A symmetric"] * 2  # L~ + alpha Q~, then L
+
+
+def test_maxwell_coarse_matrix_has_a_diagonal_pivoted_spd_factor():
+    """The E of a Maxwell coarse space passes the SPD test of symmetric mode:
+    its factor pivots on the diagonal only, and solves E to 1e-12."""
+    prob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 10, 10), alpha=1e-2)
+    msys = assemble_maxwell(prob)
+    dec = build_edge_decomposition(prob, msys, 4, shape="grid", grid=(2, 2),
+                                   factorize=False)
+    cs = build_geneo_complement_cs(dec, msys)
+    lu = cs._fact._lu
+    assert cs.n0 > 0 and np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.U.diagonal().min() > 0
+    b = np.random.default_rng(3).standard_normal(cs.n0)
+    x = cs._fact.solve(b)
+    assert np.linalg.norm(cs.E @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_real_symmetric_indefinite_coarse_matrix_falls_back_to_lu(monkeypatch):
+    """A real symmetric A whose E is indefinite fails the SPD test, and E is
+    factored by ``lu_factorize``; a singular E of dependent columns raises
+    its SingularityError."""
+    from wavedd import linalg
+
+    factored = []
+
+    def recording(M, *args, **kwargs):
+        factored.append(M)
+        return lu_factorize(M, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lu_factorize", recording)
+    A = sp.csr_matrix(np.diag([2.0, -1.0, 3.0, 1.0]))
+    Z = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
+    cs = CoarseSpace(Z, A, provenance="test")  # E = [[3, 1], [1, 0]]
+    assert len(factored) == 1 and factored[0] is cs.E
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    expected = Z @ np.linalg.solve(cs.E.toarray(), Z.T @ v)
+    assert np.allclose(cs.apply(v), expected, rtol=1e-14, atol=0)
+    with pytest.raises(SingularityError):
+        CoarseSpace(sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])), sp.eye(2).tocsr(),
+                    provenance="test")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_coarse_apply_restricts_through_the_transpose(dtype):
+    """``CoarseSpace.apply`` restricts through the CSR view Z^T: bit for bit
+    Z (E^-1 (conj(v) @ Z).conj()), for a real and for a complex Z, and for
+    a real and a complex v."""
+    n, n0 = 60, 7
+    rng = np.random.default_rng(5)
+    Z = sp.random(n, n0, density=0.3, random_state=rng, format="csc") + sp.eye(n, n0)
+    if dtype is np.complex128:
+        Z = (Z + 1j * sp.random(n, n0, density=0.3, random_state=rng)).tocsc()
+    A = _path_laplacian(n, shift=1.0)
+    cs = CoarseSpace(Z, A, provenance="test")
+    assert np.shares_memory(cs._ZT.data, cs.Z.data)
+    for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        expected = cs.Z @ cs._fact.solve((np.conj(v) @ cs.Z).conj())
+        assert np.array_equal(cs.apply(v), expected)
 
 
 def test_one_level_grows_with_subdomains():
