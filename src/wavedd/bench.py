@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -85,6 +86,8 @@ class RunConfig:
             raise StructuralError(f"unknown problem {self.problem!r}")
         if self.f <= 0 or self.ppwl <= 0:
             raise StructuralError("f and ppwl must be positive")
+        if self.n_subdomains < 1:
+            raise StructuralError("n_subdomains must be >= 1")
 
 
 @dataclass
@@ -121,10 +124,13 @@ def _parse_value(name: str, raw: str):
         if raw not in ("true", "false"):
             raise StructuralError(f"bad boolean for {name}: {raw!r}")
         return raw == "true"
-    if "int" in t and "float" not in t:
-        return int(raw)
-    if "float" in t:
-        return float(raw)
+    try:
+        if "int" in t and "float" not in t:
+            return int(raw)
+        if "float" in t:
+            return float(raw)
+    except ValueError:
+        raise StructuralError(f"bad value for {name}: {raw!r}") from None
     return raw
 
 
@@ -204,8 +210,10 @@ def _partition_args(cfg: RunConfig):
     if cfg.partition == "strips":
         return "strips", None
     if cfg.partition.startswith("grid:"):
-        px, py = cfg.partition.split(":", 1)[1].lower().split("x")
-        return "grid", (int(px), int(py))
+        m = re.fullmatch(r"grid:(\d+)[xX](\d+)", cfg.partition)
+        if m is None:
+            raise StructuralError(f"partition {cfg.partition!r} is not grid:PXxPY")
+        return "grid", (int(m[1]), int(m[2]))
     if cfg.partition == "auto":
         N = cfg.n_subdomains
         aspect = cfg.width / cfg.height
@@ -282,7 +290,8 @@ def _maxwell(cfg: RunConfig):
         return system, None, {}
     shape, grid = _partition_args(cfg)
     dec = build_edge_decomposition(prob, system, cfg.n_subdomains, shape=shape,
-                                   grid=grid, layers=cfg.overlap_layers)
+                                   grid=grid, layers=cfg.overlap_layers,
+                                   mode=cfg.overlap_mode)
     return system, dec, {
         "free-cs": lambda: build_free_cs(dec, system),
         "geneo-complement": lambda: build_geneo_complement_cs(
@@ -357,17 +366,10 @@ def _sweep_cell(base: RunConfig, f, N, method) -> dict:
     }
 
 
-def run_sweep(base: RunConfig, f_values, n_values, methods, workers: int = 1) -> list:
-    """Cartesian sweep; per-cell failures are isolated and rendered '-'.
-    Cells are independent, so they may run on a thread pool; row order is
-    always the deterministic (f, N, method) product order."""
-    cells = [(f, N, m) for f in f_values for N in n_values for m in methods]
-    if workers <= 1:
-        return [_sweep_cell(base, *cell) for cell in cells]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: _sweep_cell(base, *c), cells))
+def run_sweep(base: RunConfig, f_values, n_values, methods) -> list:
+    """Cartesian sweep, one cell after another in the (f, N, method) product
+    order; per-cell failures are isolated and rendered '-'."""
+    return [_sweep_cell(base, f, N, m) for f in f_values for N in n_values for m in methods]
 
 
 def sweep_to_csv(rows, path=None) -> str:

@@ -55,7 +55,7 @@ def _cmd_sweep(args) -> int:
     fs = [float(v) for v in args.f.split(",")]
     ns = [int(v) for v in args.n.split(",")]
     methods = args.methods.split(",")
-    rows = run_sweep(cfg, fs, ns, methods, workers=args.workers)
+    rows = run_sweep(cfg, fs, ns, methods)
     text = sweep_to_csv(rows, path=args.out)
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -147,7 +147,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--methods", required=True,
                          help="comma-separated preconditioner names")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -72,8 +72,9 @@ class ComplexSparseMatrix(sp.csr_matrix):
         return float(np.abs(self.data).max()) if self.nnz else 0.0
 
 
-def is_symmetric(A: sp.spmatrix, rel_tol: float = 1e-13) -> bool:
-    """Check A = A^T (no conjugation) entrywise on the stored pattern."""
+def is_symmetric(A: sp.spmatrix) -> bool:
+    """Check A = A^T (no conjugation) entrywise on the stored pattern, to
+    1e-13 * max|A|."""
     if A.shape[0] != A.shape[1]:
         return False
     scale = np.abs(A.data).max() if A.nnz else 0.0
@@ -82,16 +83,15 @@ def is_symmetric(A: sp.spmatrix, rel_tol: float = 1e-13) -> bool:
     diff = A - A.T
     if diff.nnz == 0:
         return True
-    return np.abs(diff.data).max() <= rel_tol * scale
+    return np.abs(diff.data).max() <= 1e-13 * scale
 
 
-def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> sp.csr_matrix:
+def csr_from_triplets(nrows, ncols, triplets) -> sp.csr_matrix:
     """Build a CSR matrix from (row, col, value) triplets.
 
     Duplicate entries are summed, explicit zeros are retained and rows come
     out with strictly increasing column indices.  ``triplets`` is either an
     iterable of 3-tuples or a ``(rows, cols, values)`` triple of arrays.
-    With ``symmetric``, raises StructuralError unless ``is_symmetric``.
     """
     if isinstance(triplets, tuple) and len(triplets) == 3:
         rows, cols, vals = (np.asarray(a) for a in triplets)
@@ -109,10 +109,7 @@ def csr_from_triplets(nrows, ncols, triplets, symmetric: bool = False) -> sp.csr
         if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
             raise StructuralError("triplet index out of range")
     dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
-    A = sp.coo_matrix((vals.astype(dtype), (rows, cols)), shape=(nrows, ncols)).tocsr()
-    if symmetric and not is_symmetric(A):
-        raise StructuralError("matrix flagged symmetric is not symmetric")
-    return A
+    return sp.coo_matrix((vals.astype(dtype), (rows, cols)), shape=(nrows, ncols)).tocsr()
 
 
 class Factorization:
@@ -124,9 +121,8 @@ class Factorization:
     side passed as its factor keeps it for ARPACK's products and for the
     dense path of ``dense_generalized_eig``, which densifies it."""
 
-    def __init__(self, superlu, n: int, matrix: sp.spmatrix | None = None, dtype=None):
+    def __init__(self, superlu, matrix: sp.spmatrix | None = None, dtype=None):
         self._lu = superlu
-        self.n = n
         self.matrix = matrix
         self.dtype = np.dtype(matrix.dtype if dtype is None else dtype)
 
@@ -138,9 +134,6 @@ class Factorization:
 
     def __call__(self, b):
         return self.solve(b)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
@@ -172,7 +165,7 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     piv = np.abs(lu.U.diagonal())
     if piv.min() <= 1e-14 * scale:
         raise SingularityError(f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}")
-    return Factorization(lu, A.shape[0], dtype=A.dtype)
+    return Factorization(lu, dtype=A.dtype)
 
 
 def symmetric_lu(B: sp.spmatrix):
@@ -193,7 +186,7 @@ def symmetric_lu(B: sp.spmatrix):
         return None, False
     floor = 1e-14 * np.abs(B.data).max(initial=0.0)
     spd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > floor)
-    return Factorization(lu, B.shape[0], B), bool(spd)
+    return Factorization(lu, B), bool(spd)
 
 
 def spd_factorize(A: sp.spmatrix) -> Factorization:
@@ -435,14 +428,14 @@ class EigenSelection:
     at most ``m_max`` of them, in the order of ``rule``.
 
       "re_below"    Re(lambda) < threshold, ascending real part,
-      "re_above"    Re(lambda) > threshold, descending real part,
-      "k_largest"   descending real part,
+      "re_above"    Re(lambda) > threshold, descending real part (a
+                    threshold of -inf keeps the m_max largest),
       "abs_largest" descending magnitude (for indefinite pencils, whose
                     troublesome quasi-resonant modes carry large |lambda| of
                     arbitrary phase).
 
-    Ties are broken by descending magnitude.  The two largest-first rules
-    ignore ``threshold``.  The DtN builder reads a "re_below" threshold of
+    Ties are broken by descending magnitude.  "abs_largest" ignores
+    ``threshold``.  The DtN builder reads a "re_below" threshold of
     None as the subdomain wavenumber k_j.
     """
 
@@ -451,7 +444,7 @@ class EigenSelection:
     m_max: int = 20
 
     def __post_init__(self):
-        if self.rule not in ("re_below", "re_above", "k_largest", "abs_largest"):
+        if self.rule not in ("re_below", "re_above", "abs_largest"):
             raise StructuralError(f"unknown selection rule {self.rule!r}")
         if self.m_max < 0:
             raise StructuralError("m_max must be nonnegative")
@@ -463,9 +456,7 @@ class EigenSelection:
         order = _ascending(values)
         if self.rule == "re_below":
             return [i for i in order if values[i].real < self.threshold]
-        if self.rule == "re_above":
-            return [i for i in reversed(order) if values[i].real > self.threshold]
-        return order[::-1]
+        return [i for i in reversed(order) if values[i].real > self.threshold]
 
 
 def _densified(M, dtype):
@@ -517,18 +508,17 @@ def _dense_eig(A, B):
 
 
 def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
-    """The pairs of the real symmetric pencil (A, B) that ``which`` selects,
-    by ARPACK (``eigsh``, largest algebraic values); A is a LinearOperator, B
-    sparse SPD, or a ``Factorization`` of it that carries the matrix.  The
-    inverse of B is that factor, or else a ``lu_factorize`` of B.
+    """The pairs of the real symmetric pencil (A, B) that the "re_above"
+    ``which`` selects, by ARPACK (``eigsh``, largest algebraic values); A is
+    a LinearOperator, B the ``Factorization`` of a sparse SPD matrix that
+    carries it, and the inverse of B is that factor.
 
-    Under "re_above", k starts at min(4, m_max) and doubles, up to m_max,
-    while all k values pass the threshold: only then can a wanted value lie
-    beyond the k computed.  "k_largest" asks for m_max values at once.
-    Returns None when the pencil is too small for ARPACK at k = m_max (ncv =
-    max(2 m_max + 1, 20) > n).  Raises NumericError when a pair fails the
-    residual contract ||A v - lambda B v|| <= 1e-8 (||A v|| + |lambda|
-    ||B v||), and ARPACK's own errors when it does not converge.
+    k starts at min(4, m_max) and doubles, up to m_max, while all k values
+    pass the threshold: only then can a wanted value lie beyond the k
+    computed.  Returns None when the pencil is too small for ARPACK at
+    k = m_max (ncv = max(2 m_max + 1, 20) > n).  Raises NumericError when a
+    pair fails the residual contract ||A v - lambda B v|| <= 1e-8 (||A v|| +
+    |lambda| ||B v||), and ARPACK's own errors when it does not converge.
     """
     n = A.shape[0]
     m_max = which.m_max
@@ -536,13 +526,10 @@ def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
         return EigenPairs()
     if max(2 * m_max + 1, 20) > n:
         return None
-    if isinstance(B, Factorization):
-        B, solve = B.matrix, B.solve
-    else:
-        solve = lu_factorize(B).solve
-    Binv = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
+    Binv = spla.LinearOperator((n, n), matvec=B.solve, dtype=np.float64)
+    B = B.matrix
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed: runs repeat bit for bit
-    k = min(4, m_max) if which.rule == "re_above" else m_max
+    k = min(4, m_max)
     while True:
         w, V = spla.eigsh(A, k, M=B, Minv=Binv, which="LA", ncv=max(2 * k + 1, 20),
                           tol=0, v0=v0)
@@ -581,14 +568,14 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     ``rejected``.
 
     A real symmetric pencil given as a ``scipy.sparse.linalg.LinearOperator``
-    A and a sparse SPD B, under a "re_above" or "k_largest" rule, is solved
-    by ARPACK instead (``_arpack_eig``); B may be passed as a
-    ``Factorization`` that carries it, and ARPACK then reuses that factor.
-    The residual contract is taken per pair, ||A v|| and ||B v|| in place of
-    the Frobenius norms: a bound no weaker for a unit v.  A pencil too small
-    for ARPACK at m_max, or under another rule, takes the dense path.  So
-    does one on which ARPACK fails (no convergence, or a pair past the
-    contract); the returned ``EigenPairs`` then has ``fallback`` set.
+    A and the ``Factorization`` of a sparse SPD B that carries it, under the
+    "re_above" rule, is solved by ARPACK instead (``_arpack_eig``), which
+    reuses that factor.  The residual contract is taken per pair, ||A v||
+    and ||B v|| in place of the Frobenius norms: a bound no weaker for a
+    unit v.  Any other pencil takes the dense path, as does one too small
+    for ARPACK at m_max, and one on which ARPACK fails (no convergence, or a
+    pair past the contract); the returned ``EigenPairs`` then has
+    ``fallback`` set.
 
     A and B may be dense arrays, sparse matrices or a ``Factorization``,
     which stands for its matrix.  The dense path, ``_dense_eig``, solves
@@ -597,14 +584,14 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     passed.
     """
     fallback = False
-    if isinstance(A, spla.LinearOperator):
-        if which is not None and which.rule in ("re_above", "k_largest"):
-            try:
-                pairs = _arpack_eig(A, B, which)
-                if pairs is not None:
-                    return pairs
-            except (spla.ArpackError, NumericError, SingularityError):
-                fallback = True  # ArpackNoConvergence is an ArpackError
+    if (isinstance(A, spla.LinearOperator) and isinstance(B, Factorization)
+            and which is not None and which.rule == "re_above"):
+        try:
+            pairs = _arpack_eig(A, B, which)
+            if pairs is not None:
+                return pairs
+        except (spla.ArpackError, NumericError):
+            fallback = True  # ArpackNoConvergence is an ArpackError
     A, B = (M.matrix if isinstance(M, Factorization)
             else M if sp.issparse(M) or isinstance(M, spla.LinearOperator)
             else np.asarray(M) for M in (A, B))

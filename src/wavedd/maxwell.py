@@ -40,7 +40,6 @@ K C = 0 holds exactly up to roundoff.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,8 +453,6 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
 
     def pencil(sd):
         rhs, flagged = _sparse_spd_or_shifted(sd.neumann.real)
-        if flagged:
-            warnings.warn(f"subdomain {sd.index}: Neumann matrix shift-regularized")
         A_loc = sd.A_loc.real
         Gl = C[sd.dofs, :]
         touching = np.unique(Gl.nonzero()[1])

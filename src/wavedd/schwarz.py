@@ -33,8 +33,9 @@ H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are four
 pencils on that loop.  DtN's Schur-complement pencil is dense.  The H-GenEO
 and Delta-GenEO pencils are sparse matrices, the Delta-GenEO right side
 passed as the ``Factorization`` of its SPD test; ``dense_generalized_eig``
-densifies them.  The GenEO complement is a ``LinearOperator`` against a
-sparse matrix, which ``dense_generalized_eig`` solves by ARPACK; a
+densifies them.  The GenEO complement is a ``LinearOperator`` against the
+``Factorization`` of its SPD test, which ``dense_generalized_eig`` solves
+by ARPACK; a
 subdomain on which ARPACK fails is re-solved densely and flagged.  One
 SPD-or-shift rule, ``_sparse_spd_or_shifted``, regularizes the real
 symmetric right sides of Delta-GenEO and the GenEO complement.
@@ -464,7 +465,6 @@ def _dtn_pencil(sd):
         eps = 1e-10 * max(np.abs(A_II.data).max(), 1.0)
         fact = lu_factorize(A_II + eps * sp.eye(A_II.shape[0]), ordering="MMD_AT_PLUS_A")
         flagged = True
-        warnings.warn(f"subdomain {sd.index}: interior block shift-regularized")
     X = fact.solve(At[np.ix_(interior, gam)].toarray())  # A_II^-1 A_IG
     S = At[np.ix_(gam, gam)].toarray() - At[np.ix_(gam, interior)].toarray() @ X
     M_G = sd.interface_mass[np.ix_(gam, gam)].toarray()

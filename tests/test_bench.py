@@ -98,6 +98,17 @@ def test_maxwell_case_converges():
     assert rep.iterations <= 50
 
 
+@pytest.mark.parametrize("mode,message", [("bogus", "unknown overlap mode"),
+                                          ("coarse", "coarse overlap needs a refined mesh")])
+def test_maxwell_run_honours_overlap_mode(mode, message):
+    """A Maxwell run hands ``overlap_mode`` to its edge decomposition: an
+    unknown mode is rejected, and "coarse" needs a refined mesh, which the
+    Maxwell mesh is not."""
+    cfg = RunConfig(problem="maxwell", maxwell_cells=8, n_subdomains=4, overlap_mode=mode)
+    with pytest.raises(StructuralError, match=message):
+        run_case(cfg)
+
+
 def test_maxwell_geneo_run_builds_one_coarse_space(monkeypatch):
     """A GenEO-complement run forms and factors only the coarse matrix of
     the joint basis, not that of the free space too."""
@@ -241,15 +252,6 @@ def test_emit_dispersion_round_trip(tmp_path):
             assert abs(by_p[3][inv_g] - 1) < abs(v2 - 1)
 
 
-def test_sweep_workers_match_sequential():
-    base = RunConfig(model="constant", ppwl=8, order=1, dofs_floor=1)
-    args = (base, [1.0, 2.0], [2], ["one-level", "grid"])
-    seq = run_sweep(*args)
-    par = run_sweep(*args, workers=3)
-    strip = lambda rows: [{k: v for k, v in r.items() if "time" not in k} for r in rows]
-    assert strip(seq) == strip(par)
-
-
 def test_estimate_dofs_close_to_actual():
     cfg = RunConfig(f=2.0, ppwl=8, order=2)
     rep = run_case(cfg)
@@ -318,6 +320,27 @@ def test_cli_nonpositive_max_iter_exit_code(tmp_path):
     out = _cli("run", str(cfgfile))
     assert out.returncode == 2
     assert "max_iter must be >= 1" in out.stderr
+
+
+@pytest.mark.parametrize("text,sets,named", [
+    ("ppwl = eight\n", [], "'eight'"),
+    ("ppwl = 8\n", ["max_iter=abc"], "max_iter: 'abc'"),
+    ("ppwl = 8\n", ["f=abc"], "f: 'abc'"),
+    ("ppwl = 8\n", ["partition=grid:3"], "'grid:3'"),
+    ("ppwl = 8\n", ["partition=grid:axb"], "'grid:axb'"),
+    ("ppwl = 8\n", ["n_subdomains=0"], "n_subdomains must be >= 1"),
+], ids=["file-ppwl", "max_iter", "f", "grid-one-count", "grid-letters", "zero-subdomains"])
+def test_cli_malformed_config_value_exits_2(tmp_path, capsys, text, sets, named):
+    """A config value that does not parse, a partition not of the form
+    grid:PXxPY and a subdomain count below 1 are structural errors: exit 2
+    with a message naming the value, no traceback."""
+    from wavedd.cli import main
+
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text("f = 1.0\norder = 1\n" + text)
+    argv = ["run", str(cfgfile)] + [arg for kv in sets for arg in ("--set", kv)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cli_nonconverged_still_exits_zero(tmp_path):

@@ -23,6 +23,7 @@ from wavedd.linalg import (
     krylov_solve,
     lu_factorize,
     orthonormalize,
+    symmetric_lu,
 )
 from wavedd.linalg import _is_hermitian
 
@@ -41,15 +42,14 @@ def test_duplicates_summed():
 
 
 def test_symmetric_flag_passes():
-    A = csr_from_triplets(2, 2, [(0, 1, 3j), (1, 0, 3j)], symmetric=True)
+    A = csr_from_triplets(2, 2, [(0, 1, 3j), (1, 0, 3j)])
     dense = A.toarray()
     assert np.abs(dense - dense.T).max() == 0.0
     assert is_symmetric(A)
 
 
 def test_symmetric_flag_rejects():
-    with pytest.raises(StructuralError):
-        csr_from_triplets(2, 2, [(0, 1, 3j), (1, 0, -3j)], symmetric=True)
+    assert not is_symmetric(csr_from_triplets(2, 2, [(0, 1, 3j), (1, 0, -3j)]))
 
 
 def test_out_of_range_index():
@@ -406,7 +406,7 @@ def test_eig_selection_rules():
     assert [p.value.real for p in below] == pytest.approx([1.0, 2.0])
     above = dense_generalized_eig(A, B, which=EigenSelection("re_above", 2.5, 4))
     assert [p.value.real for p in above] == pytest.approx([4.0, 3.0])
-    top2 = dense_generalized_eig(A, B, which=EigenSelection("k_largest", None, 2))
+    top2 = dense_generalized_eig(A, B, which=EigenSelection("re_above", -np.inf, 2))
     assert [p.value.real for p in top2] == pytest.approx([4.0, 3.0])
 
 
@@ -514,30 +514,26 @@ def _old_residual_rule(A, B, w, v, which):
     w, v = w[keep], v[:, keep]
     idx = np.arange(len(w))
     order = sorted(idx, key=lambda i: (w[i].real, -abs(w[i])))
-    rule, arg = which
+    rule, threshold, m_max = which
     if rule == "re_below":
-        sel = [i for i in order if w[i].real < arg]
+        sel = [i for i in order if w[i].real < threshold]
     elif rule == "re_above":
-        sel = [i for i in reversed(order) if w[i].real > arg]
-    elif rule == "k_largest":
-        sel = list(reversed(order))[: int(arg)]
+        sel = [i for i in reversed(order) if w[i].real > threshold]
     else:
-        sel = sorted(idx, key=lambda i: (-abs(w[i]), -w[i].real))[: int(arg)]
-    return [(complex(w[i]), v[:, i] / np.linalg.norm(v[:, i])) for i in sel]
+        sel = sorted(idx, key=lambda i: (-abs(w[i]), -w[i].real))
+    return [(complex(w[i]), v[:, i] / np.linalg.norm(v[:, i])) for i in sel[:m_max]]
 
 
 def _selection(which, n):
-    """The ``EigenSelection`` of an oracle tuple on a pencil of size n: a
-    threshold rule gets m_max = n, so that it caps nothing."""
-    rule, arg = which
-    if rule in ("re_below", "re_above"):
-        return EigenSelection(rule, arg, n)
-    return EigenSelection(rule, None, arg)
+    """The ``EigenSelection`` of an oracle triple on a pencil of size n: an
+    m_max of None becomes n, which caps nothing."""
+    rule, threshold, m_max = which
+    return EigenSelection(rule, threshold, n if m_max is None else m_max)
 
 
-@pytest.mark.parametrize("which", [("re_below", 0.0), ("re_above", 0.0),
-                                   ("k_largest", 7), ("abs_largest", 7)],
-                         ids=lambda which: which[0])
+@pytest.mark.parametrize("which", [("re_below", 0.0, None), ("re_above", 0.0, None),
+                                   ("re_above", -np.inf, 7), ("abs_largest", None, 7)],
+                         ids=["re_below", "re_above", "re_above_capped", "abs_largest"])
 def test_lazy_residual_check_selects_the_pairs_of_the_eager_rule(monkeypatch, which):
     """Checking the residual only on the pairs the selection reaches keeps
     exactly the pairs, values and vectors bit for bit, that checking every
@@ -563,7 +559,7 @@ def test_m_max_stops_the_residual_check_at_the_last_kept_pair(monkeypatch):
     pairs = dense_generalized_eig(A, B, which=EigenSelection("re_above", 0.0, 3))
     w, v = solved[-1]
     assert (w.real > 0.0).sum() > 5
-    ref = _old_residual_rule(A, B, w, np.asfortranarray(v), ("re_above", 0.0))
+    ref = _old_residual_rule(A, B, w, np.asfortranarray(v), ("re_above", 0.0, None))
     assert pairs.rejected == 0 and len(pairs) == 3
     for p, (value, vector) in zip(pairs, ref[:3]):
         assert p.value == value
@@ -573,28 +569,28 @@ def test_m_max_stops_the_residual_check_at_the_last_kept_pair(monkeypatch):
 def _operator_pencil(n=80):
     """A real symmetric pencil: A, the tridiagonal [-1, 2 + x_i, -1] with x_i
     spread over [0, 8], given as a LinearOperator, and a sparse SPD
-    tridiagonal B; and A as a sparse matrix, and the values in descending
-    order from a dense solve."""
+    tridiagonal B, given as the ``symmetric_lu`` factor that carries it; and
+    A as a sparse matrix, and the values in descending order from a dense
+    solve."""
     x = np.linspace(0.0, 8.0, n) ** 2 / 8.0
     A = sp.diags([-np.ones(n - 1), 2.0 + x, -np.ones(n - 1)], [-1, 0, 1], format="csr")
     B = sp.diags([-0.3 * np.ones(n - 1), 2.0 * np.ones(n), -0.3 * np.ones(n - 1)],
                  [-1, 0, 1], format="csr")
     values = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)[::-1]
-    return spla.aslinearoperator(A), B, A, values
+    return spla.aslinearoperator(A), symmetric_lu(B)[0], A, values
 
 
 @pytest.mark.parametrize("rule,above,m_max,ks,count", [
     ("re_above", 6, 20, [4, 8], 6),     # k grows 4 -> 8, and 8 hold all 6
     ("re_above", 10, 6, [4, 6], 6),     # k grows 4 -> 6 = m_max, the cap
     ("re_above", 2, 20, [4], 2),
-    ("k_largest", None, 3, [3], 3),     # m_max at once
 ])
 def test_operator_pencil_is_solved_by_arpack(monkeypatch, rule, above, m_max, ks, count):
     """Under "re_above" ARPACK starts at k = 4 and doubles k while all k
-    values pass the threshold, up to m_max; "k_largest" asks for m_max at
-    once.  The pairs are those of the dense solve of the same pencil."""
+    values pass the threshold, up to m_max.  The pairs are those of the
+    dense solve of the same pencil."""
     op, B, A, values = _operator_pencil()
-    threshold = None if above is None else 0.5 * (values[above - 1] + values[above])
+    threshold = 0.5 * (values[above - 1] + values[above])
     which = EigenSelection(rule, threshold, m_max)
     calls = []
     real = spla.eigsh
@@ -606,7 +602,7 @@ def test_operator_pencil_is_solved_by_arpack(monkeypatch, rule, above, m_max, ks
     monkeypatch.setattr(spla, "eigsh", eigsh)
     pairs = dense_generalized_eig(op, B, which=which)
     assert calls == ks and not pairs.fallback and pairs.rejected == 0
-    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    dense = dense_generalized_eig(A.toarray(), B.matrix.toarray(), which=which)
     assert len(pairs) == len(dense) == count
     for p, q in zip(pairs, dense):
         assert abs(p.value - q.value) <= 1e-10 * abs(q.value)
@@ -624,8 +620,21 @@ def test_operator_pencil_outside_arpack_takes_the_dense_path(monkeypatch, n, whi
     op, B, A, _ = _operator_pencil(n)
     monkeypatch.setattr(spla, "eigsh", None)  # any call would fail
     pairs = dense_generalized_eig(op, B, which=which)
-    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    dense = dense_generalized_eig(A.toarray(), B.matrix.toarray(), which=which)
     assert not pairs.fallback and len(pairs) == len(dense) > 0
+    for p, q in zip(pairs, dense):
+        assert abs(p.value - q.value) <= 1e-10 * abs(q.value)
+
+
+def test_operator_pencil_with_an_unfactored_right_side_takes_the_dense_path(monkeypatch):
+    """ARPACK takes B only as a ``Factorization``: a bare sparse B under
+    "re_above" is densified and solved by the dense path, without a flag."""
+    op, B, A, values = _operator_pencil()
+    monkeypatch.setattr(spla, "eigsh", None)  # any call would fail
+    which = EigenSelection("re_above", 0.5 * (values[5] + values[6]), 20)
+    pairs = dense_generalized_eig(op, B.matrix, which=which)
+    dense = dense_generalized_eig(A.toarray(), B.matrix.toarray(), which=which)
+    assert not pairs.fallback and len(pairs) == len(dense) == 6
     for p, q in zip(pairs, dense):
         assert abs(p.value - q.value) <= 1e-10 * abs(q.value)
 
@@ -652,7 +661,7 @@ def test_arpack_failure_is_solved_densely_and_flagged(monkeypatch, failure):
     monkeypatch.setattr(spla, "eigsh", failing)
     which = EigenSelection("re_above", 0.5 * (values[2] + values[3]), 20)
     pairs = dense_generalized_eig(op, B, which=which)
-    dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
+    dense = dense_generalized_eig(A.toarray(), B.matrix.toarray(), which=which)
     assert pairs.fallback and not dense.fallback and pairs.rejected == 0
     assert [p.value for p in pairs] == [q.value for q in dense]
 
@@ -663,6 +672,7 @@ def test_sparse_pencil_is_solved_as_its_dense_arrays(kind):
     ``Factorization`` carrying it, gives the pairs of its densified arrays,
     bit for bit."""
     _, B, A, values = _operator_pencil(60)
+    B = B.matrix
     if kind == "complex":
         n = A.shape[0]
         A = (A + 1j * sp.diags(np.linspace(0.0, 1.0, n))).tocsr()
@@ -671,7 +681,7 @@ def test_sparse_pencil_is_solved_as_its_dense_arrays(kind):
         Bin = B
     else:
         which = EigenSelection("re_above", 0.5 * (values[9] + values[10]), 20)
-        Bin = Factorization(spla.splu(B.tocsc()), B.shape[0], B)
+        Bin = Factorization(spla.splu(B.tocsc()), B)
     pairs = dense_generalized_eig(A, Bin, which=which)
     dense = dense_generalized_eig(A.toarray(), B.toarray(), which=which)
     assert len(pairs) == len(dense) > 0
