@@ -50,10 +50,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _values(text: str, kind, flag: str) -> list:
+    """The comma-separated values of ``flag``, each parsed by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise StructuralError(f"{flag} expects comma-separated {kind.__name__} "
+                              f"values, got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.set)
-    fs = [float(v) for v in args.f.split(",")]
-    ns = [int(v) for v in args.n.split(",")]
+    fs = _values(args.f, float, "--f")
+    ns = _values(args.n, int, "--n")
     methods = args.methods.split(",")
     rows = run_sweep(cfg, fs, ns, methods)
     text = sweep_to_csv(rows, path=args.out)

@@ -113,7 +113,10 @@ def csr_from_triplets(nrows, ncols, triplets) -> sp.csr_matrix:
 
 
 class Factorization:
-    """Reusable sparse LU handle; safe for concurrent solves.  ``dtype`` is
+    """Reusable sparse LU handle; safe for concurrent solves.  It holds one
+    copy of L and U, SuperLU's own: the factor rules below read the pivots
+    through ``_pivots``, which drops the CSC copies of L and U that the read
+    leaves cached on the SuperLU object.  ``dtype`` is
     the dtype of the matrix factored, taken from ``matrix`` when not given:
     ``solve`` splits a complex right side of a real factor into two real
     solves, and a caller that sums solves sizes its output by it.
@@ -146,7 +149,8 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     matrices keep COLAMD; ``spd_factorize`` serves the real SPD ones.
     Raises StructuralError for an unknown ordering, and SingularityError when
     SuperLU hits an exact zero pivot or when the factorization leaves a pivot
-    below 1e-14 * max|A|.
+    below 1e-14 * max|A|.  The pivots are read exactly, by ``_pivots``, and
+    the factor keeps no second copy of L and U.
     """
     if ordering not in ("NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD"):
         raise StructuralError(f"unknown LU column ordering {ordering!r}")
@@ -162,10 +166,29 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
             lu = spla.splu(A, permc_spec=ordering)
     except RuntimeError as exc:
         raise SingularityError(f"sparse LU failed: {exc}") from exc
-    piv = np.abs(lu.U.diagonal())
+    piv = np.abs(_pivots(lu))
     if piv.min() <= 1e-14 * scale:
         raise SingularityError(f"pivot {piv.min():.3e} below threshold {1e-14 * scale:.3e}")
     return Factorization(lu, dtype=A.dtype)
+
+
+def _pivots(lu) -> np.ndarray:
+    """The pivots of the SuperLU factor ``lu``, the diagonal of its U.  Only
+    ``lu.U`` gives them, and its first read makes CSC copies of both L and U
+    that scipy (1.17.1) caches on ``lu`` for as long as the factor lives,
+    as large as the factor itself.  The same two cached matrices come back
+    on every read, so their arrays are replaced here: U keeps only its
+    diagonal, so that a later ``lu.U.diagonal()`` still reads the pivots, and
+    L nothing.  The factor's solves read SuperLU's own storage and
+    do not change; a scipy that caches nothing makes this a temporary."""
+    L, U = lu.L, lu.U
+    piv = U.diagonal()
+    n = piv.size
+    L.data, L.indices = np.empty(0, L.data.dtype), np.empty(0, L.indices.dtype)
+    L.indptr = np.zeros_like(L.indptr)
+    U.data, U.indices = piv, np.arange(n, dtype=U.indices.dtype)
+    U.indptr = np.arange(n + 1, dtype=U.indptr.dtype)
+    return piv
 
 
 def symmetric_lu(B: sp.spmatrix):
@@ -185,7 +208,7 @@ def symmetric_lu(B: sp.spmatrix):
     except RuntimeError:
         return None, False
     floor = 1e-14 * np.abs(B.data).max(initial=0.0)
-    spd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > floor)
+    spd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(_pivots(lu) > floor)
     return Factorization(lu, B), bool(spd)
 
 

@@ -61,6 +61,13 @@ and freed on the calling one, and not at all when both ran on one thread.
 So the Robin factors are made serially, though two threads would overlap
 them (see ROADMAP's closed list).
 
+The memory rule beside that thread rule: a preconditioner holds only what
+its apply reads.  ``OneLevel`` keeps each subdomain's dofs, factor and
+weights and the global size, not the decomposition, so a preconditioner that
+outlives its set-up does not pin the local matrices, the mesh or anything
+else the set-up made; and every sparse factor holds one copy of L and U,
+SuperLU's own (``linalg._pivots`` drops the copies its pivot read caches).
+
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
 stays a symmetric preconditioner for CG.
@@ -119,10 +126,11 @@ class OneLevel:
     (``maxwell.build_edge_decomposition``) has W_j = I (additive Schwarz).
     The output has the dtype of v and the factors combined, so a real
     Maxwell preconditioner serves GMRES's complex vectors as well as CG's.
+    It keeps no reference to ``dec``, only the local triples and n_dofs.
     Raises StructuralError naming the first subdomain with neither factor."""
 
     def __init__(self, dec: Decomposition):
-        self.dec = dec
+        self._n = dec.n_dofs
         self._local = []
         for sd in dec.subdomains:
             if sd.robin_fact is not None:
@@ -134,7 +142,7 @@ class OneLevel:
         self._dtype = np.result_type(*(f.dtype for _, f, _ in self._local))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dec.n_dofs, dtype=np.result_type(v, self._dtype))
+        out = np.zeros(self._n, dtype=np.result_type(v, self._dtype))
         for dofs, fact, weights in self._local:
             x = fact.solve(v[dofs])
             out[dofs] += x if weights is None else weights * x

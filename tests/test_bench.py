@@ -343,6 +343,20 @@ def test_cli_malformed_config_value_exits_2(tmp_path, capsys, text, sets, named)
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f,n,named", [("abc", "2", "--f expects"), ("1", "2.5", "--n expects")])
+def test_cli_sweep_malformed_list_exits_2(tmp_path, capsys, f, n, named):
+    """A ``--f`` value that is not a float, or a ``--n`` value that is not
+    an int, is a structural error: exit 2 with an error line naming the
+    flag, no traceback."""
+    from wavedd.cli import main
+
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text("ppwl = 8\norder = 1\n")
+    assert main(["sweep", str(cfgfile), "--f", f, "--n", n, "--methods", "one-level"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + named) and "Traceback" not in err
+
+
 def test_cli_nonconverged_still_exits_zero(tmp_path):
     cfgfile = tmp_path / "hard.cfg"
     cfgfile.write_text("f = 4.0\nppwl = 8\norder = 1\nn_subdomains = 16\n"

@@ -1,10 +1,12 @@
 """ORAS, coarse spaces, and two-level combinations."""
 
+import gc
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -127,6 +129,21 @@ def test_one_level_names_a_subdomain_without_factor():
     dec.subdomains[2].robin_fact = None
     with pytest.raises(StructuralError, match="subdomain 2 has no local factorization"):
         OneLevel(dec)
+
+
+def test_one_level_does_not_pin_its_decomposition():
+    """An ORAS ``OneLevel`` keeps its subdomains' dofs, factors and weights,
+    not the decomposition: once the caller drops ``dec`` it is collected,
+    and the apply returns the same array, bit for bit."""
+    _, _, _, _, dec = _setup(nx=6, ny=6, N=2, shape="strips", order=1)
+    one = OneLevel(dec)
+    v = np.random.default_rng(5).standard_normal(dec.n_dofs) + 0j
+    before = one.apply(v)
+    ref = weakref.ref(dec)
+    del dec
+    gc.collect()
+    assert ref() is None
+    assert np.array_equal(one.apply(v), before)
 
 
 def test_oras_linear():
