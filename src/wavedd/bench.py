@@ -256,8 +256,7 @@ def _helmholtz(cfg: RunConfig):
     system = assemble_helmholtz(prob)
     shape, grid = _partition_args(cfg)
     dec = decompose(mesh, cfg.n_subdomains, shape=shape, grid=grid,
-                    layers=cfg.overlap_layers, mode=cfg.overlap_mode,
-                    coarse_levels=cfg.coarse_refine)
+                    layers=cfg.overlap_layers, mode=cfg.overlap_mode)
     assemble_local_matrices(dec, prob, system)
     return system, dec, {
         "grid": lambda: build_grid_cs(prob, coarse, system),

@@ -74,7 +74,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    orders = [int(v) for v in args.orders.split(",")]
+    orders = _values(args.orders, int, "--orders")
     schemes = args.schemes.split(",")
     specs = [DispersionSpec(p=p, scheme=s, G=args.min_g)
              for s in schemes for p in orders]

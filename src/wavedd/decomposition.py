@@ -205,18 +205,17 @@ def decompose(
     grid=None,
     layers: int = 1,
     mode: str = "minimum",
-    coarse_levels: int = 1,
     element_dofs: np.ndarray | None = None,
     n_dofs: int | None = None,
 ) -> Decomposition:
     """Partition + overlap + partition of unity in one call.  For
-    mode="coarse" the partition is built `coarse_levels` ancestors up."""
+    mode="coarse" the partition is built on the coarsest ancestor of `mesh`,
+    the root of its refinement chain."""
     target = mesh
     if mode == "coarse":
-        for _ in range(coarse_levels):
-            if target.parent is None:
-                raise StructuralError("coarse overlap needs a refined mesh")
-            target = target.parent
+        if mesh.parent is None:
+            raise StructuralError("coarse overlap needs a refined mesh")
+        *_, target = mesh.ancestors()
     part = partition_geometric(target, N, shape=shape, grid=grid)
     dec = extend_overlap(part, mesh, layers=layers, mode=mode,
                          element_dofs=element_dofs, n_dofs=n_dofs)

@@ -45,7 +45,6 @@ __all__ = [
     "symmetric_lu",
     "krylov_solve",
     "dense_generalized_eig",
-    "eigenpair_residual",
     "orthonormalize",
 ]
 
@@ -413,13 +412,6 @@ class EigenPair:
     vector: np.ndarray
 
 
-def eigenpair_residual(A, B, pair: EigenPair) -> float:
-    """||A v - lambda B v||_2 for a pair of the pencil (A, B)."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    return float(np.linalg.norm(A @ pair.vector - pair.value * (B @ pair.vector)))
-
-
 def _is_hermitian(M: np.ndarray) -> bool:
     atol = 1e-12 * max(1.0, np.abs(M).max())
     # M - M* has the diagonal 2i Im(M_ii): a complex M whose diagonal fails
@@ -439,12 +431,6 @@ class EigenPairs(list):
     fallback = False
 
 
-def _ascending(values):
-    """The indices of ``values`` by ascending real part, ties broken by
-    descending magnitude; the sort is stable."""
-    return sorted(range(len(values)), key=lambda i: (values[i].real, -abs(values[i])))
-
-
 @dataclass(frozen=True)
 class EigenSelection:
     """The eigenpairs of a local pencil that a spectral coarse space keeps:
@@ -457,9 +443,11 @@ class EigenSelection:
                     troublesome quasi-resonant modes carry large |lambda| of
                     arbitrary phase).
 
-    Ties are broken by descending magnitude.  "abs_largest" ignores
-    ``threshold``.  The DtN builder reads a "re_below" threshold of
-    None as the subdomain wavenumber k_j.
+    Ties in the real part are broken by descending magnitude under
+    "re_below" and, as the reverse of that order, by ascending magnitude
+    under "re_above"; ties in magnitude by descending real part under
+    "abs_largest", which ignores ``threshold``.  "re_below" at +inf with an
+    m_max of the pencil size keeps every finite pair.
     """
 
     rule: str = "re_above"
@@ -476,7 +464,8 @@ class EigenSelection:
         """The indices of ``values`` in rule order, less those the threshold excludes."""
         if self.rule == "abs_largest":
             return sorted(range(len(values)), key=lambda i: (-abs(values[i]), -values[i].real))
-        order = _ascending(values)
+        # ascending real part, ties by descending magnitude; the sort is stable
+        order = sorted(range(len(values)), key=lambda i: (values[i].real, -abs(values[i])))
         if self.rule == "re_below":
             return [i for i in order if values[i].real < self.threshold]
         return [i for i in reversed(order) if values[i].real > self.threshold]
@@ -571,7 +560,7 @@ def _arpack_eig(A, B, which: EigenSelection) -> EigenPairs | None:
     return pairs
 
 
-def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPairs:
+def dense_generalized_eig(A, B, which: EigenSelection) -> EigenPairs:
     """Solve the generalized eigenproblem A v = lambda B v and select its
     pairs.
 
@@ -581,14 +570,13 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     infinite eigenvalues).  Returned vectors have unit 2-norm.
 
     The pairs are taken in the order of the ``EigenSelection`` ``which``, at
-    most its m_max of them (None: every pair, ascending real part).  Each
-    must pass the residual contract ||A v - lambda B v|| <= 1e-8 (||A||_F +
-    |lambda| ||B||_F); one that fails is dropped and the next takes its
-    place.  The contract is checked a batch at a time, with one product by A
-    and one by B: first for the m_max leading pairs, then for as many of the
-    next ones as pairs were dropped, so only the pairs up to the last one
-    kept are checked; the returned ``EigenPairs`` counts the dropped ones in
-    ``rejected``.
+    most its m_max of them.  Each must pass the residual contract
+    ||A v - lambda B v|| <= 1e-8 (||A||_F + |lambda| ||B||_F); one that
+    fails is dropped and the next takes its place.  The contract is checked
+    a batch at a time, with one product by A and one by B: first for the
+    m_max leading pairs, then for as many of the next ones as pairs were
+    dropped, so only the pairs up to the last one kept are checked; the
+    returned ``EigenPairs`` counts the dropped ones in ``rejected``.
 
     A real symmetric pencil given as a ``scipy.sparse.linalg.LinearOperator``
     A and the ``Factorization`` of a sparse SPD B that carries it, under the
@@ -608,7 +596,7 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
     """
     fallback = False
     if (isinstance(A, spla.LinearOperator) and isinstance(B, Factorization)
-            and which is not None and which.rule == "re_above"):
+            and which.rule == "re_above"):
         try:
             pairs = _arpack_eig(A, B, which)
             if pairs is not None:
@@ -628,8 +616,8 @@ def dense_generalized_eig(A, B, which: EigenSelection | None = None) -> EigenPai
         raise NumericError(f"generalized eigensolve failed: {exc}") from exc
     # singular B pollutes every solver path: drop infinite values
     finite = np.flatnonzero(np.isfinite(w))
-    candidates = finite[_ascending(w[finite]) if which is None else which.order(w[finite])]
-    limit = len(candidates) if which is None else which.m_max
+    candidates = finite[which.order(w[finite])]
+    limit = which.m_max
     pairs = EigenPairs()
     pairs.fallback = fallback
     start = 0

@@ -450,6 +450,7 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
     ``CoarseSpace`` forms and factors the sparse E of the joint basis."""
     free = _free_basis(dec, sys) if free_cs is None else free_cs.Z
     C = sys.C.tocsc()
+    selection = EigenSelection("re_above", tau, m_max)
 
     def pencil(sd):
         rhs, flagged = _sparse_spd_or_shifted(sd.neumann.real)
@@ -473,13 +474,11 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
             v = v.real
             return D * (v - xi(v))
 
-        return op, rhs, lift, flagged
+        return op, rhs, selection, lift, flagged
 
-    selection = EigenSelection("re_above", tau, m_max)
-    modes, flags, counts, rejected = _local_modes(dec, pencil, selection)
+    modes, record = _local_modes(dec, pencil)
     Z = _independent_columns(sp.hstack([free, modes]), kept=free.shape[1])
-    cs = CoarseSpace(_unit_a_norm(Z, sys.A), sys.A, provenance="maxwell-geneo",
-                     flags=flags, per_subdomain=counts, rejected=rejected)
+    cs = CoarseSpace(_unit_a_norm(Z, sys.A), sys.A, provenance="maxwell-geneo", **record)
     cs.dim_gradient_space = int(sys.C.shape[1])
     cs.dim_vg = free.shape[1]
     return cs

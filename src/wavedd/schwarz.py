@@ -25,9 +25,11 @@ Every coarse space stores one basis, the sparse CSC matrix Z of locally
 supported columns, and a sparse E = Z* A Z; the correction depends only on
 span(Z), so no basis is orthonormalized globally.  The spectral spaces of
 both physics share one loop, ``_local_modes``: per subdomain a local pencil,
-the eigenpairs that ``dense_generalized_eig`` selects by an
-``EigenSelection`` (re-exported here from ``wavedd.linalg``), and their lift
-to sparse global columns.  A builder supplies only its pencil and its lift;
+the eigenpairs that ``dense_generalized_eig`` selects, and their lift to
+sparse global columns.  A builder supplies only its pencil, which carries
+everything particular to the method: the two sides, the ``EigenSelection``
+of its pairs (re-exported here from ``wavedd.linalg``), the lift, and
+whether the subdomain is flagged.  The loop knows no rule of any method;
 ``_independent_columns`` then keeps the independent columns.  The DtN,
 H-GenEO and Delta-GenEO spaces here and Maxwell's GenEO complement are four
 pencils on that loop.  DtN's Schur-complement pencil is dense.  The H-GenEO
@@ -35,10 +37,9 @@ and Delta-GenEO pencils are sparse matrices, the Delta-GenEO right side
 passed as the ``Factorization`` of its SPD test; ``dense_generalized_eig``
 densifies them.  The GenEO complement is a ``LinearOperator`` against the
 ``Factorization`` of its SPD test, which ``dense_generalized_eig`` solves
-by ARPACK; a
-subdomain on which ARPACK fails is re-solved densely and flagged.  One
-SPD-or-shift rule, ``_sparse_spd_or_shifted``, regularizes the real
-symmetric right sides of Delta-GenEO and the GenEO complement.
+by ARPACK; a subdomain on which ARPACK fails is re-solved densely and
+flagged.  One SPD-or-shift rule, ``_sparse_spd_or_shifted``, regularizes
+the real symmetric right sides of Delta-GenEO and the GenEO complement.
 
 The loop builds the pencils on the calling thread and solves the complex
 ones (DtN, H-GenEO) on a pool of two threads, at most two at a time, while
@@ -74,7 +75,6 @@ stays a symmetric preconditioner for CG.
 """
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import replace
@@ -94,7 +94,6 @@ from .helmholtz import (
     assemble_helmholtz_subset,
 )
 from .linalg import (
-    EigenPairs,
     EigenSelection,
     dense_generalized_eig,
     is_symmetric,
@@ -173,8 +172,9 @@ class CoarseSpace:
     eigenpairs that the residual contract of ``dense_generalized_eig``
     dropped.  ``flags`` lists the subdomains whose modes did not come from
     the plain solve of their pencil: the pencil was shift-regularized (a
-    singular Neumann matrix or DtN interior block), or ARPACK failed on it
-    and it was re-solved densely (``EigenPairs.fallback``).
+    singular Neumann matrix or DtN interior block), ARPACK failed on it and
+    it was re-solved densely (``EigenPairs.fallback``), or a DtN subdomain
+    has an empty interface and so an empty pencil and no modes.
     Raises SingularityError when a pivot of the partial-pivoting factor of E
     falls below 1e-14 * max|E|, the rule of ``lu_factorize``: Z has
     (numerically) dependent columns or the indefinite E is singular.
@@ -345,46 +345,65 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
 # ------------------------------------------------------------------ spectral CS
 
 
-def _solved_pencils(dec: Decomposition, pencil, selection: EigenSelection):
-    """(sd, lift, flagged, pairs) of every subdomain, strictly in subdomain
-    order, for ``_local_modes``; a skipped subdomain has no lift and no
-    pairs.
+def _local_modes(dec: Decomposition, pencil):
+    """The loop of every spectral coarse space, Helmholtz and Maxwell alike.
+
+    Per subdomain, ``pencil(sd)`` returns the local pencil (lhs, rhs), the
+    ``EigenSelection`` of its pairs, the lift of a local eigenvector to its
+    values on ``sd.dofs``, and whether the subdomain is flagged.  A 0 x 0
+    pencil gives the subdomain no modes.  The eigenpairs that ``dense_generalized_eig``
+    selects are lifted to sparse global columns.  Returns those columns as
+    one CSC matrix, and the record that ``CoarseSpace`` takes: ``flags``, the
+    indices of the flagged subdomains (by their pencil, or solved densely
+    after ARPACK failed), and per subdomain the mode count,
+    ``per_subdomain``, and the number of pairs that the residual contract
+    rejected, ``rejected``.
 
     The pencils are built here, one after another.  A complex one is solved
     by a pool of two threads, at most two solves in flight: while both run,
     the next pencil waits for one of them to end.  Real pencils are solved
-    here.  A result is yielded as soon as every earlier one has been, so an
-    exception of a solve is raised at its subdomain's turn, and the solves
-    still in flight end before it leaves.  A "re_below" threshold of None is
-    the subdomain wavenumber k_j.
+    here.  The pairs are taken strictly in subdomain order, each as soon as
+    every earlier subdomain's have been, so an exception of a solve is
+    raised at its subdomain's turn, and the solves still in flight end
+    before it leaves.
     """
-    pending = deque()  # (sd, lift, flagged, future of the pairs), not yet yielded
+    rows, vals = [], []
+    record = {"flags": [], "per_subdomain": [], "rejected": []}
+
+    def take(sd, lift, flagged, future):
+        pairs = future.result()
+        if flagged or pairs.fallback:
+            record["flags"].append(sd.index)
+        record["rejected"].append(pairs.rejected)
+        record["per_subdomain"].append(len(pairs))
+        for p in pairs:
+            rows.append(sd.dofs)
+            vals.append(lift(p.vector))
+
+    pending = deque()  # (sd, lift, flagged, future of the pairs), not yet taken
     with ThreadPoolExecutor(max_workers=2) as pool:
         for sd in dec.subdomains:
-            local = pencil(sd)
-            if local is None:
-                pending.append((sd, None, False, _resolved(EigenPairs())))
+            lhs, rhs, which, lift, flagged = pencil(sd)
+            pooled = np.iscomplexobj(lhs) or np.iscomplexobj(rhs)
+            solve = partial(dense_generalized_eig, lhs, rhs, which=which)
+            del lhs, rhs  # only ``solve`` holds the pencil
+            if pooled:
+                running = [f for *_, f in pending if not f.done()]
+                if len(running) == 2:
+                    wait(running, return_when=FIRST_COMPLETED)
+                future = pool.submit(solve)
             else:
-                lhs, rhs, lift, flagged = local
-                which = selection
-                if selection.rule == "re_below" and selection.threshold is None:
-                    which = replace(selection, threshold=sd.k_max)
-                pooled = np.iscomplexobj(lhs) or np.iscomplexobj(rhs)
-                solve = partial(dense_generalized_eig, lhs, rhs, which=which)
-                del local, lhs, rhs  # only ``solve`` holds the pencil
-                if pooled:
-                    running = [f for *_, f in pending if not f.done()]
-                    if len(running) == 2:
-                        wait(running, return_when=FIRST_COMPLETED)
-                    future = pool.submit(solve)
-                else:
-                    future = _resolved(solve())
-                pending.append((sd, lift, flagged, future))
-                del solve, lift  # a lift may hold large factors: only ``pending`` keeps it
+                future = _resolved(solve())
+            pending.append((sd, lift, flagged, future))
+            del solve, lift  # a lift may hold large factors: only ``pending`` keeps it
             while pending and pending[0][3].done():
-                yield _delivered(pending)
+                take(*pending.popleft())
         while pending:
-            yield _delivered(pending)
+            take(*pending.popleft())
+    Z = sp.csc_matrix((np.concatenate([np.empty(0)] + vals),
+                       np.concatenate([np.empty(0, np.int64)] + rows),
+                       np.cumsum([0] + [r.size for r in rows])), shape=(dec.n_dofs, len(rows)))
+    return Z, record
 
 
 def _resolved(pairs) -> Future:
@@ -392,44 +411,6 @@ def _resolved(pairs) -> Future:
     future = Future()
     future.set_result(pairs)
     return future
-
-
-def _delivered(pending: deque):
-    """The oldest entry of ``pending``, removed, with its pairs; waits for
-    them, and raises the exception of their solve."""
-    sd, lift, flagged, future = pending.popleft()
-    return sd, lift, flagged, future.result()
-
-
-def _local_modes(dec: Decomposition, pencil, selection: EigenSelection):
-    """The loop of every spectral coarse space, Helmholtz and Maxwell alike.
-
-    Per subdomain, ``pencil(sd)`` returns the local pencil (lhs, rhs), the
-    lift of a local eigenvector to its values on ``sd.dofs``, and whether the
-    pencil had to be regularized; or None to skip the subdomain.  The
-    eigenpairs that ``dense_generalized_eig`` selects by ``selection`` are
-    lifted to sparse global columns.  Returns those columns as one CSC
-    matrix, the indices of the flagged subdomains (regularized, or solved
-    densely after ARPACK failed), and per subdomain the mode count and the
-    number of pairs that the residual contract rejected.
-    """
-    rows, vals = [], []
-    flags = []
-    counts = []
-    rejected = []
-    for sd, lift, flagged, pairs in _solved_pencils(dec, pencil, selection):
-        if flagged or pairs.fallback:
-            flags.append(sd.index)
-        rejected.append(pairs.rejected)
-        counts.append(len(pairs))
-        for p in pairs:
-            rows.append(sd.dofs)
-            vals.append(lift(p.vector))
-        del lift  # before the next pencil is built
-    Z = sp.csc_matrix((np.concatenate([np.empty(0)] + vals),
-                       np.concatenate([np.empty(0, np.int64)] + rows),
-                       np.cumsum([0] + [r.size for r in rows])), shape=(dec.n_dofs, len(rows)))
-    return Z, flags, counts, rejected
 
 
 def _sparse_spd_or_shifted(rhs: sp.spmatrix):
@@ -449,12 +430,11 @@ def _sparse_spd_or_shifted(rhs: sp.spmatrix):
 
 
 def _spectral_cs(dec: Decomposition, system: AssembledSystem, provenance: str,
-                 pencil, selection: EigenSelection) -> CoarseSpace:
+                 pencil) -> CoarseSpace:
     """A Helmholtz spectral coarse space: the independent columns of
     ``_local_modes``."""
-    Z, flags, counts, rejected = _local_modes(dec, pencil, selection)
-    return CoarseSpace(_independent_columns(Z), system.A, provenance=provenance,
-                       flags=flags, per_subdomain=counts, rejected=rejected)
+    Z, record = _local_modes(dec, pencil)
+    return CoarseSpace(_independent_columns(Z), system.A, provenance=provenance, **record)
 
 
 def _dtn_pencil(sd):
@@ -491,17 +471,32 @@ def build_dtn_cs(dec: Decomposition, system: AssembledSystem,
                  ) -> CoarseSpace:
     """DtN coarse space: interface modes with Re(lambda) below the local
     wavenumber, lifted into the subdomain by the discrete Helmholtz extension
-    and weighted with the partition of unity."""
+    and weighted with the partition of unity.
+
+    A "re_below" threshold of None is the subdomain wavenumber k_j
+    (``sd.k_max``); in the Laplace limit, k_j = 0, it selects nothing: the
+    pencil is empty, 0 x 0, and the subdomain gets no modes.  A subdomain
+    with an empty interface has no DtN modes either: its pencil is empty
+    too, and the subdomain is flagged."""
+
+    def no_modes(flagged):
+        # ``dense_generalized_eig`` returns no pairs for a 0 x 0 pencil before
+        # it reads the selection, so an unresolved threshold is never compared
+        empty = np.zeros((0, 0))
+        return empty, empty, selection, None, flagged
 
     def pencil(sd):
         if sd.interface_dofs is None or sd.interface_dofs.size == 0:
-            warnings.warn(f"subdomain {sd.index} has an empty interface; skipped")
-            return None
-        if selection.rule == "re_below" and selection.threshold is None and sd.k_max <= 0:
-            return None  # Laplace limit: Re(lambda) < k_j = 0 selects nothing
-        return _dtn_pencil(sd)
+            return no_modes(True)
+        which = selection
+        if selection.rule == "re_below" and selection.threshold is None:
+            if sd.k_max <= 0:
+                return no_modes(False)
+            which = replace(selection, threshold=sd.k_max)
+        S, M_G, lift, flagged = _dtn_pencil(sd)
+        return S, M_G, which, lift, flagged
 
-    return _spectral_cs(dec, system, "dtn", pencil, selection)
+    return _spectral_cs(dec, system, "dtn", pencil)
 
 
 def build_hgeneo_cs(dec: Decomposition, system: AssembledSystem,
@@ -522,9 +517,9 @@ def build_hgeneo_cs(dec: Decomposition, system: AssembledSystem,
 
     def pencil(sd):
         D = sp.diags(sd.weights)
-        return D @ L[np.ix_(sd.dofs, sd.dofs)] @ D, sd.neumann, lambda u: u, False
+        return D @ L[np.ix_(sd.dofs, sd.dofs)] @ D, sd.neumann, selection, lambda u: u, False
 
-    return _spectral_cs(dec, system, "hgeneo", pencil, selection)
+    return _spectral_cs(dec, system, "hgeneo", pencil)
 
 
 def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
@@ -542,6 +537,6 @@ def build_deltageneo_cs(dec: Decomposition, problem: HelmholtzProblem,
             problem, sd.elements, sd.dofs, sign_w=+1.0, impedance=False,
             dirichlet_dofs=system.dirichlet_dofs,
         ).real)
-        return lhs, rhs, lambda u: D * u, flagged
+        return lhs, rhs, selection, lambda u: D * u, flagged
 
-    return _spectral_cs(dec, system, "deltageneo", pencil, selection)
+    return _spectral_cs(dec, system, "deltageneo", pencil)

@@ -1,9 +1,10 @@
 """Benchmark driver: configs, sweeps, CSV output, CLI."""
 
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -355,6 +356,27 @@ def test_cli_sweep_malformed_list_exits_2(tmp_path, capsys, f, n, named):
     assert main(["sweep", str(cfgfile), "--f", f, "--n", n, "--methods", "one-level"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + named) and "Traceback" not in err
+
+
+def test_cli_dispersion_malformed_orders_exits_2(capsys):
+    """An ``--orders`` value that is not an int is a structural error: exit
+    2 with an error line naming the flag, no traceback."""
+    from wavedd.cli import main
+
+    assert main(["dispersion", "--orders", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --orders expects") and "Traceback" not in err
+
+
+def test_readme_config_table_lists_every_config_field():
+    """The README's config table names exactly the fields of ``RunConfig``,
+    each once."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    table = text.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+    keys = [k for row in table.splitlines()[2:]
+            for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
 def test_cli_nonconverged_still_exits_zero(tmp_path):

@@ -106,6 +106,22 @@ def test_coarse_overlap_width_scales_with_refinement():
     assert reach < 4 * h_fine + 1e-12
 
 
+def test_coarse_decomposition_partitions_the_coarsest_ancestor():
+    """``decompose`` in coarse mode partitions the root of the refinement
+    chain, however many times the mesh was refined; a mesh with no parent
+    has no coarse overlap."""
+    root = build_rect_mesh(1.0, 1.0, 4, 4)
+    fine = refine_uniform(root, 2)
+    dec = decompose(fine, 2, shape="strips", mode="coarse")
+    ref = extend_overlap(partition_geometric(root, 2, shape="strips"), fine, mode="coarse")
+    for sd, expected in zip(dec.subdomains, ref.subdomains, strict=True):
+        assert np.array_equal(sd.elements, expected.elements)
+        assert np.array_equal(sd.owned_elements, expected.owned_elements)
+        assert np.array_equal(sd.dofs, expected.dofs)
+    with pytest.raises(StructuralError, match="needs a refined mesh"):
+        decompose(root, 2, shape="strips", mode="coarse")
+
+
 def test_coarse_overlap_needs_ancestor():
     mesh = build_rect_mesh(1, 1, 4, 4)
     part = np.zeros(5, dtype=int)  # matches no ancestor

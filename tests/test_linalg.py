@@ -18,7 +18,6 @@ from wavedd.linalg import (
     KrylovConfig,
     csr_from_triplets,
     dense_generalized_eig,
-    eigenpair_residual,
     is_symmetric,
     krylov_solve,
     lu_factorize,
@@ -293,6 +292,30 @@ def test_cg_spd():
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
+def test_cg_restarts_when_the_true_residual_fails_the_test():
+    """On an SPD matrix with condition 1e4 and tol 1e-13, the recurrence
+    residual of CG passes the tolerance before the true residual does: at
+    least one true-residual check fails and restarts the recursion (an
+    operator apply per iteration, one per check and one for the final
+    residual), and the solve still ends within tol of the true residual."""
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    A = Q @ np.diag(np.logspace(0, 4, 30)) @ Q.T
+    b = rng.standard_normal(30)
+    applies = 0
+
+    def apply_A(v):
+        nonlocal applies
+        applies += 1
+        return A @ v
+
+    x, rep = krylov_solve(apply_A, None, b, KrylovConfig(tol=1e-13, variant="cg"))
+    checks = applies - rep.iterations - 1
+    assert checks >= 2
+    assert rep.converged and rep.final_residual <= 1e-13
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-13
+
+
 def test_krylov_agrees_with_lu_to_10x_tol():
     rng = np.random.default_rng(11)
     for trial in range(5):
@@ -397,8 +420,18 @@ def test_bad_config_rejected():
 # ---------------------------------------------------------------- eigensolver
 
 
+def _every(n):
+    """The selection that keeps every finite pair of a pencil of size n."""
+    return EigenSelection("re_below", np.inf, n)
+
+
+def _residual(A, B, pair):
+    """||A v - lambda B v||_2 for a pair of the dense pencil (A, B)."""
+    return float(np.linalg.norm(A @ pair.vector - pair.value * (B @ pair.vector)))
+
+
 def test_eig_diagonal():
-    pairs = dense_generalized_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+    pairs = dense_generalized_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3), which=_every(3))
     vals = sorted(p.value.real for p in pairs)
     assert vals == pytest.approx([1.0, 2.0, 3.0])
 
@@ -406,7 +439,7 @@ def test_eig_diagonal():
 def test_eig_diagonal_ratio():
     A = np.array([[2.0, 0.0], [0.0, 1.0]])
     B = np.array([[1.0, 0.0], [0.0, 2.0]])
-    vals = sorted(p.value.real for p in dense_generalized_eig(A, B))
+    vals = sorted(p.value.real for p in dense_generalized_eig(A, B, which=_every(2)))
     assert vals == pytest.approx([0.5, 2.0])
 
 
@@ -433,7 +466,8 @@ def test_eig_matches_charpoly_oracle():
     A = A + A.T
     Bh = rng.standard_normal((8, 8))
     B = Bh @ Bh.T + 8 * np.eye(8)
-    got = np.sort_complex(np.array([p.value for p in dense_generalized_eig(A, B)]))
+    pairs = dense_generalized_eig(A, B, which=_every(8))
+    got = np.sort_complex(np.array([p.value for p in pairs]))
     ref = _charpoly_roots(A, B)
     assert np.allclose(got, ref, atol=1e-8)
 
@@ -445,11 +479,11 @@ def test_eig_residual_invariant_many_instances():
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         B = B + B.conj().T + 4 * n * np.eye(n)
-        pairs = dense_generalized_eig(A, B)
+        pairs = dense_generalized_eig(A, B, which=_every(n))
         nA, nB = np.linalg.norm(A, "fro"), np.linalg.norm(B, "fro")
         for p in pairs:
             assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-12)
-            assert eigenpair_residual(A, B, p) <= 1e-8 * (nA + abs(p.value) * nB)
+            assert _residual(A, B, p) <= 1e-8 * (nA + abs(p.value) * nB)
 
 
 def test_eig_selection_rules():
@@ -466,7 +500,7 @@ def test_eig_selection_rules():
 def test_eig_singular_b_drops_infinite():
     A = np.diag([1.0, 2.0])
     B = np.diag([1.0, 0.0])
-    pairs = dense_generalized_eig(A, B)
+    pairs = dense_generalized_eig(A, B, which=_every(2))
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(1.0)
 

@@ -6,8 +6,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +216,28 @@ def test_grid_cs_two_level_improves():
     assert _iterations(sys, TwoLevel(one, cs, sys.A).apply) <= _iterations(sys, one.apply)
 
 
+def test_grid_cs_under_a_dirichlet_outer_boundary():
+    """With a Dirichlet outer boundary the grid basis is zero on the
+    Dirichlet rows; every coarse function reaches an interior fine DOF, so
+    no column is dropped or zero, and the two-level method still takes
+    fewer GMRES iterations than the one-level one."""
+    base = build_rect_mesh(1.0, 1.0, 6, 6, order=2)
+    mesh = refine_uniform(base, 1)
+    prob = HelmholtzProblem(mesh=mesh, model=VelocityModel.constant(1.0),
+                            omega=2 * np.pi * 2, source=PointSource(0.5, 0.9),
+                            outer_bc="dirichlet")
+    sys = assemble_helmholtz(prob)
+    dec = decompose(mesh, 4, shape="strips")
+    assemble_local_matrices(dec, prob, sys)
+    cs = build_grid_cs(prob, base, sys)
+    assert sys.dirichlet_dofs.size and cs.n0 == base.n_dofs
+    assert cs.Z[sys.dirichlet_dofs].count_nonzero() == 0
+    assert spla.norm(cs.Z, axis=0).min() > 0
+    one = OneLevel(dec)
+    two = TwoLevel(one, cs, sys.A)
+    assert _iterations(sys, two.apply, tol=1e-8) < _iterations(sys, one.apply, tol=1e-8)
+
+
 # --------------------------------------------------------------- DtN CS
 
 
@@ -229,11 +251,23 @@ def test_dtn_laplace_analytic_eigenvalues():
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 2, shape="strips")
     assemble_local_matrices(dec, prob, sys, factorize=False)
-    pairs = dense_generalized_eig(*schwarz._dtn_pencil(dec.subdomains[0])[:2])
+    S, M, *_ = schwarz._dtn_pencil(dec.subdomains[0])
+    pairs = dense_generalized_eig(S, M, which=EigenSelection("re_below", np.inf, S.shape[0]))
     vals = np.sort(np.array([p.value.real for p in pairs]))
     assert abs(vals[0]) < 0.05  # constant mode
     for m in (1, 2, 3):
         assert vals[m] == pytest.approx(m * np.pi, rel=0.05)
+
+
+def test_dtn_empty_interface_is_flagged_not_warned():
+    """A single subdomain has no interface: it gets no DtN modes and is
+    flagged, and no warning is raised."""
+    _, _, _, sys, dec = _setup(nx=8, ny=8, order=1, N=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cs = build_dtn_cs(dec, sys)
+    assert cs.n0 == 0 and cs.flags == [0]
+    assert cs.per_subdomain == [0] and cs.rejected == [0]
 
 
 def test_dtn_empty_selection_falls_back_to_one_level():
@@ -305,7 +339,8 @@ def test_hgeneo_laplace_limit_real_eigenvalues():
     sd = dec.subdomains[0]
     Ld = sys.L[np.ix_(sd.dofs, sd.dofs)].toarray()
     lhs = (sd.weights[:, None] * Ld) * sd.weights[None, :]
-    pairs = dense_generalized_eig(lhs, sd.neumann.toarray())
+    pairs = dense_generalized_eig(lhs, sd.neumann.toarray(),
+                                  which=EigenSelection("re_below", np.inf, sd.n_local))
     assert len(pairs) > 0
     for p in pairs:
         assert abs(p.value.imag) < 1e-10 * max(1.0, abs(p.value))
@@ -347,7 +382,7 @@ def test_deltageneo_positive_pencil_real():
     rhs = assemble_helmholtz_subset(prob, sd.elements, sd.dofs, sign_w=+1.0,
                                     impedance=False).toarray().real
     assert np.linalg.eigvalsh(rhs)[0] > 0  # SPD right-hand side
-    pairs = dense_generalized_eig(lhs, rhs)
+    pairs = dense_generalized_eig(lhs, rhs, which=EigenSelection("re_below", np.inf, sd.n_local))
     for p in pairs:
         assert abs(p.value.imag) < 1e-10
         assert p.value.real > -1e-10
@@ -581,18 +616,12 @@ def test_spectral_spaces_span_the_raw_columns(monkeypatch):
         assert _projector_gap(cs.Z.toarray(), dense) <= 1e-10
 
 
-def _serial_local_modes(dec, pencil, selection):
+def _serial_local_modes(dec, pencil):
     """Reference for ``schwarz._local_modes``: one pencil after another on
     the calling thread, the lifted columns in subdomain order."""
     cols = []
     for sd in dec.subdomains:
-        local = pencil(sd)
-        if local is None:
-            continue
-        lhs, rhs, lift, _ = local
-        which = selection
-        if selection.rule == "re_below" and selection.threshold is None:
-            which = replace(selection, threshold=sd.k_max)
+        lhs, rhs, which, lift, _ = pencil(sd)
         for p in dense_generalized_eig(lhs, rhs, which=which):
             col = np.zeros(dec.n_dofs, dtype=complex)
             col[sd.dofs] = lift(p.vector)
@@ -614,15 +643,15 @@ def test_overlapped_local_modes_match_a_serial_loop(monkeypatch):
     seen = []
     real = schwarz._local_modes
 
-    def recording(dec, pencil, selection):
-        seen.append((pencil, selection))
-        return real(dec, pencil, selection)
+    def recording(dec, pencil):
+        seen.append(pencil)
+        return real(dec, pencil)
 
     monkeypatch.setattr(schwarz, "_local_modes", recording)
     for build in (build_dtn_cs, build_hgeneo_cs):
         for _ in range(2):
             cs = build(dec, sys)
-            ref = schwarz._independent_columns(_serial_local_modes(dec, *seen[-1]))
+            ref = schwarz._independent_columns(_serial_local_modes(dec, seen[-1]))
             assert cs.n0 > 0 and cs.rejected == [0] * 5
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(cs.Z, part), getattr(ref, part))
@@ -659,11 +688,14 @@ def test_pencils_arrive_in_order_when_solves_finish_out_of_order(monkeypatch):
     """Pencil 0's solve waits until pencil 1's has ended, yet the pairs
     arrive in subdomain order; no more than two solves are ever in flight,
     and two are while pencil 0 waits.  Each stand-in pencil's complex
-    1 x 1 left side holds its subdomain index."""
-    dec = SimpleNamespace(subdomains=[SimpleNamespace(index=j, k_max=1.0) for j in range(6)])
+    1 x 1 left side holds its subdomain index, which is also the subdomain's
+    one dof and the entry of the vector that its solve returns."""
+    dec = SimpleNamespace(n_dofs=6, subdomains=[SimpleNamespace(index=j, dofs=np.array([j]))
+                                                for j in range(6)])
+    which = EigenSelection("abs_largest", None, 1)
 
     def pencil(sd):
-        return np.full((1, 1), sd.index + 0j), np.eye(1), lambda u: u, False
+        return np.full((1, 1), sd.index + 0j), np.eye(1), which, lambda u: u, False
 
     lock = threading.Lock()
     in_flight, peak, finished = 0, 0, []
@@ -683,11 +715,11 @@ def test_pencils_arrive_in_order_when_solves_finish_out_of_order(monkeypatch):
             finished.append(j)
         if j == 1:
             one_done.set()
-        return EigenPairs([EigenPair(complex(j), np.ones(1))])
+        return EigenPairs([EigenPair(complex(j), np.full(1, complex(j)))])
 
     monkeypatch.setattr(schwarz, "dense_generalized_eig", solve)
-    got = [(sd.index, [p.value for p in pairs]) for sd, _, _, pairs
-           in schwarz._solved_pencils(dec, pencil, EigenSelection("abs_largest", None, 1))]
+    Z, _ = schwarz._local_modes(dec, pencil)
+    got = [(int(Z.indices[c]), [Z.data[c]]) for c in range(Z.shape[1])]
     assert got == [(j, [j]) for j in range(6)]
     assert finished.index(1) < finished.index(0)
     assert peak == 2
