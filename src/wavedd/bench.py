@@ -20,7 +20,7 @@ import numpy as np
 from .decomposition import assemble_local_matrices, decompose
 from .dispersion import dispersion_curve
 from .errors import StructuralError
-from .helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
+from .helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz, mesh_size_rule
 from .linalg import EigenSelection, KrylovConfig, krylov_solve
 from .maxwell import (
     AspPreconditioner,
@@ -84,8 +84,10 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in ("helmholtz", "maxwell"):
             raise StructuralError(f"unknown problem {self.problem!r}")
-        if self.f <= 0 or self.ppwl <= 0:
-            raise StructuralError("f and ppwl must be positive")
+        for name in ("f", "ppwl", "contrast", "width", "height"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise StructuralError(f"{name} must be finite and positive")
         if self.n_subdomains < 1:
             raise StructuralError("n_subdomains must be >= 1")
 
@@ -116,10 +118,11 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
+    t = _FIELDS[name].type
     if raw == "none":
+        if "None" not in t:
+            raise StructuralError(f"{name} cannot be none")
         return None
-    f = _FIELDS[name]
-    t = f.type
     if "bool" in t:
         if raw not in ("true", "false"):
             raise StructuralError(f"bad boolean for {name}: {raw!r}")
@@ -185,8 +188,9 @@ def _build_model(cfg: RunConfig) -> VelocityModel:
 
 
 def _helm_mesh_cells(cfg: RunConfig, model: VelocityModel):
-    omega = 2 * np.pi * cfg.f
-    h = 2 * np.pi * model.min_speed() / (omega * cfg.ppwl)  # ppwl at max wavenumber
+    # ppwl at the largest wavenumber
+    h = mesh_size_rule(2 * np.pi * cfg.f, rule="fixed-ppwl", G=cfg.ppwl,
+                       c=model.min_speed())
     scale = 2**cfg.coarse_refine
     nx_c = max(2, int(np.ceil(cfg.width / (h * scale))))
     ny_c = max(2, int(np.ceil(cfg.height / (h * scale))))

@@ -50,25 +50,17 @@ __all__ = [
 
 
 class ComplexSparseMatrix(sp.csr_matrix):
-    """A scipy CSR matrix plus four read-only aliases for callers outside
-    the library, which itself uses none of them: perfbench calls ``matvec``
-    and ``to_scipy``, and tests/test_acceptance.py reads ``nrows``
-    (criterion 2) and ``to_scipy`` and ``max_abs`` (criterion 7).  Only
-    ``AssembledSystem.A``, ``MaxwellSystem.A`` and ``MaxwellSystem.K`` are
-    built as this class.  ROADMAP item 1 deletes it."""
+    """A scipy CSR matrix plus two aliases, ``matvec`` (``A @ x``) and
+    ``to_scipy`` (the matrix itself), that only perfbench reads; the library
+    and its tests use neither.  Only ``AssembledSystem.A`` and
+    ``MaxwellSystem.A`` are built as this class.  It goes when perfbench
+    calls the plain CSR API (ROADMAP item 1)."""
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self @ x
 
     def to_scipy(self) -> sp.csr_matrix:
         return self
-
-    @property
-    def nrows(self) -> int:
-        return self.shape[0]
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.data).max()) if self.nnz else 0.0
 
 
 def is_symmetric(A: sp.spmatrix) -> bool:

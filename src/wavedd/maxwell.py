@@ -69,6 +69,7 @@ from .schwarz import (
     _local_modes,
     _sparse_spd_or_shifted,
 )
+from .velocity import _check_speeds
 
 __all__ = [
     "MaxwellProblem",
@@ -112,8 +113,8 @@ class MaxwellProblem:
     bc: str = "tangential_zero"       # or "natural" (analysis only)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise StructuralError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise StructuralError("alpha must be finite and positive")
         if self.bc not in ("tangential_zero", "natural"):
             raise StructuralError(f"unknown bc {self.bc!r}")
         if self.mesh.order != 1:
@@ -128,9 +129,9 @@ class MaxwellSystem:
     free_edges: np.ndarray   # edge ids of the dofs, in dof order
     node_dof: np.ndarray     # (n_vertices,) interior-node dof id or -1
     free_nodes: np.ndarray
-    K: ComplexSparseMatrix   # curl-curl part (real, symmetric)
+    K: sp.csr_matrix         # curl-curl part (real, symmetric)
     Mw: sp.csr_matrix        # eps_r-weighted edge mass (symmetric)
-    A: ComplexSparseMatrix   # K + alpha * Mw (real, symmetric)
+    A: ComplexSparseMatrix   # K + alpha * Mw (real, symmetric); perfbench reads its aliases
     C: sp.csr_matrix         # gradient matrix, n_edges_free x n_nodes_free
     Ltilde: sp.csr_matrix    # mu_r^-1-weighted vector nodal Laplacian (2 blocks)
     Qtilde: sp.csr_matrix    # eps_r-weighted vector nodal mass (2 blocks)
@@ -196,8 +197,8 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     mesh = problem.mesh
     mu_e = _per_element(problem.mu_r, mesh)
     eps_e = _per_element(problem.eps_r, mesh)
-    if np.any(mu_e <= 0) or np.any(eps_e <= 0):
-        raise StructuralError("mu_r and eps_r must be strictly positive")
+    _check_speeds(mu_e, "mu_r")
+    _check_speeds(eps_e, "eps_r")
 
     if problem.bc == "tangential_zero":
         bnd_edges = mesh.boundary_edges
@@ -276,7 +277,7 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
         mesh=mesh, alpha=problem.alpha,
         edge_dof=edge_dof, free_edges=free_edges,
         node_dof=node_dof, free_nodes=free_nodes,
-        K=ComplexSparseMatrix(K), Mw=Mw, A=ComplexSparseMatrix(A),
+        K=K, Mw=Mw, A=ComplexSparseMatrix(A),
         C=C, Ltilde=Ltilde, Qtilde=Qtilde, Pinterp=Pinterp, L=Lplain, b=b,
     )
 
@@ -345,9 +346,8 @@ def build_edge_decomposition(problem: MaxwellProblem, sys: MaxwellSystem, N: int
     return dec
 
 
-# names kept for their importers: OneLevelAdditiveSchwarz for
-# perfbench/workloads.py and tests/test_acceptance.py, TwoLevelAdditiveSchwarz
-# for perfbench/workloads.py
+# names for OneLevel and TwoLevel that only perfbench/workloads.py reads; they
+# go when perfbench imports OneLevel and TwoLevel
 OneLevelAdditiveSchwarz = OneLevel
 TwoLevelAdditiveSchwarz = TwoLevel
 

@@ -27,7 +27,6 @@ class Mesh:
     edges: np.ndarray           # (ne, 2), endpoints sorted low -> high
     tri_edges: np.ndarray       # (nt, 3), edge id opposite each local vertex
     boundary_edges: np.ndarray  # edge ids with a single incident triangle
-    boundary_tags: np.ndarray   # side tag per boundary edge (0 b, 1 r, 2 t, 3 l, -1 other)
     parent: "Mesh | None" = None
     parent_triangle: np.ndarray | None = None
 
@@ -98,20 +97,6 @@ def _build_edges(triangles: np.ndarray, n_vertices: int):
     return edges, tri_edges, boundary
 
 
-def _tag_boundary(vertices, edges, boundary, tol=1e-12):
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    mids = 0.5 * (vertices[edges[boundary, 0]] + vertices[edges[boundary, 1]])
-    tags = np.full(boundary.shape[0], -1, dtype=np.int64)
-    span = max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
-    eps = tol * span
-    tags[np.abs(mids[:, 1] - lo[1]) <= eps] = 0
-    tags[np.abs(mids[:, 0] - hi[0]) <= eps] = 1
-    tags[np.abs(mids[:, 1] - hi[1]) <= eps] = 2
-    tags[np.abs(mids[:, 0] - lo[0]) <= eps] = 3
-    return tags
-
-
 def _orient_positive(vertices, triangles):
     p = vertices[triangles]
     sign = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
@@ -129,8 +114,7 @@ def _orient_positive(vertices, triangles):
 def _finish(vertices, triangles, order, parent=None, parent_triangle=None) -> Mesh:
     triangles = _orient_positive(vertices, triangles)
     edges, tri_edges, boundary = _build_edges(triangles, vertices.shape[0])
-    tags = _tag_boundary(vertices, edges, boundary)
-    return Mesh(vertices, triangles, order, edges, tri_edges, boundary, tags,
+    return Mesh(vertices, triangles, order, edges, tri_edges, boundary,
                 parent=parent, parent_triangle=parent_triangle)
 
 

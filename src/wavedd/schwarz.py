@@ -150,8 +150,8 @@ class OneLevel:
     __call__ = apply
 
 
-# perfbench/workloads.py and tests/test_acceptance.py import the one-level
-# ORAS under this name
+# a name for OneLevel that only perfbench/workloads.py reads; it goes when
+# perfbench imports OneLevel
 OneLevelOras = OneLevel
 
 
@@ -248,15 +248,14 @@ def _independent_columns(Z, kept: int = 0) -> sp.csc_matrix:
     if not Z.shape[1]:
         return Z
     Z = Z @ sp.diags(1.0 / spla.norm(Z, axis=0))
+    F, Y = Z[:, :kept], (Z[:, kept:] if kept else Z)  # Z[:, 0:] would copy Z
+    G = (Y.conj().T @ Y).toarray(order="F")
     if kept:
-        F, Y = Z[:, :kept], Z[:, kept:]
         fact, spd = symmetric_lu(F.T @ F)
         if not spd:
             raise SingularityError("the kept columns are not independent")
         B = (F.T @ Y).toarray()
-        G = np.asfortranarray((Y.T @ Y).toarray() - B.T @ fact.solve(B))
-    else:
-        G = (Z.conj().T @ Z).toarray(order="F")
+        G -= B.T @ fact.solve(B)
     pstrf, = sla.get_lapack_funcs(("pstrf",), (G,))
     _, piv, rank, _ = pstrf(G, tol=1e-12, overwrite_a=True)
     return Z[:, np.r_[:kept, kept + np.sort(piv[:rank] - 1)]]

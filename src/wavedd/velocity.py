@@ -1,4 +1,5 @@
-"""Wave speed fields c(x, y) in km/s: constant, layered wedge, raster grid.
+"""Wave speed fields c(x, y) in km/s: layers (a constant is one layer) or a
+raster grid.
 
 The raster file format (used for Marmousi-style models) is a one-line ASCII
 header ``nx ny xmin xmax ymin ymax unit`` followed by nx*ny little-endian
@@ -16,7 +17,8 @@ __all__ = ["VelocityModel", "load_raster_model", "save_raster_model"]
 def _check_speeds(values, what: str) -> None:
     """Raise StructuralError unless every speed in ``values`` is finite and
     positive: ``<= 0`` is False for NaN, and assembly would fail later with
-    a misleading symmetry error."""
+    a misleading symmetry error.  Maxwell's mu_r and eps_r obey the same
+    rule."""
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise StructuralError(f"{what} must be finite (NaN or inf found)")
@@ -25,34 +27,31 @@ def _check_speeds(values, what: str) -> None:
 
 
 class VelocityModel:
-    """Positive wave speed field, evaluable at any (x, y).
+    """Positive wave speed field, evaluable at any (x, y), in one of two
+    representations: layers (``speeds``, bottom layer first, and one fewer
+    ``interfaces``), of which a constant speed is the one-layer case, or a
+    raster ``grid`` over ``extent``.  ``grid is None`` tells them apart.
 
     c = sqrt(rho * cP^2) when built from density/longitudinal-speed data; the
     optional provenance fields keep those inputs around.
     """
 
-    def __init__(self, kind, *, value=None, speeds=None, interfaces=None,
-                 grid=None, extent=None, rho=None, cP=None):
-        self.kind = kind
-        self.value = value
+    def __init__(self, *, speeds=None, interfaces=None, grid=None, extent=None,
+                 rho=None, cP=None):
         self.speeds = None if speeds is None else np.asarray(speeds, dtype=float)
         self.interfaces = None if interfaces is None else [tuple(i) for i in interfaces]
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.extent = None if extent is None else tuple(float(e) for e in extent)
         self.rho = rho
         self.cP = cP
-        if kind == "constant":
-            if value is None:
-                raise StructuralError("constant model needs a speed")
-            _check_speeds(value, "constant speed")
-        if kind == "layered-wedge":
+        if self.grid is None:
             if self.speeds is None or self.interfaces is None:
-                raise StructuralError("wedge model needs speeds and interfaces")
+                raise StructuralError("layered model needs speeds and interfaces")
             if len(self.speeds) != len(self.interfaces) + 1:
                 raise StructuralError("need one more layer speed than interfaces")
             _check_speeds(self.speeds, "layer speeds")
-        if kind == "raster":
-            if self.grid is None or self.extent is None:
+        else:
+            if self.extent is None:
                 raise StructuralError("raster model needs grid and extent")
             _check_speeds(self.grid, "raster speeds")
 
@@ -60,38 +59,37 @@ class VelocityModel:
 
     @classmethod
     def constant(cls, c: float) -> "VelocityModel":
-        return cls("constant", value=float(c))
+        """One layer of speed c."""
+        return cls(speeds=[float(c)], interfaces=[])
 
     @classmethod
     def from_rho_cp(cls, rho: float, cP: float) -> "VelocityModel":
         c = float(np.sqrt(rho * cP**2))
-        return cls("constant", value=c, rho=rho, cP=cP)
+        return cls(speeds=[c], interfaces=[], rho=rho, cP=cP)
 
     @classmethod
     def layered_wedge(cls, speeds, interfaces) -> "VelocityModel":
         """Dipping layers: interface i is the line y = a_i + b_i * x; the layer
         index of a point is the number of interfaces below it (bottom layer
         first in ``speeds``)."""
-        return cls("layered-wedge", speeds=speeds, interfaces=interfaces)
+        return cls(speeds=speeds, interfaces=interfaces)
 
     @classmethod
     def raster(cls, grid, extent) -> "VelocityModel":
         """Raster grid (ny, nx), row 0 at ymin; extent (xmin, xmax, ymin, ymax)."""
-        return cls("raster", grid=grid, extent=extent)
+        return cls(grid=grid, extent=extent)
 
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.kind == "constant":
-            return np.full(np.broadcast(x, y).shape, self.value)
-        if self.kind == "layered-wedge":
-            idx = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-            for a, b in self.interfaces:
-                idx += (y > a + b * x)
-            return self.speeds[idx]
-        return self._raster_eval(x, y)
+        if self.grid is not None:
+            return self._raster_eval(x, y)
+        idx = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+        for a, b in self.interfaces:
+            idx += (y > a + b * x)
+        return self.speeds[idx]
 
     def _raster_eval(self, x, y):
         grid = self.grid
@@ -118,18 +116,10 @@ class VelocityModel:
         return (1 - ty) * ((1 - tx) * v00 + tx * v10) + ty * ((1 - tx) * v01 + tx * v11)
 
     def min_speed(self) -> float:
-        if self.kind == "constant":
-            return float(self.value)
-        if self.kind == "layered-wedge":
-            return float(self.speeds.min())
-        return float(self.grid.min())
+        return float((self.speeds if self.grid is None else self.grid).min())
 
     def max_speed(self) -> float:
-        if self.kind == "constant":
-            return float(self.value)
-        if self.kind == "layered-wedge":
-            return float(self.speeds.max())
-        return float(self.grid.max())
+        return float((self.speeds if self.grid is None else self.grid).max())
 
 
 def load_raster_model(path, width: float | None = None,

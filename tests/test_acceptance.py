@@ -25,7 +25,6 @@ from wavedd.linalg import KrylovConfig, krylov_solve, lu_factorize
 from wavedd.maxwell import (
     AspPreconditioner,
     MaxwellProblem,
-    OneLevelAdditiveSchwarz,
     assemble_maxwell,
     build_edge_decomposition,
     build_free_cs,
@@ -36,7 +35,7 @@ from wavedd.maxwell import (
 from wavedd.mesh import build_rect_mesh, refine_uniform
 from wavedd.schwarz import (
     EigenSelection,
-    OneLevelOras,
+    OneLevel,
     TwoLevel,
     build_dtn_cs,
     build_grid_cs,
@@ -107,7 +106,7 @@ def test_criterion_02_exact_preconditioner_collapse():
     system = assemble_helmholtz(prob)
     dec = decompose(mesh, 1)
     assemble_local_matrices(dec, prob, system)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     rep_oras = _gmres_iters(system, one.apply, tol=1e-10)
 
     cs = build_grid_cs(prob, mesh, system)  # coarse == fine: full-rank Z
@@ -118,7 +117,7 @@ def test_criterion_02_exact_preconditioner_collapse():
             rep_oras.iterations == 1 and rep_oras.converged
             and rep_two.iterations == 1 and rep_two.converged and elapsed < 5,
             f"oras {rep_oras.iterations} it, full coarse {rep_two.iterations} it, "
-            f"n={system.A.nrows}, {elapsed:.1f}s")
+            f"n={system.A.shape[0]}, {elapsed:.1f}s")
 
 
 # --------------------------------------------------------------------- 3
@@ -135,14 +134,14 @@ def test_criterion_03_one_level_growth_vs_grid_flatness():
     for N, g in ((4, (2, 2)), (16, (4, 4)), (64, (8, 8))):
         dec = decompose(mesh, N, shape="grid", grid=g)
         assemble_local_matrices(dec, prob, system)
-        rep = _gmres_iters(system, OneLevelOras(dec).apply)
+        rep = _gmres_iters(system, OneLevel(dec).apply)
         assert rep.converged
         ones.append(rep.iterations)
         # the grid coarse space runs in its natural coarse-overlap configuration
         dec_c = decompose(mesh, N, shape="grid", grid=g, mode="coarse")
         assemble_local_matrices(dec_c, prob, system)
         cs = build_grid_cs(prob, coarse, system)
-        rep = _gmres_iters(system, TwoLevel(OneLevelOras(dec_c), cs, system.A).apply)
+        rep = _gmres_iters(system, TwoLevel(OneLevel(dec_c), cs, system.A).apply)
         assert rep.converged
         grids.append(rep.iterations)
     elapsed = time.time() - t0
@@ -173,7 +172,7 @@ def wedge_runs():
     system = assemble_helmholtz(prob)
     dec = decompose(mesh, 16, shape="strips")
     assemble_local_matrices(dec, prob, system)
-    one = OneLevelOras(dec)
+    one = OneLevel(dec)
     runs = {"one-level": _gmres_iters(system, one.apply)}
 
     cs_grid = build_grid_cs(prob, coarse, system)
@@ -211,7 +210,7 @@ def test_criterion_05_resolution_regime_trend(wedge_runs):
     sys5 = assemble_helmholtz(prob5)
     dec5 = decompose(mesh5, 16, shape="strips")
     assemble_local_matrices(dec5, prob5, sys5)
-    one5 = OneLevelOras(dec5)
+    one5 = OneLevel(dec5)
     g5 = _gmres_iters(sys5, TwoLevel(one5, build_grid_cs(prob5, coarse5, sys5),
                                      sys5.A).apply).iterations
     h5 = _gmres_iters(sys5, TwoLevel(
@@ -260,8 +259,8 @@ def test_criterion_07_maxwell_kernel_identity():
                                               alpha=float(10 ** rng.uniform(-3, 1))))
         if sys.C.nnz == 0:
             continue
-        kc = np.abs((sys.K.to_scipy() @ sys.C).toarray()).max()
-        worst = max(worst, kc / sys.K.max_abs())
+        kc = np.abs((sys.K @ sys.C).toarray()).max()
+        worst = max(worst, kc / abs(sys.K).max())
     elapsed = time.time() - t0
     _report(7, "Maxwell kernel identity ||K C||_max <= 1e-13 ||K||_max, 10 meshes",
             worst <= 1e-13 and elapsed < 30, f"worst {worst:.2e}, {elapsed:.1f}s")
@@ -282,7 +281,7 @@ def test_criterion_08_maxwell_heterogeneity_robustness():
         sys = assemble_maxwell(prob)
         asp = AspPreconditioner(sys)
         dec = build_edge_decomposition(prob, sys, 8, shape="grid", grid=(4, 2))
-        one = OneLevelAdditiveSchwarz(dec)
+        one = OneLevel(dec)
         geneo = build_geneo_complement_cs(dec, sys, tau=10.0)
         two = TwoLevel(one, geneo, sys.A)
         counts[contrast] = {
@@ -321,7 +320,7 @@ def test_criterion_09_fsl_empirical_bounds():
     exact_ok = (np.abs(exact.eigenvalues - 1.0).max() <= 1e-12)
 
     dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
-    one = OneLevelAdditiveSchwarz(dec)
+    one = OneLevel(dec)
     free = build_free_cs(dec, sys)
     two = TwoLevel(one, free, sys.A)
     chk = fsl_bounds_check(sys.A, two)
@@ -354,7 +353,7 @@ def test_criterion_10_oracle_equivalence():
         system = assemble_helmholtz(prob)
         dec = decompose(mesh, 4, shape="grid", grid=(2, 2))
         assemble_local_matrices(dec, prob, system)
-        x, rep = krylov_solve(system.A, OneLevelOras(dec).apply, system.b,
+        x, rep = krylov_solve(system.A, OneLevel(dec).apply, system.b,
                               KrylovConfig(tol=tol, max_iter=500))
         assert rep.converged
         x_lu = lu_factorize(system.A).solve(system.b)

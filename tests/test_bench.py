@@ -330,11 +330,25 @@ def test_cli_nonpositive_max_iter_exit_code(tmp_path):
     ("ppwl = 8\n", ["partition=grid:3"], "'grid:3'"),
     ("ppwl = 8\n", ["partition=grid:axb"], "'grid:axb'"),
     ("ppwl = 8\n", ["n_subdomains=0"], "n_subdomains must be >= 1"),
-], ids=["file-ppwl", "max_iter", "f", "grid-one-count", "grid-letters", "zero-subdomains"])
+    ("ppwl = 8\n", ["f=none"], "f cannot be none"),
+    ("ppwl = 8\n", ["model=none"], "model cannot be none"),
+    ("ppwl = 8\n", ["n_subdomains=none"], "n_subdomains cannot be none"),
+    ("ppwl = none\n", [], "ppwl cannot be none"),
+    *((f"problem = maxwell\nmodel = channel\ncontrast = {c}\n", [],
+       "contrast must be finite and positive") for c in ("0", "-2", "nan", "inf")),
+    ("ppwl = 8\n", ["f=nan"], "f must be finite and positive"),
+    ("ppwl = inf\n", [], "ppwl must be finite and positive"),
+    ("height = nan\n", [], "height must be finite and positive"),
+], ids=["file-ppwl", "max_iter", "f", "grid-one-count", "grid-letters", "zero-subdomains",
+        "none-f", "none-model", "none-subdomains", "none-ppwl",
+        "contrast-0", "contrast-negative", "contrast-nan", "contrast-inf", "f-nan", "ppwl-inf",
+        "height-nan"])
 def test_cli_malformed_config_value_exits_2(tmp_path, capsys, text, sets, named):
-    """A config value that does not parse, a partition not of the form
-    grid:PXxPY and a subdomain count below 1 are structural errors: exit 2
-    with a message naming the value, no traceback."""
+    """A config value that does not parse, ``none`` for a field whose type
+    does not allow None, an f, ppwl, contrast, width or height that is not
+    finite and positive, a partition not of the form grid:PXxPY and a
+    subdomain count below 1 are structural errors: exit 2 with a message
+    naming the value, no traceback."""
     from wavedd.cli import main
 
     cfgfile = tmp_path / "case.cfg"

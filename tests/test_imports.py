@@ -8,8 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ is its re-export list: its imports are its API
 PACKAGE = ROOT / "src" / "wavedd"
-MODULES = sorted(p for p in [*(ROOT / "tests").glob("*.py"), *PACKAGE.glob("*.py")]
-                 if p != PACKAGE / "__init__.py")
+MODULES = sorted(p for d in (ROOT / "tests", ROOT / "scripts", PACKAGE)
+                 for p in d.glob("*.py") if p != PACKAGE / "__init__.py")
 
 
 def unused_imports(source: str) -> list:

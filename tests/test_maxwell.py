@@ -119,6 +119,22 @@ def test_parameter_validation():
         MaxwellProblem(mesh=p2, alpha=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    """A NaN or +-inf mu_r or eps_r, scalar or in one element, and a NaN or
+    +-inf alpha are rejected with an error that names the cause: ``<= 0``
+    is False for NaN, which would surface later as a symmetry error."""
+    mesh = build_rect_mesh(1, 1, 3, 3)
+    field = np.ones(mesh.n_triangles)
+    field[4] = bad
+    for coef in ("mu_r", "eps_r"):
+        for value in (bad, field):
+            with pytest.raises(StructuralError, match=f"{coef} must be finite"):
+                assemble_maxwell(MaxwellProblem(mesh=mesh, alpha=1.0, **{coef: value}))
+    with pytest.raises(StructuralError, match="alpha must be finite"):
+        MaxwellProblem(mesh=mesh, alpha=bad)
+
+
 def test_disjoint_neumann_reassembly():
     """Local Neumann matrices assembled from the owned (disjoint) element
     sets sum back to the global matrix."""

@@ -38,10 +38,9 @@ def test_positive_orientation():
     assert np.all(signed > 0)
 
 
-def test_boundary_edges_and_tags():
+def test_boundary_edges():
     m = build_rect_mesh(1.0, 1.0, 2, 2)
     assert m.boundary_edges.size == 8
-    assert set(m.boundary_tags) == {0, 1, 2, 3}
 
 
 def test_refine_triangle_count():

@@ -31,6 +31,23 @@ def test_single_cell_raster_assembles_like_constant():
     assert np.array_equal(A[0], A[1])
 
 
+def test_constant_is_the_one_layer_model():
+    """A constant speed, a wedge of one layer and the rho-cP model of the
+    same speed are one model: the same Helmholtz matrix, bit for bit, and
+    the same speed range."""
+    from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
+    from wavedd.mesh import build_rect_mesh
+
+    mesh = build_rect_mesh(1.0, 1.0, 4, 4, order=2)
+    models = (VelocityModel.constant(1.5), VelocityModel.layered_wedge([1.5], []),
+              VelocityModel.from_rho_cp(1.0, 1.5))
+    A = [assemble_helmholtz(HelmholtzProblem(mesh=mesh, model=m, omega=2 * np.pi,
+                                             source=PointSource(0.5, 0.5))).A.toarray()
+         for m in models]
+    assert np.array_equal(A[0], A[1]) and np.array_equal(A[0], A[2])
+    assert all(m.min_speed() == m.max_speed() == 1.5 for m in models)
+
+
 def test_nearest_outside():
     m = VelocityModel.raster(np.array([[1.0, 3.0]]), (0, 1, 0, 1))
     assert m(-2.0, 0.0) == pytest.approx(1.0)
