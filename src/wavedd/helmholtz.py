@@ -119,6 +119,10 @@ class PointSource:
     y: float
     amplitude: complex = 1.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.x) and np.isfinite(self.y)):
+            raise StructuralError("source coordinates must be finite")
+
 
 @dataclass(frozen=True)
 class HelmholtzProblem:

@@ -451,6 +451,8 @@ class EigenSelection:
             raise StructuralError(f"unknown selection rule {self.rule!r}")
         if self.m_max < 0:
             raise StructuralError("m_max must be nonnegative")
+        if self.threshold is not None and np.isnan(self.threshold):
+            raise StructuralError("selection threshold must not be NaN")
 
     def order(self, values) -> list:
         """The indices of ``values`` in rule order, less those the threshold excludes."""

@@ -13,16 +13,18 @@ sparse coarse matrix E: the coarse correction depends only on their span, so
 they are never orthonormalized globally.  They share the code of the
 Helmholtz spectral spaces: the GenEO complement is one pencil on the
 subdomain loop ``schwarz._local_modes``, ``schwarz._independent_columns``
-drops the dependent columns of both bases, and each kept column is then
-scaled to unit A-norm.  The free basis is kept whole in the GenEO
-complement: only the appended modes are tested, against its span and each
-other, so a dependent mode is dropped, never a free column.  The pencil
-holds no n_loc x n_loc array: its left side is a ``LinearOperator`` that
-applies the projector onto the b_j-orthogonal complement of the local
-gradients in low-rank form around the sparse D A_j D, through one pivoted
-Cholesky factor of an r x r Gram matrix; its right side is the sparse
-Neumann matrix with the factor of its sparse SPD test, which ARPACK reuses
-to solve it for the few modes above tau.  The coarse matrices E and the two
+drops the dependent columns of both bases through its ``kept=`` path, and
+each kept column is then scaled to unit A-norm.  The free basis tests each
+subdomain's raw gradient block against the kept blocks of its earlier
+neighbours, so no Gram of all its columns is formed.  The GenEO complement
+keeps the free basis whole: only the appended modes are tested, against its
+span and each other, so a dependent mode is dropped, never a free column.
+The pencil holds no n_loc x n_loc array: its left side is a
+``LinearOperator`` that applies the projector onto the b_j-orthogonal
+complement of the local gradients in low-rank form around the sparse
+D A_j D, through one pivoted Cholesky factor of an r x r Gram matrix; its
+right side is the sparse Neumann matrix with the factor of its sparse SPD
+test, which ARPACK reuses to solve it for the few modes above tau.  The coarse matrices E and the two
 nodal factors of ASP are SPD and factored in SuperLU's symmetric mode
 (``linalg.spd_factorize``).  The local Dirichlet factors keep COLAMD with
 partial pivoting: the one-level iteration counts of the high-contrast
@@ -361,15 +363,29 @@ def _unit_a_norm(Z: sp.csc_matrix, A: sp.csr_matrix) -> sp.csc_matrix:
 def _free_basis(dec: Decomposition, sys: MaxwellSystem) -> sp.csc_matrix:
     """The sparse basis of V_G = span{R_j^T D_j R_j C e_m}: one column per
     subdomain j and interior node m whose gradient touches subdomain j, less
-    the dependent columns that ``_independent_columns`` drops, each scaled to
-    unit A-norm."""
+    the dependent columns, each scaled to unit A-norm.
+
+    The raw block Y_j of subdomain j is tested subdomain by subdomain, not
+    through one Gram of all columns: F_j is the kept blocks K_i, whole and
+    in subdomain order, of the earlier subdomains i < j that share a row
+    with Y_j, and K_j is the columns of Y_j that
+    ``_independent_columns([F_j, Y_j], kept=F_j.shape[1])`` keeps.  A block
+    is full rank on its own; its dependent columns lie in the span of its
+    neighbours' gradients.  The largest dense array is the Gram of one
+    [F_j, Y_j], not that of all columns (4.2 against 23.0 MB traced on the
+    36-cell benchmark channel, with the same 1,512 columns)."""
     n = dec.n_dofs
     C = sys.C.tocsc()
-    blocks = []
+    kept = []
     for sd in dec.subdomains:
         Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
-        blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
-    return _unit_a_norm(_independent_columns(sp.hstack(blocks, format="csc")), sys.A)
+        Yj = Gj[:, np.diff(Gj.indptr) > 0]
+        rows = np.zeros(n, dtype=bool)
+        rows[Yj.indices] = True
+        Fj = [K for K in kept if rows[K.indices].any()]
+        f = sum(K.shape[1] for K in Fj)
+        kept.append(_independent_columns(sp.hstack(Fj + [Yj], format="csc"), kept=f)[:, f:])
+    return _unit_a_norm(sp.hstack(kept, format="csc"), sys.A)
 
 
 def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
@@ -527,6 +543,10 @@ def channel_field(mesh: Mesh, contrast: float, n_channels: int = 3,
                   base: float = 1.0, width_frac: float = 0.08) -> np.ndarray:
     """Per-element coefficient with `n_channels` horizontal high-value bands,
     positioned so they cross vertical subdomain interfaces."""
+    if n_channels < 0:
+        raise StructuralError("n_channels must be nonnegative")
+    if not (np.isfinite(width_frac) and width_frac > 0):
+        raise StructuralError("channel width_frac must be finite and positive")
     c = mesh.centroids()
     _, _, ymin, ymax = mesh.bbox()
     height = ymax - ymin

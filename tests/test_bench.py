@@ -323,6 +323,10 @@ def test_cli_nonpositive_max_iter_exit_code(tmp_path):
     assert "max_iter must be >= 1" in out.stderr
 
 
+_HELMHOLTZ = "ppwl = 8\nn_subdomains = 4\n"
+_CHANNEL = "problem = maxwell\nmodel = channel\nmaxwell_cells = 8\nn_subdomains = 4\n"
+
+
 @pytest.mark.parametrize("text,sets,named", [
     ("ppwl = eight\n", [], "'eight'"),
     ("ppwl = 8\n", ["max_iter=abc"], "max_iter: 'abc'"),
@@ -339,16 +343,31 @@ def test_cli_nonpositive_max_iter_exit_code(tmp_path):
     ("ppwl = 8\n", ["f=nan"], "f must be finite and positive"),
     ("ppwl = inf\n", [], "ppwl must be finite and positive"),
     ("height = nan\n", [], "height must be finite and positive"),
+    (_HELMHOLTZ + "preconditioner = deltageneo\n", ["lambda_min=nan"],
+     "threshold must not be NaN"),
+    (_HELMHOLTZ + "preconditioner = dtn\n", ["dtn_threshold=nan"], "threshold must not be NaN"),
+    (_CHANNEL + "preconditioner = geneo-complement\n", ["tau=nan"], "threshold must not be NaN"),
+    (_HELMHOLTZ, ["source_x=nan"], "source coordinates must be finite"),
+    (_HELMHOLTZ, ["source_y=inf"], "source coordinates must be finite"),
+    (_CHANNEL, ["channel_width=nan"], "width_frac must be finite and positive"),
+    (_CHANNEL, ["channel_width=0"], "width_frac must be finite and positive"),
+    (_CHANNEL, ["n_channels=-1"], "n_channels must be nonnegative"),
 ], ids=["file-ppwl", "max_iter", "f", "grid-one-count", "grid-letters", "zero-subdomains",
         "none-f", "none-model", "none-subdomains", "none-ppwl",
         "contrast-0", "contrast-negative", "contrast-nan", "contrast-inf", "f-nan", "ppwl-inf",
-        "height-nan"])
+        "height-nan", "lambda_min-nan", "dtn_threshold-nan", "tau-nan", "source_x-nan",
+        "source_y-inf", "channel_width-nan", "channel_width-0", "n_channels-negative"])
 def test_cli_malformed_config_value_exits_2(tmp_path, capsys, text, sets, named):
     """A config value that does not parse, ``none`` for a field whose type
     does not allow None, an f, ppwl, contrast, width or height that is not
     finite and positive, a partition not of the form grid:PXxPY and a
     subdomain count below 1 are structural errors: exit 2 with a message
-    naming the value, no traceback."""
+    naming the value, no traceback.  So are values that would run another
+    method or medium than the one asked for: a NaN selection threshold
+    (which selects no coarse mode, so a two-level run is one-level), a
+    non-finite source coordinate (which puts the source on DOF 0), and a
+    negative channel count or a channel width that is not finite and
+    positive (a medium without channels)."""
     from wavedd.cli import main
 
     cfgfile = tmp_path / "case.cfg"

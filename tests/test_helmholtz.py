@@ -25,6 +25,7 @@ from wavedd.helmholtz import (
     nearest_dof,
     ppwl,
 )
+from wavedd.errors import StructuralError
 from wavedd.linalg import is_symmetric
 from wavedd.mesh import build_rect_mesh, refine_uniform
 from wavedd.velocity import VelocityModel
@@ -140,6 +141,14 @@ def test_point_source_single_entry():
     assert np.count_nonzero(sys.b) == 1
     dof = np.flatnonzero(sys.b)[0]
     assert sys.b[dof] == 1.0
+
+
+@pytest.mark.parametrize("x,y", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, -np.inf)])
+def test_non_finite_source_coordinates_rejected(x, y):
+    """A source at a non-finite coordinate is a StructuralError, not a load
+    on the DOF that ``nearest_dof`` returns for NaN (DOF 0)."""
+    with pytest.raises(StructuralError, match="source coordinates must be finite"):
+        PointSource(x, y)
 
 
 def test_zero_area_element_rejected():

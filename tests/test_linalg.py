@@ -425,6 +425,16 @@ def _every(n):
     return EigenSelection("re_below", np.inf, n)
 
 
+@pytest.mark.parametrize("rule", ["re_below", "re_above", "abs_largest"])
+def test_nan_selection_threshold_rejected(rule):
+    """A NaN threshold, which no eigenvalue passes or fails, is a
+    StructuralError under every rule; None and +-inf stay legal."""
+    with pytest.raises(StructuralError, match="threshold must not be NaN"):
+        EigenSelection(rule, np.nan, 4)
+    for threshold in (None, np.inf, -np.inf):
+        EigenSelection(rule, threshold, 4)
+
+
 def _residual(A, B, pair):
     """||A v - lambda B v||_2 for a pair of the dense pencil (A, B)."""
     return float(np.linalg.norm(A @ pair.vector - pair.value * (B @ pair.vector)))

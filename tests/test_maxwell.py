@@ -119,6 +119,18 @@ def test_parameter_validation():
         MaxwellProblem(mesh=p2, alpha=1.0)
 
 
+@pytest.mark.parametrize("kwargs", [dict(n_channels=-1), dict(width_frac=np.nan),
+                                    dict(width_frac=np.inf), dict(width_frac=0.0),
+                                    dict(width_frac=-0.04)])
+def test_malformed_channel_media_rejected(kwargs):
+    """A negative channel count, or a channel width that is not finite and
+    positive, is a StructuralError, not a medium without channels."""
+    mesh = build_rect_mesh(1, 1, 4, 4)
+    with pytest.raises(StructuralError):
+        channel_field(mesh, 1e2, **kwargs)
+    assert np.all(channel_field(mesh, 1e2, n_channels=0) == 1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coefficients_rejected(bad):
     """A NaN or +-inf mu_r or eps_r, scalar or in one element, and a NaN or
@@ -316,14 +328,58 @@ def test_sparse_coarse_space_drops_duplicate_column():
     assert _projector_gap(cs.Z.toarray(), free.Z.toarray()) <= 1e-10
 
 
-@pytest.fixture(scope="module")
-def channel36():
-    """The 36-cell eps-channel of the benchmark's Maxwell workload."""
-    mesh = build_rect_mesh(1.0, 1.0, 36, 36)
-    eps = channel_field(mesh, 1e-4, n_channels=10, width_frac=0.02)
+def _channel(cells, contrast=1e4):
+    """The eps-channel of the benchmark's Maxwell workload on cells x cells,
+    with its 4 x 2 edge decomposition."""
+    mesh = build_rect_mesh(1.0, 1.0, cells, cells)
+    eps = channel_field(mesh, 1.0 / contrast, n_channels=10, width_frac=0.02)
     prob = MaxwellProblem(mesh=mesh, eps_r=eps, alpha=1e-2)
     sys = assemble_maxwell(prob)
     return sys, build_edge_decomposition(prob, sys, 8, shape="grid", grid=(4, 2))
+
+
+@pytest.fixture(scope="module")
+def channel36():
+    """The 36-cell eps-channel of the benchmark's Maxwell workload."""
+    return _channel(36)
+
+
+def _whole_gram_free_columns(dec, sys):
+    """The kept free columns by one ``_independent_columns`` of all raw
+    columns R_j^T D_j R_j C e_m, the whole-Gram test that the
+    subdomain-by-subdomain test of ``_free_basis`` replaces."""
+    n = dec.n_dofs
+    C = sys.C.tocsc()
+    blocks = []
+    for sd in dec.subdomains:
+        Gj = (sp.csr_matrix((sd.weights, (sd.dofs, sd.dofs)), shape=(n, n)) @ C).tocsc()
+        blocks.append(Gj[:, np.diff(Gj.indptr) > 0])
+    return _independent_columns(sp.hstack(blocks, format="csc"))
+
+
+@pytest.mark.parametrize("cells", [16, 36])
+def test_free_basis_keeps_the_span_of_the_whole_gram_test(channel36, cells):
+    """Testing each subdomain's gradient block against its earlier
+    neighbours keeps as many columns as the whole-Gram test, and the same
+    span: the gap between the orthogonal projectors is at most 1e-12."""
+    sys, dec = channel36 if cells == 36 else _channel(cells)
+    Z, oracle = maxwell._free_basis(dec, sys), _whole_gram_free_columns(dec, sys)
+    assert Z.shape == oracle.shape
+    Q1, Q2 = np.linalg.qr(Z.toarray())[0], np.linalg.qr(oracle.toarray())[0]
+    assert np.linalg.norm(Q2 - Q1 @ (Q1.T @ Q2), 2) <= 1e-12
+
+
+def test_free_basis_forms_no_global_gram(channel36):
+    """``_free_basis`` forms no Gram of all raw columns (1,666 x 1,666,
+    22 MB here): its traced peak on the benchmark channel stays below 8 MB."""
+    sys, dec = channel36
+    tracemalloc.start()
+    try:
+        maxwell._free_basis(dec, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("cells,contrast,n_free,n_geneo", [
@@ -335,14 +391,7 @@ def channel36():
 def test_channel_coarse_dimensions(channel36, cells, contrast, n_free, n_geneo):
     """n0 of the free and GenEO spaces on the channel cases of the benchmark
     and of acceptance criterion 8, as with dense orthonormalized bases."""
-    if cells == 36:
-        sys, dec = channel36
-    else:
-        mesh = build_rect_mesh(1.0, 1.0, cells, cells)
-        eps = channel_field(mesh, 1.0 / contrast, n_channels=10, width_frac=0.02)
-        prob = MaxwellProblem(mesh=mesh, eps_r=eps, alpha=1e-2)
-        sys = assemble_maxwell(prob)
-        dec = build_edge_decomposition(prob, sys, 8, shape="grid", grid=(4, 2))
+    sys, dec = channel36 if cells == 36 else _channel(cells, contrast)
     free = build_free_cs(dec, sys)
     geneo = build_geneo_complement_cs(dec, sys, tau=10.0, free_cs=free)
     assert (free.n0, free.dim_vg, geneo.n0, geneo.dim_vg) == (n_free, n_free, n_geneo, n_free)

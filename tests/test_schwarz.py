@@ -907,8 +907,9 @@ def test_sparse_spd_test_counts_a_failed_factorization_as_not_spd():
 def test_lu_orderings_of_each_caller(monkeypatch):
     """Symmetric-pattern Helmholtz factors use minimum degree on A^T + A with
     partial pivoting, and the complex coarse matrices COLAMD; the Maxwell
-    local factors keep COLAMD, while the SPD Maxwell E and the two ASP nodal
-    factors are factored in symmetric mode."""
+    local factors keep COLAMD, while the SPD Maxwell E, the Gram F^T F of
+    the kept free columns that a subdomain's gradients are tested against,
+    and the two ASP nodal factors are factored in symmetric mode."""
     orderings = []
     real = spla.splu
 
@@ -930,7 +931,7 @@ def test_lu_orderings_of_each_caller(monkeypatch):
     assert orderings == ["COLAMD"] * 2  # a_fact
     orderings.clear()
     build_free_cs(build_edge_decomposition(prob, msys, 2, shape="strips", factorize=False), msys)
-    assert orderings == ["MMD_AT_PLUS_A symmetric"]  # E
+    assert orderings == ["MMD_AT_PLUS_A symmetric"] * 2  # F^T F of subdomain 1, then E
     orderings.clear()
     AspPreconditioner(msys)
     assert orderings == ["MMD_AT_PLUS_A symmetric"] * 2  # L~ + alpha Q~, then L
