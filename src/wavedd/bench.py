@@ -90,6 +90,11 @@ class RunConfig:
                 raise StructuralError(f"{name} must be finite and positive")
         if self.n_subdomains < 1:
             raise StructuralError("n_subdomains must be >= 1")
+        for name in ("lambda_min", "tau", "dtn_threshold"):  # before any set-up
+            if getattr(self, name) is not None and np.isnan(getattr(self, name)):
+                raise StructuralError(f"{name}: selection threshold must not be NaN")
+        if self.m_max < 0:
+            raise StructuralError("m_max must be nonnegative")
 
 
 @dataclass
@@ -191,23 +196,27 @@ def _helm_mesh_cells(cfg: RunConfig, model: VelocityModel):
     # ppwl at the largest wavenumber
     h = mesh_size_rule(2 * np.pi * cfg.f, rule="fixed-ppwl", G=cfg.ppwl,
                        c=model.min_speed())
-    scale = 2**cfg.coarse_refine
-    nx_c = max(2, int(np.ceil(cfg.width / (h * scale))))
-    ny_c = max(2, int(np.ceil(cfg.height / (h * scale))))
-    return nx_c, ny_c
+    with np.errstate(divide="ignore", over="ignore"):
+        cells = np.array([cfg.width, cfg.height]) / (h * 2**cfg.coarse_refine)
+    if not np.all(np.isfinite(cells)):
+        raise StructuralError(f"mesh cell counts {cells[0]:g} x {cells[1]:g} are not finite")
+    return tuple(max(2, int(np.ceil(n))) for n in cells)
 
 
 def estimate_dofs(cfg: RunConfig) -> int:
+    """The DOF count of the mesh of ``cfg``.  Raises StructuralError when its
+    cell counts are not finite or the count exceeds 2**31 - 1, the int32
+    index range of SuperLU and of scipy's sparse indices."""
     if cfg.problem == "maxwell":
         n = cfg.maxwell_cells
-        return 3 * n * n  # edge count scale
-    model = _build_model(cfg)
-    nx_c, ny_c = _helm_mesh_cells(cfg, model)
-    nx, ny = nx_c * 2**cfg.coarse_refine, ny_c * 2**cfg.coarse_refine
-    nv = (nx + 1) * (ny + 1)
-    if cfg.order == 1:
-        return nv
-    return (2 * nx + 1) * (2 * ny + 1)
+        dofs = 3 * n * n  # edge count scale
+    else:
+        nx_c, ny_c = _helm_mesh_cells(cfg, _build_model(cfg))
+        nx, ny = nx_c * 2**cfg.coarse_refine, ny_c * 2**cfg.coarse_refine
+        dofs = (nx + 1) * (ny + 1) if cfg.order == 1 else (2 * nx + 1) * (2 * ny + 1)
+    if dofs > 2**31 - 1:
+        raise StructuralError("the mesh has more DOFs than the sparse index range holds")
+    return dofs
 
 
 def _partition_args(cfg: RunConfig):
@@ -304,11 +313,14 @@ def _maxwell(cfg: RunConfig):
 
 def run_case(cfg: RunConfig) -> SolveReport:
     """One deterministic benchmark run; non-convergence is reported, not raised.
-    Helmholtz is solved by GMRES, Maxwell by CG.  An unknown preconditioner
-    raises StructuralError before any set-up."""
+    Helmholtz is solved by GMRES, Maxwell by CG.  An unknown preconditioner,
+    or a mesh that ``estimate_dofs`` rejects, raises StructuralError before
+    any set-up.  The decomposition and the coarse builders are dropped before
+    the Krylov solve: the preconditioner holds all that its apply reads."""
     method = cfg.preconditioner
     if method not in _METHODS[cfg.problem]:
         raise StructuralError(f"unknown {cfg.problem} preconditioner {method!r}")
+    estimate_dofs(cfg)
     set_up, variant = (_maxwell, "cg") if cfg.problem == "maxwell" else (_helmholtz, "gmres")
     kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart,
                         variant=variant)
@@ -322,6 +334,7 @@ def run_case(cfg: RunConfig) -> SolveReport:
     else:
         cs = coarse_builders[method]()
         op = TwoLevel(OneLevel(dec), cs, system.A, mode=cfg.two_level_mode).apply
+    del dec, coarse_builders
     setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -343,15 +356,16 @@ def _sweep_cell(base: RunConfig, f, N, method) -> dict:
     residual contract dropped, ``flagged`` the flagged subdomains separated
     by spaces, or "none"; a skipped or failed cell has "-" in both.  A failed
     cell's ``converged`` names the exception's class and ``error`` holds the
-    first line of its message; ``error`` is empty on every other row."""
+    first line of its message; ``error`` is empty on every other row.  A cell
+    whose mesh ``estimate_dofs`` rejects fails so, with "-" for ``dofs``."""
     cfg = replace(base, f=float(f), n_subdomains=int(N), preconditioner=method)
-    est = estimate_dofs(cfg)
-    unsolved = {"f": f, "dofs": est, "N": N, "method": method,
+    unsolved = {"f": f, "dofs": "-", "N": N, "method": method,
                 "iterations": "-", "coarse_dim": "-", "rejected": "-", "flagged": "-",
                 "error": "", "setup_time": "", "solve_time": ""}
-    if est / max(N, 1) < cfg.dofs_floor:
-        return {**unsolved, "converged": "skipped"}
     try:
+        unsolved["dofs"] = est = estimate_dofs(cfg)
+        if est / max(N, 1) < cfg.dofs_floor:
+            return {**unsolved, "converged": "skipped"}
         rep = run_case(cfg)
     except Exception as exc:  # isolate the cell, keep sweeping
         return {**unsolved, "converged": f"error:{type(exc).__name__}",

@@ -1,5 +1,5 @@
 """Overlapping decompositions: partitioning, overlap rings, partition of
-unity, and local Dirichlet/Neumann/Robin matrices.
+unity, and the local Neumann matrices and Robin factors of ORAS.
 
 A subdomain owns a set of elements (nonoverlapping partition) plus overlap
 rings; its DOF set is the union of element DOFs, sorted, which defines the
@@ -45,14 +45,11 @@ class SubdomainData:
     index: int
     dofs: np.ndarray              # sorted global DOF ids; defines R_j
     elements: np.ndarray          # overlapping element set
-    owned_elements: np.ndarray    # nonoverlapping part
     weights: np.ndarray | None = None         # D_j diagonal
     A_loc: sp.csr_matrix | None = None        # R_j A R_j^T (edge decompositions)
     neumann: sp.csr_matrix | None = None      # local Neumann matrix
-    robin: sp.csr_matrix | None = None        # Neumann + i k (interface mass)
-    robin_fact: Factorization | None = None
-    a_fact: Factorization | None = None       # factorized A_loc (Dirichlet solves)
-    interface_mass: sp.csr_matrix | None = None
+    factor: Factorization | None = None       # F_j: Robin (Helmholtz) or A_loc (Maxwell)
+    interface_mass: sp.csr_matrix | None = None  # on `interface_dofs` only
     interface_dofs: np.ndarray | None = None  # local indices into `dofs`
     k_max: float = 0.0
 
@@ -65,7 +62,7 @@ class SubdomainData:
 class Decomposition:
     n_dofs: int
     subdomains: list
-    mesh: Mesh | None = None
+    restricted: bool = False  # W_j = D_j in the one-level sum (ORAS), else W_j = I
 
     @property
     def n_subdomains(self) -> int:
@@ -148,44 +145,33 @@ def extend_overlap(
     if n_dofs is None:
         raise StructuralError("n_dofs is required with a custom element_dofs map")
     N = int(partition.max()) + 1
+    owned = [partition == j for j in range(N)]
 
     if mode == "minimum":
         if partition.shape[0] != mesh.n_triangles:
             raise StructuralError("partition size does not match the mesh")
         if layers < 1:
             raise StructuralError("minimum overlap needs layers >= 1")
-        owned = [np.flatnonzero(partition == j) for j in range(N)]
-        overlapped = [
-            np.flatnonzero(_vertex_rings(mesh, partition == j, layers)) for j in range(N)
-        ]
+        overlapped = [np.flatnonzero(_vertex_rings(mesh, m, layers)) for m in owned]
     elif mode == "coarse":
         coarse, fine_to_coarse = _ancestor_chain_to(mesh, partition.shape[0])
-        owned_c = [partition == j for j in range(N)]
-        over_c = [_vertex_rings(coarse, m, layers) for m in owned_c]
-        owned = [np.flatnonzero(m[fine_to_coarse]) for m in owned_c]
-        overlapped = [np.flatnonzero(m[fine_to_coarse]) for m in over_c]
+        overlapped = [np.flatnonzero(_vertex_rings(coarse, m, layers)[fine_to_coarse])
+                      for m in owned]
     else:
         raise StructuralError(f"unknown overlap mode {mode!r}")
 
     subdomains = []
     covered = np.zeros(n_dofs, dtype=bool)
     for j in range(N):
-        if owned[j].size == 0:
+        if not owned[j].any():
             raise StructuralError(f"subdomain {j} owns no elements")
         dofs = np.unique(element_dofs[overlapped[j]])
         dofs = dofs[dofs >= 0]
         covered[dofs] = True
-        subdomains.append(
-            SubdomainData(
-                index=j,
-                dofs=dofs,
-                elements=overlapped[j],
-                owned_elements=owned[j],
-            )
-        )
+        subdomains.append(SubdomainData(index=j, dofs=dofs, elements=overlapped[j]))
     if not covered.all():
         raise StructuralError("some DOFs belong to no subdomain")
-    return Decomposition(n_dofs, subdomains, mesh=mesh)
+    return Decomposition(n_dofs, subdomains)
 
 
 def build_partition_of_unity(dec: Decomposition) -> Decomposition:
@@ -229,18 +215,32 @@ def _interface_edges(mesh: Mesh, elements: np.ndarray) -> np.ndarray:
     return np.setdiff1d(once, mesh.boundary_edges, assume_unique=True)
 
 
+def _robin_matrix(problem: HelmholtzProblem, sd: SubdomainData):
+    """The Robin matrix B_j = A~_j + i k M_Gamma of a subdomain with its Neumann
+    matrix A~_j, M_Gamma the mass on its interface edges and k sampled at each
+    edge midpoint; and its sorted local interface DOFs and M_Gamma on them."""
+    nloc = sd.dofs.size
+    iface = _interface_edges(problem.mesh, sd.elements)
+    if not iface.size:
+        return (sd.neumann + 1j * sp.csr_matrix((nloc, nloc)), np.empty(0, dtype=np.int64),
+                sp.csr_matrix((0, 0)))
+    gdofs, weighted, plain = _gamma_blocks(problem, iface)
+    gdofs = np.searchsorted(sd.dofs, gdofs)
+    gam = np.unique(gdofs)
+    return (sd.neumann + 1j * _scatter(gdofs, weighted, nloc), gam,
+            _scatter(np.searchsorted(gam, gdofs), plain, gam.size))
+
+
 def assemble_local_matrices(
     dec: Decomposition,
     problem: HelmholtzProblem,
     system: AssembledSystem,
-    factorize: bool = True,
 ) -> Decomposition:
-    """Complete each subdomain: the Neumann matrix assembled from local
-    elements only, the Robin matrix B_j = A~_j + i k (interface mass),
-    interface data and k_j.  The interface k is sampled at each edge
-    midpoint."""
-    mesh = dec.mesh
-    cent = mesh.centroids()
+    """Complete each subdomain for ORAS: the Neumann matrix assembled from
+    local elements only, the factor of the Robin matrix of ``_robin_matrix``,
+    the interface DOFs and mass, and k_j; the one-level sum is weighted by
+    the partition of unity, W_j = D_j (``dec.restricted``)."""
+    cent = problem.mesh.centroids()
     for sd in dec.subdomains:
         if sd.elements.size == 0:
             raise StructuralError(f"subdomain {sd.index} is empty")
@@ -252,23 +252,9 @@ def assemble_local_matrices(
             cent[sd.elements, 0], cent[sd.elements, 1]
         )
         sd.k_max = float(k_elems.max()) if problem.omega > 0 else 0.0
-
-        iface = _interface_edges(mesh, sd.elements)
-        nloc = sd.dofs.size
-        if iface.size:
-            gdofs, weighted, plain = _gamma_blocks(problem, iface)
-            gdofs = np.searchsorted(sd.dofs, gdofs)
-            Mg = _scatter(gdofs, plain, nloc)
-            Mk = _scatter(gdofs, weighted, nloc)
-            sd.interface_dofs = np.unique(gdofs)
-        else:
-            Mg = sp.csr_matrix((nloc, nloc))
-            Mk = sp.csr_matrix((nloc, nloc))
-            sd.interface_dofs = np.empty(0, dtype=np.int64)
-        sd.interface_mass = Mg
-        sd.robin = sd.neumann + 1j * Mk
-        if factorize:
-            sd.robin_fact = lu_factorize(sd.robin, ordering="MMD_AT_PLUS_A")
+        robin, sd.interface_dofs, sd.interface_mass = _robin_matrix(problem, sd)
+        sd.factor = lu_factorize(robin, ordering="MMD_AT_PLUS_A")
+    dec.restricted = True
     return dec
 
 

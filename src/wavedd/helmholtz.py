@@ -122,6 +122,8 @@ class PointSource:
     def __post_init__(self):
         if not (np.isfinite(self.x) and np.isfinite(self.y)):
             raise StructuralError("source coordinates must be finite")
+        if not np.isfinite(self.amplitude):
+            raise StructuralError("source amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,10 @@ class HelmholtzProblem:
 
 @dataclass
 class AssembledSystem:
-    A: ComplexSparseMatrix          # L - W + i*Gamma, complex symmetric CSR
+    A: ComplexSparseMatrix          # L - W + i*Gamma, complex symmetric CSR; Gamma = A.imag
     b: np.ndarray
     L: sp.csr_matrix                # stiffness (Laplacian part), real values
     weighted_mass: sp.csr_matrix    # k^2-weighted mass W
-    impedance_mass: sp.csr_matrix   # boundary term Gamma (A = L - W + i*Gamma)
     dirichlet_dofs: np.ndarray
 
 
@@ -306,7 +307,7 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
     if not is_symmetric(A):
         raise StructuralError("matrix flagged symmetric is not symmetric")
     return AssembledSystem(A=A, b=assemble_load(problem), L=L, weighted_mass=W,
-                           impedance_mass=Gamma, dirichlet_dofs=dirichlet)
+                           dirichlet_dofs=dirichlet)
 
 
 def assemble_load(problem: HelmholtzProblem) -> np.ndarray:

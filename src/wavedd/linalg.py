@@ -257,7 +257,8 @@ def krylov_solve(A, M_inv, b, cfg: KrylovConfig = KrylovConfig()):
     ``A`` and ``M_inv`` may be matrices or matvec callables.  GMRES applies
     the preconditioner on the right (solve A M^-1 y = b, x = M^-1 y) so the
     convergence test is on the true residual; the CG variant assumes an SPD
-    pair and is meant for the real symmetric case.
+    pair and is meant for the real symmetric case.  CG raises NumericError
+    on a breakdown, p* A p = 0, naming the iteration.
     """
     apply_A = _as_operator(A)
     apply_M = _as_operator(M_inv)
@@ -368,7 +369,7 @@ def _pcg(apply_A, apply_M, b, cfg: KrylovConfig):
         _check_finite(Ap, "operator")
         pAp = np.vdot(p, Ap)
         if pAp == 0.0:
-            break
+            raise NumericError(f"CG breakdown at iteration {iters + 1}: p* A p = 0")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap

@@ -4,8 +4,8 @@
 
 plus its preconditioners: the nodal auxiliary space preconditioner (ASP),
 and the local Dirichlet factors and coarse spaces of additive Schwarz.
-``build_edge_decomposition`` attaches the factors, on which
-``schwarz.OneLevel`` is the one-level additive Schwarz (weights W_j = I);
+``build_edge_decomposition`` attaches one factor per subdomain and leaves
+W_j = I, on which ``schwarz.OneLevel`` is the one-level additive Schwarz;
 ``schwarz.TwoLevel`` adds the gradient ("free") coarse space or the GenEO
 enrichment built in the orthogonal complement of that space.
 Both coarse bases are sparse matrices of locally supported columns, with a
@@ -129,12 +129,9 @@ class MaxwellSystem:
     alpha: float
     edge_dof: np.ndarray     # (n_edges,) free-edge dof id or -1
     free_edges: np.ndarray   # edge ids of the dofs, in dof order
-    node_dof: np.ndarray     # (n_vertices,) interior-node dof id or -1
-    free_nodes: np.ndarray
     K: sp.csr_matrix         # curl-curl part (real, symmetric)
-    Mw: sp.csr_matrix        # eps_r-weighted edge mass (symmetric)
-    A: ComplexSparseMatrix   # K + alpha * Mw (real, symmetric); perfbench reads its aliases
-    C: sp.csr_matrix         # gradient matrix, n_edges_free x n_nodes_free
+    A: ComplexSparseMatrix   # K + alpha * (eps_r-weighted edge mass); perfbench reads its aliases
+    C: sp.csr_matrix         # gradient matrix, free edges x interior nodes (vertex order)
     Ltilde: sp.csr_matrix    # mu_r^-1-weighted vector nodal Laplacian (2 blocks)
     Qtilde: sp.csr_matrix    # eps_r-weighted vector nodal mass (2 blocks)
     Pinterp: sp.csr_matrix   # edge <- vector-nodal interpolation
@@ -278,8 +275,7 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     return MaxwellSystem(
         mesh=mesh, alpha=problem.alpha,
         edge_dof=edge_dof, free_edges=free_edges,
-        node_dof=node_dof, free_nodes=free_nodes,
-        K=K, Mw=Mw, A=ComplexSparseMatrix(A),
+        K=K, A=ComplexSparseMatrix(A),
         C=C, Ltilde=Ltilde, Qtilde=Qtilde, Pinterp=Pinterp, L=Lplain, b=b,
     )
 
@@ -333,17 +329,16 @@ class AspPreconditioner:
 
 def build_edge_decomposition(problem: MaxwellProblem, sys: MaxwellSystem, N: int,
                              shape: str = "grid", grid=None, layers: int = 1,
-                             mode: str = "minimum", factorize: bool = True
-                             ) -> Decomposition:
-    """Overlapping decomposition of the free-edge DOFs, with local Dirichlet
-    factorizations and local Neumann matrices attached."""
+                             mode: str = "minimum") -> Decomposition:
+    """Overlapping decomposition of the free-edge DOFs for additive Schwarz,
+    W_j = I: each subdomain gets its Dirichlet matrix A_loc = R_j A R_j^T,
+    its factor and its local Neumann matrix."""
     dec = decompose(problem.mesh, N, shape=shape, grid=grid, layers=layers,
                     mode=mode, element_dofs=sys.element_edge_dofs(),
                     n_dofs=sys.n_dofs)
     for sd in dec.subdomains:
         sd.A_loc = sys.A[np.ix_(sd.dofs, sd.dofs)]
-        if factorize:
-            sd.a_fact = lu_factorize(sd.A_loc)
+        sd.factor = lu_factorize(sd.A_loc)
         sd.neumann = assemble_maxwell_subset(problem, sys, sd.elements, sd.dofs)
     return dec
 
@@ -390,13 +385,9 @@ def _free_basis(dec: Decomposition, sys: MaxwellSystem) -> sp.csc_matrix:
 
 def build_free_cs(dec: Decomposition, sys: MaxwellSystem) -> CoarseSpace:
     """The gradient ("free") coarse space V_G: partition-of-unity-localized
-    near-kernel vectors, no eigensolves.  Z is the sparse ``_free_basis``;
-    ``dim_vg`` is the rank of V_G.
-    """
-    cs = CoarseSpace(_free_basis(dec, sys), sys.A, provenance="maxwell-free")
-    cs.dim_gradient_space = int(sys.C.shape[1])
-    cs.dim_vg = cs.n0
-    return cs
+    near-kernel vectors, no eigensolves.  Z is the sparse ``_free_basis``,
+    and n0 is the rank of V_G."""
+    return CoarseSpace(_free_basis(dec, sys), sys.A, provenance="maxwell-free")
 
 
 def _bj_projector(G: sp.csc_matrix, A_loc: sp.csr_matrix):
@@ -494,10 +485,7 @@ def build_geneo_complement_cs(dec: Decomposition, sys: MaxwellSystem, tau: float
 
     modes, record = _local_modes(dec, pencil)
     Z = _independent_columns(sp.hstack([free, modes]), kept=free.shape[1])
-    cs = CoarseSpace(_unit_a_norm(Z, sys.A), sys.A, provenance="maxwell-geneo", **record)
-    cs.dim_gradient_space = int(sys.C.shape[1])
-    cs.dim_vg = free.shape[1]
-    return cs
+    return CoarseSpace(_unit_a_norm(Z, sys.A), sys.A, provenance="maxwell-geneo", **record)
 
 
 # ------------------------------------------------------------------ spectra

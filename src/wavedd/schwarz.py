@@ -7,7 +7,10 @@ One one-level method, ``OneLevel``, serves both physics:
 
 ORAS for Helmholtz, with F_j the local Robin (impedance) matrices and
 W_j = D_j the partition of unity; additive Schwarz for Maxwell, with F_j
-the local Dirichlet matrices and W_j = I.  A two-level method adds the
+the local Dirichlet matrices and W_j = I.  Each set-up attaches one factor
+F_j per subdomain, ``SubdomainData.factor``, and records W_j once for the
+decomposition, ``Decomposition.restricted``; ``OneLevel`` reads both and
+tells the physics apart by nothing else.  A two-level method adds the
 coarse correction H = Z E^-1 Z* with E = Z* A Z, combined either additively
 (M2^-1 = M^-1 + H) or in hybrid form
 
@@ -68,6 +71,10 @@ weights and the global size, not the decomposition, so a preconditioner that
 outlives its set-up does not pin the local matrices, the mesh or anything
 else the set-up made; and every sparse factor holds one copy of L and U,
 SuperLU's own (``linalg._pivots`` drops the copies its pivot read caches).
+The set-up records follow the same rule: a subdomain keeps its factor, not
+the Robin matrix that was factored, and ``bench.run_case`` drops the
+decomposition, with the Neumann matrices that only the coarse builders read,
+before the Krylov solve.
 
 ``TwoLevel`` serves Helmholtz and Maxwell alike: with a real A and a real
 sparse Z the coarse correction of a real vector is real, so the hybrid form
@@ -119,25 +126,23 @@ __all__ = [
 
 class OneLevel:
     """One-level Schwarz M^-1 v = sum_j R_j^T W_j F_j^-1 R_j v, on the local
-    factors that the set-up attached to each subdomain: a Robin factor
-    (``assemble_local_matrices``) is weighted by the partition of unity,
-    W_j = D_j (ORAS); otherwise a Dirichlet factor
-    (``maxwell.build_edge_decomposition``) has W_j = I (additive Schwarz).
-    The output has the dtype of v and the factors combined, so a real
-    Maxwell preconditioner serves GMRES's complex vectors as well as CG's.
-    It keeps no reference to ``dec``, only the local triples and n_dofs.
-    Raises StructuralError naming the first subdomain with neither factor."""
+    factor ``sd.factor`` that the set-up attached to each subdomain, the
+    Robin factor of ``assemble_local_matrices`` or the Dirichlet factor of
+    ``maxwell.build_edge_decomposition``.  W_j is the set-up's decision,
+    ``dec.restricted``: the partition of unity D_j (ORAS), or else I
+    (additive Schwarz).  The output has the dtype of v and the factors
+    combined, so a real Maxwell preconditioner serves GMRES's complex vectors
+    as well as CG's.  It keeps no reference to ``dec``, only the local
+    triples and n_dofs.  Raises StructuralError naming the first subdomain
+    without a factor."""
 
     def __init__(self, dec: Decomposition):
         self._n = dec.n_dofs
         self._local = []
         for sd in dec.subdomains:
-            if sd.robin_fact is not None:
-                self._local.append((sd.dofs, sd.robin_fact, sd.weights))
-            elif sd.a_fact is not None:
-                self._local.append((sd.dofs, sd.a_fact, None))
-            else:
+            if sd.factor is None:
                 raise StructuralError(f"subdomain {sd.index} has no local factorization")
+            self._local.append((sd.dofs, sd.factor, sd.weights if dec.restricted else None))
         self._dtype = np.result_type(*(f.dtype for _, f, _ in self._local))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -454,7 +459,7 @@ def _dtn_pencil(sd):
         flagged = True
     X = fact.solve(At[np.ix_(interior, gam)].toarray())  # A_II^-1 A_IG
     S = At[np.ix_(gam, gam)].toarray() - At[np.ix_(gam, interior)].toarray() @ X
-    M_G = sd.interface_mass[np.ix_(gam, gam)].toarray()
+    M_G = sd.interface_mass.toarray()
 
     def lift(u):
         v = np.zeros(sd.n_local, dtype=np.complex128)

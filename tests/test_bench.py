@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -180,6 +181,93 @@ def test_unknown_preconditioner_is_rejected_before_any_set_up(monkeypatch):
         run_case(RunConfig(problem="maxwell", preconditioner="grid"))
 
 
+def _forbid_set_up(monkeypatch, why):
+    from wavedd import bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(why)
+
+    for name in ("assemble_helmholtz", "assemble_maxwell", "build_rect_mesh"):
+        monkeypatch.setattr(bench, name, forbidden)
+
+
+@pytest.mark.parametrize("name,value", [("lambda_min", np.nan), ("tau", np.nan),
+                                        ("dtn_threshold", np.nan), ("m_max", -1)])
+def test_malformed_selection_is_rejected_before_any_set_up(monkeypatch, name, value):
+    """A NaN selection threshold or a negative m_max is a StructuralError of
+    ``RunConfig``, before any mesh or assembly, for either problem; None
+    (where the field allows it), +-inf and m_max = 0 stay legal."""
+    _forbid_set_up(monkeypatch, "set-up ran for a malformed selection")
+    for problem, method in (("helmholtz", "deltageneo"), ("maxwell", "geneo-complement")):
+        with pytest.raises(StructuralError, match=f"{name}"):
+            run_case(RunConfig(problem=problem, preconditioner=method, **{name: value}))
+    legal = (0,) if name == "m_max" else (np.inf, -np.inf)
+    for value in legal + ((None,) if name == "dtn_threshold" else ()):
+        assert getattr(RunConfig(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("changes,named", [
+    (dict(c=1e-300), "more DOFs than the sparse index range holds"),
+    (dict(c=1e-320), "cell counts inf x inf are not finite"),
+    (dict(problem="maxwell", maxwell_cells=30000), "more DOFs than the sparse index range"),
+], ids=["c-tiny", "c-denormal", "maxwell-cells"])
+def test_a_mesh_that_cannot_be_built_is_rejected_before_any_set_up(monkeypatch, changes,
+                                                                   named):
+    """``estimate_dofs`` rejects a mesh whose cell counts are not finite or
+    whose DOF count exceeds 2**31 - 1, the int32 index range of SuperLU and
+    scipy, and ``run_case`` calls it before any mesh or assembly."""
+    cfg = RunConfig(**changes)
+    with pytest.raises(StructuralError, match=named):
+        estimate_dofs(cfg)
+    _forbid_set_up(monkeypatch, "set-up ran for a mesh that cannot be built")
+    with pytest.raises(StructuralError, match=named):
+        run_case(cfg)
+
+
+def test_sweep_cell_whose_mesh_cannot_be_built_fails_alone():
+    """A sweep cell whose mesh ``estimate_dofs`` rejects fails with
+    ``error:StructuralError`` and "-" for dofs, and the sweep goes on."""
+    base = RunConfig(ppwl=8, order=1, dofs_floor=1)
+    rows = run_sweep(base, [1e308, 1e300, 1.0], [2], ["one-level"])
+    assert [r["converged"] for r in rows] == ["error:StructuralError"] * 2 + [True]
+    assert [r["dofs"] for r in rows[:2]] == ["-", "-"]
+    assert "not finite" in rows[0]["error"] and "sparse index range" in rows[1]["error"]
+    for c in (1e-300, 1e-320):
+        rows = run_sweep(replace(base, c=c), [1.0, 2.0], [2], ["one-level"])
+        assert [r["converged"] for r in rows] == ["error:StructuralError"] * 2
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(f=1.0, ppwl=8, order=1, n_subdomains=2),
+    RunConfig(f=1.0, ppwl=8, order=1, n_subdomains=2, preconditioner="dtn"),
+    RunConfig(problem="maxwell", maxwell_cells=6, n_subdomains=2),
+    RunConfig(problem="maxwell", maxwell_cells=6, n_subdomains=2,
+              preconditioner="geneo-complement"),
+], ids=["helmholtz-one-level", "helmholtz-dtn", "maxwell-one-level", "maxwell-geneo"])
+def test_run_case_drops_the_decomposition_before_the_solve(monkeypatch, cfg):
+    """When ``krylov_solve`` starts, the decomposition of the set-up is dead:
+    the preconditioner keeps only what its apply reads."""
+    from wavedd import bench
+
+    refs, alive = [], []
+    for name in ("decompose", "build_edge_decomposition"):
+        def recording(*args, _real=getattr(bench, name), **kwargs):
+            dec = _real(*args, **kwargs)
+            refs.append(weakref.ref(dec))
+            return dec
+
+        monkeypatch.setattr(bench, name, recording)
+    real_solve = bench.krylov_solve
+
+    def solve(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "krylov_solve", solve)
+    assert run_case(cfg).converged
+    assert alive == [[False]]
+
+
 def test_method_names_are_those_the_set_up_serves():
     """Every name that passes the early check is served: ASP for Maxwell,
     "one-level", and one coarse-space builder per two-level method."""
@@ -352,11 +440,15 @@ _CHANNEL = "problem = maxwell\nmodel = channel\nmaxwell_cells = 8\nn_subdomains 
     (_CHANNEL, ["channel_width=nan"], "width_frac must be finite and positive"),
     (_CHANNEL, ["channel_width=0"], "width_frac must be finite and positive"),
     (_CHANNEL, ["n_channels=-1"], "n_channels must be nonnegative"),
+    (_HELMHOLTZ + "preconditioner = hgeneo\n", ["m_max=-1"], "m_max must be nonnegative"),
+    (_HELMHOLTZ, ["c=1e-300"], "more DOFs than the sparse index range holds"),
+    (_HELMHOLTZ, ["c=1e-320"], "cell counts inf x inf are not finite"),
 ], ids=["file-ppwl", "max_iter", "f", "grid-one-count", "grid-letters", "zero-subdomains",
         "none-f", "none-model", "none-subdomains", "none-ppwl",
         "contrast-0", "contrast-negative", "contrast-nan", "contrast-inf", "f-nan", "ppwl-inf",
         "height-nan", "lambda_min-nan", "dtn_threshold-nan", "tau-nan", "source_x-nan",
-        "source_y-inf", "channel_width-nan", "channel_width-0", "n_channels-negative"])
+        "source_y-inf", "channel_width-nan", "channel_width-0", "n_channels-negative",
+        "m_max-negative", "c-tiny", "c-denormal"])
 def test_cli_malformed_config_value_exits_2(tmp_path, capsys, text, sets, named):
     """A config value that does not parse, ``none`` for a field whose type
     does not allow None, an f, ppwl, contrast, width or height that is not
@@ -367,7 +459,9 @@ def test_cli_malformed_config_value_exits_2(tmp_path, capsys, text, sets, named)
     (which selects no coarse mode, so a two-level run is one-level), a
     non-finite source coordinate (which puts the source on DOF 0), and a
     negative channel count or a channel width that is not finite and
-    positive (a medium without channels)."""
+    positive (a medium without channels).  So is a mesh that cannot be
+    built: cell counts that are not finite, or more DOFs than a sparse
+    index holds."""
     from wavedd.cli import main
 
     cfgfile = tmp_path / "case.cfg"

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from wavedd import decomposition
 from wavedd.decomposition import (
+    _robin_matrix,
     assemble_local_matrices,
     decompose,
     extend_overlap,
@@ -106,17 +108,26 @@ def test_coarse_overlap_width_scales_with_refinement():
     assert reach < 4 * h_fine + 1e-12
 
 
-def test_coarse_decomposition_partitions_the_coarsest_ancestor():
+def test_coarse_decomposition_partitions_the_coarsest_ancestor(monkeypatch):
     """``decompose`` in coarse mode partitions the root of the refinement
     chain, however many times the mesh was refined; a mesh with no parent
     has no coarse overlap."""
     root = build_rect_mesh(1.0, 1.0, 4, 4)
     fine = refine_uniform(root, 2)
+    partitions = []
+    real = decomposition.extend_overlap
+
+    def recording(partition, *args, **kwargs):
+        partitions.append(partition)
+        return real(partition, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "extend_overlap", recording)
     dec = decompose(fine, 2, shape="strips", mode="coarse")
-    ref = extend_overlap(partition_geometric(root, 2, shape="strips"), fine, mode="coarse")
+    part = partition_geometric(root, 2, shape="strips")
+    ref = extend_overlap(part, fine, mode="coarse")
+    assert np.array_equal(partitions[0], part)  # the owned elements, on the root
     for sd, expected in zip(dec.subdomains, ref.subdomains, strict=True):
         assert np.array_equal(sd.elements, expected.elements)
-        assert np.array_equal(sd.owned_elements, expected.owned_elements)
         assert np.array_equal(sd.dofs, expected.dofs)
     with pytest.raises(StructuralError, match="needs a refined mesh"):
         decompose(root, 2, shape="strips", mode="coarse")
@@ -230,17 +241,16 @@ def test_solvers_get_canonical_scipy_csr(bc):
         omega=2 * np.pi * 2, source=PointSource(0.5, 0.5), outer_bc=bc)
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 3, shape="strips")
-    assemble_local_matrices(dec, prob, sys, factorize=False)
-    assert all(_canonical_csr(M) for M in
-               (sys.A, sys.L, sys.weighted_mass, sys.impedance_mass))
-    assert all(_canonical_csr(sd.neumann) and _canonical_csr(sd.robin)
+    assemble_local_matrices(dec, prob, sys)
+    assert all(_canonical_csr(M) for M in (sys.A, sys.L, sys.weighted_mass))
+    assert all(_canonical_csr(sd.neumann) and _canonical_csr(_robin_matrix(prob, sd)[0])
                for sd in dec.subdomains)
 
     mesh = build_rect_mesh(1.0, 1.0, 8, 8)
     prob = MaxwellProblem(mesh=mesh, eps_r=channel_field(mesh, 1e2), alpha=1e-2)
     mx = assemble_maxwell(prob)
-    dec = build_edge_decomposition(prob, mx, 4, shape="grid", grid=(2, 2), factorize=False)
-    assert all(_canonical_csr(M) for M in (mx.K, mx.Mw, mx.A))
+    dec = build_edge_decomposition(prob, mx, 4, shape="grid", grid=(2, 2))
+    assert all(_canonical_csr(M) for M in (mx.K, mx.A))
     assert all(_canonical_csr(sd.neumann) and _canonical_csr(sd.A_loc)
                for sd in dec.subdomains)
 
@@ -252,21 +262,24 @@ def test_neumann_symmetric():
 
 
 def test_single_domain_robin_equals_global():
-    _, _, sys, dec = _decomposed_system(N=1)
-    assert np.abs(dec.subdomains[0].robin.toarray() - sys.A.toarray()).max() < 1e-14
+    _, prob, sys, dec = _decomposed_system(N=1)
+    robin = _robin_matrix(prob, dec.subdomains[0])[0]
+    assert np.abs(robin.toarray() - sys.A.toarray()).max() < 1e-14
 
 
 def test_robin_differs_only_on_interface_rows():
-    _, _, _, dec = _decomposed_system()
+    _, prob, _, dec = _decomposed_system()
     for sd in dec.subdomains:
-        diff = np.abs(sd.robin.toarray() - sd.neumann.toarray())
+        diff = np.abs(_robin_matrix(prob, sd)[0].toarray() - sd.neumann.toarray())
         nz_rows = np.flatnonzero(diff.max(axis=1) > 0)
         assert np.all(np.isin(nz_rows, sd.interface_dofs))
 
 
-def test_poisson_limit_interior_neumann_singular():
+def test_poisson_limit_interior_neumann_singular(monkeypatch):
     """omega -> 0: interior subdomain Neumann matrices have the constant
-    kernel (smallest singular value < 1e-10)."""
+    kernel (smallest singular value < 1e-10).  The Robin matrices are then
+    the same singular matrices, so no Robin factor is made."""
+    monkeypatch.setattr(decomposition, "lu_factorize", lambda *args, **kwargs: None)
     mesh = build_rect_mesh(1.0, 1.0, 9, 3, order=1)
     prob = HelmholtzProblem(
         mesh=mesh, model=VelocityModel.constant(1.0), omega=0.0,
@@ -274,7 +287,7 @@ def test_poisson_limit_interior_neumann_singular():
     )
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 3, shape="strips")
-    assemble_local_matrices(dec, prob, sys, factorize=False)
+    assemble_local_matrices(dec, prob, sys)
     mid = dec.subdomains[1]  # no global boundary... all strips touch top/bottom
     # with impedance at omega=0 the boundary term vanishes -> pure Neumann
     Nmat = mid.neumann.toarray()
@@ -292,7 +305,7 @@ def test_kj_max_wavenumber():
                             source=PointSource(0.5, 0.5))
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 2, shape="strips")
-    assemble_local_matrices(dec, prob, sys, factorize=False)
+    assemble_local_matrices(dec, prob, sys)
     for sd in dec.subdomains:
         assert sd.k_max == pytest.approx(omega / 1.0)  # both strips touch the slow layer
 
@@ -302,21 +315,23 @@ def test_disjoint_neumann_reassembly():
     back to the global matrix."""
     mesh, prob, sys, dec = _decomposed_system(nx=6, N=4)
     n = dec.n_dofs
+    part = partition_geometric(mesh, 4, shape="grid", grid=(2, 2))
     acc = np.zeros((n, n), dtype=complex)
     for sd in dec.subdomains:
-        dofs = np.unique(mesh.element_dofs()[sd.owned_elements])
-        local = assemble_helmholtz_subset(prob, sd.owned_elements, dofs)
+        owned = np.flatnonzero(part == sd.index)
+        dofs = np.unique(mesh.element_dofs()[owned])
+        local = assemble_helmholtz_subset(prob, owned, dofs)
         acc[np.ix_(dofs, dofs)] += local.toarray()
     assert np.abs(acc - sys.A.toarray()).max() < 1e-12
 
 
 def test_robin_invertible_and_factorized():
-    _, _, _, dec = _decomposed_system(omega=2 * np.pi * 3)
+    _, prob, _, dec = _decomposed_system(omega=2 * np.pi * 3)
     for sd in dec.subdomains:
-        assert sd.robin_fact is not None
+        assert sd.factor is not None
         b = np.ones(sd.n_local, dtype=complex)
-        x = sd.robin_fact.solve(b)
-        assert np.linalg.norm(sd.robin @ x - b) / np.linalg.norm(b) < 1e-10
+        x = sd.factor.solve(b)
+        assert np.linalg.norm(_robin_matrix(prob, sd)[0] @ x - b) / np.linalg.norm(b) < 1e-10
 
 
 def test_empty_subdomain_rejected():

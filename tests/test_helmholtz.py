@@ -14,6 +14,7 @@ from wavedd.helmholtz import (
     _TRI_QW,
     _boundary_edge_triangles,
     _element_matrices,
+    _gamma_blocks,
     _scatter,
     _shape_grads,
     _shape_values,
@@ -39,6 +40,13 @@ def _problem(mesh, omega=0.0, c=1.0, bc="impedance", source=(0.5, 0.5)):
         source=PointSource(*source),
         outer_bc=bc,
     )
+
+
+def _boundary_mass(prob):
+    """The boundary mass Gamma of A = L - W + i*Gamma, summed from the
+    k-weighted edge blocks of the boundary edges, as the assembly sums it."""
+    gdofs, weighted, _ = _gamma_blocks(prob, prob.mesh.boundary_edges)
+    return _scatter(gdofs, weighted, prob.mesh.n_dofs)
 
 
 # ------------------------------------------------------- Poisson limit
@@ -107,11 +115,12 @@ def test_impedance_symmetric_non_hermitian():
 
 def test_decomposition_into_parts():
     mesh = build_rect_mesh(1.0, 1.0, 5, 4, order=2)
-    sys = assemble_helmholtz(_problem(mesh, omega=2 * np.pi * 2))
+    prob = _problem(mesh, omega=2 * np.pi * 2)
+    sys = assemble_helmholtz(prob)
     A = sys.A.toarray()
     L = sys.L.toarray()
     W = sys.weighted_mass.toarray()
-    G = sys.impedance_mass.toarray()
+    G = _boundary_mass(prob).toarray()
     assert np.abs(A - (L - W + 1j * G)).max() < 1e-14 * np.abs(A).max()
 
 
@@ -127,11 +136,12 @@ def test_stiffness_psd_with_constant_kernel():
 
 def test_mass_symmetric_positive_diagonal():
     mesh = build_rect_mesh(1.0, 1.0, 6, 3, order=2)
-    sys = assemble_helmholtz(_problem(mesh, omega=2 * np.pi * 2))
+    prob = _problem(mesh, omega=2 * np.pi * 2)
+    sys = assemble_helmholtz(prob)
     W = sys.weighted_mass
     assert is_symmetric(W)
     assert np.all(W.diagonal().real > 0)
-    G = sys.impedance_mass
+    G = _boundary_mass(prob)
     assert is_symmetric(G)
 
 
@@ -149,6 +159,14 @@ def test_non_finite_source_coordinates_rejected(x, y):
     on the DOF that ``nearest_dof`` returns for NaN (DOF 0)."""
     with pytest.raises(StructuralError, match="source coordinates must be finite"):
         PointSource(x, y)
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_non_finite_source_amplitude_rejected(amplitude):
+    """A non-finite amplitude is a StructuralError of the source, not a
+    load that the solve blames on the preconditioner."""
+    with pytest.raises(StructuralError, match="source amplitude must be finite"):
+        PointSource(0.5, 0.5, amplitude)
 
 
 def test_zero_area_element_rejected():

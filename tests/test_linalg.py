@@ -316,6 +316,15 @@ def test_cg_restarts_when_the_true_residual_fails_the_test():
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-13
 
 
+def test_cg_breakdown_names_its_iteration():
+    """p* A p = 0 is a breakdown, not a silent unconverged report: on the
+    indefinite diag(1, 1, -1) with b = (1, 0, 1) the first direction has
+    p* A p = 0."""
+    with pytest.raises(NumericError, match="CG breakdown at iteration 1"):
+        krylov_solve(sp.diags([1.0, 1.0, -1.0]), None, np.array([1.0, 0.0, 1.0]),
+                     KrylovConfig(variant="cg"))
+
+
 def test_krylov_agrees_with_lu_to_10x_tol():
     rng = np.random.default_rng(11)
     for trial in range(5):

@@ -28,7 +28,8 @@ from wavedd.maxwell import (
     channel_field,
     fsl_bounds_check,
 )
-from wavedd.errors import StructuralError
+from wavedd.decomposition import partition_geometric
+from wavedd.errors import NumericError, StructuralError
 from wavedd.mesh import build_rect_mesh
 from wavedd.schwarz import CoarseSpace, OneLevel, TwoLevel, _independent_columns
 
@@ -37,6 +38,18 @@ def _system(nx=12, alpha=1e-2, eps=1.0, mu=1.0, source=None):
     mesh = build_rect_mesh(1.0, 1.0, nx, nx)
     prob = MaxwellProblem(mesh=mesh, mu_r=mu, eps_r=eps, alpha=alpha, source=source)
     return mesh, prob, assemble_maxwell(prob)
+
+
+def _node_dof(sys):
+    """Per vertex, the column of C of its interior node, -1 on the boundary:
+    ``assemble_maxwell`` numbers the interior nodes in vertex order."""
+    mesh = sys.mesh
+    boundary = np.unique(mesh.edges[mesh.boundary_edges].ravel())
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
+    node_dof = np.full(mesh.n_vertices, -1)
+    node_dof[interior] = np.arange(interior.size)
+    assert interior.size == sys.C.shape[1]
+    return node_dof
 
 
 def _cg(sys, M, tol=1e-8, max_iter=4000):
@@ -97,7 +110,7 @@ def test_c_entries_and_row_counts():
     assert nnz_per_row.max() <= 2
     # rows for edges with both endpoints interior have exactly two entries
     mesh = sys.mesh
-    both_free = np.all(sys.node_dof[mesh.edges[sys.free_edges]] >= 0, axis=1)
+    both_free = np.all(_node_dof(sys)[mesh.edges[sys.free_edges]] >= 0, axis=1)
     assert np.all(nnz_per_row[both_free] == 2)
 
 
@@ -154,13 +167,15 @@ def test_disjoint_neumann_reassembly():
     mu = 1.0 + np.random.default_rng(2).random(mesh.n_triangles)
     prob = MaxwellProblem(mesh=mesh, mu_r=mu, eps_r=channel_field(mesh, 1e2), alpha=0.5)
     sys = assemble_maxwell(prob)
-    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2), factorize=False)
+    dec = build_edge_decomposition(prob, sys, 4, shape="grid", grid=(2, 2))
+    part = partition_geometric(mesh, 4, shape="grid", grid=(2, 2))
     n = sys.n_dofs
     acc = np.zeros((n, n), dtype=complex)
     for sd in dec.subdomains:
-        gdof = sys.element_edge_dofs()[sd.owned_elements]
+        owned = np.flatnonzero(part == sd.index)
+        gdof = sys.element_edge_dofs()[owned]
         dofs = np.unique(gdof[gdof >= 0])
-        local = maxwell.assemble_maxwell_subset(prob, sys, sd.owned_elements, dofs)
+        local = maxwell.assemble_maxwell_subset(prob, sys, owned, dofs)
         acc[np.ix_(dofs, dofs)] += local.toarray()
     assert np.abs(acc - sys.A.toarray()).max() < 1e-12
 
@@ -176,7 +191,7 @@ def test_asp_nodal_operators_match_p1_closed_form():
     mu = 0.5 + rng.random(mesh.n_triangles)
     eps = 10.0 ** rng.uniform(-2, 2, mesh.n_triangles)
     sys = assemble_maxwell(MaxwellProblem(mesh=mesh, mu_r=mu, eps_r=eps, alpha=1.0))
-    nn = sys.free_nodes.size
+    nn, node_dof = sys.C.shape[1], _node_dof(sys)
     L, Lmu, Q = np.zeros((nn, nn)), np.zeros((nn, nn)), np.zeros((nn, nn))
     for t, tri in enumerate(mesh.triangles):
         p = mesh.vertices[tri]
@@ -186,7 +201,7 @@ def test_asp_nodal_operators_match_p1_closed_form():
                           p[(i + 2) % 3, 0] - p[(i + 1) % 3, 0]] for i in range(3)]) / (2 * area)
         for i in range(3):
             for j in range(3):
-                r, c = sys.node_dof[tri[i]], sys.node_dof[tri[j]]
+                r, c = node_dof[tri[i]], node_dof[tri[j]]
                 if r >= 0 and c >= 0:
                     L[r, c] += grad[i] @ grad[j] * area
                     Lmu[r, c] += grad[i] @ grad[j] * area / mu[t]
@@ -204,6 +219,15 @@ def test_asp_zero_maps_to_zero():
     _, _, sys = _system()
     asp = AspPreconditioner(sys)
     assert np.all(asp.apply(np.zeros(sys.n_dofs)) == 0)
+
+
+def test_asp_cg_breakdown_is_a_numeric_error():
+    """At alpha = 1e-300 on a 2-cell mesh ASP maps the load to a direction
+    with p* A p = 0: CG raises NumericError naming iteration 1, where it
+    reported 0 iterations, not converged, with no reason."""
+    _, _, sys = _system(nx=2, alpha=1e-300)
+    with pytest.raises(NumericError, match="CG breakdown at iteration 1"):
+        _cg(sys, AspPreconditioner(sys).apply)
 
 
 def test_asp_h_independent():
@@ -266,7 +290,7 @@ def test_free_cs_contains_gradients():
     proj = Z @ np.linalg.solve(E, Z.T @ (A @ G))
     scale = np.abs(G).max()
     assert np.abs(proj - G).max() <= 1e-10 * max(scale, 1.0)
-    assert free.dim_vg >= free.dim_gradient_space
+    assert free.n0 >= sys.C.shape[1]
 
 
 def _raw_free_columns(dec, sys):
@@ -291,6 +315,18 @@ def _projector_gap(Z1, Z2):
     return np.linalg.norm(Q2 - Q1 @ (Q1.T @ Q2), 2)
 
 
+def _leads(free, Z):
+    """The free basis leads Z, column for column: the GenEO complement keeps
+    it whole and first, each column only rescaled to unit A-norm."""
+    head = Z[:, :free.shape[1]]
+    if not (np.array_equal(head.indptr, free.indptr)
+            and np.array_equal(head.indices, free.indices)):
+        return False
+    ratio = head.data / free.data
+    scale = np.repeat(ratio[free.indptr[:-1]], np.diff(free.indptr))
+    return bool(np.all(scale > 0) and np.allclose(ratio, scale, rtol=1e-14, atol=0))
+
+
 def test_sparse_coarse_spaces_span_the_raw_columns(monkeypatch):
     """Free and GenEO bases are sparse and span what the orthonormalized raw
     columns span; dropping dependent columns loses nothing."""
@@ -299,7 +335,7 @@ def test_sparse_coarse_spaces_span_the_raw_columns(monkeypatch):
     free = build_free_cs(dec, sys)
     raw_free = _raw_free_columns(dec, sys)
     assert sp.issparse(free.Z) and (free.E != free.E.T).nnz == 0
-    assert free.n0 == free.dim_vg == np.linalg.matrix_rank(raw_free) < raw_free.shape[1]
+    assert free.n0 == np.linalg.matrix_rank(raw_free) < raw_free.shape[1]
     assert _projector_gap(free.Z.toarray(), raw_free) <= 1e-10
 
     inputs = []
@@ -314,7 +350,7 @@ def test_sparse_coarse_spaces_span_the_raw_columns(monkeypatch):
     modes = inputs[0].toarray()[:, free.n0:]
     assert sum(geneo.per_subdomain) == modes.shape[1] > 0
     assert sp.issparse(geneo.Z) and geneo.n0 == free.n0 + modes.shape[1]
-    assert geneo.dim_vg == free.dim_vg
+    assert _leads(free.Z, geneo.Z)
     assert _projector_gap(geneo.Z.toarray(), np.hstack([raw_free, modes])) <= 1e-10
 
 
@@ -394,7 +430,7 @@ def test_channel_coarse_dimensions(channel36, cells, contrast, n_free, n_geneo):
     sys, dec = channel36 if cells == 36 else _channel(cells, contrast)
     free = build_free_cs(dec, sys)
     geneo = build_geneo_complement_cs(dec, sys, tau=10.0, free_cs=free)
-    assert (free.n0, free.dim_vg, geneo.n0, geneo.dim_vg) == (n_free, n_free, n_geneo, n_free)
+    assert (free.n0, geneo.n0) == (n_free, n_geneo) and _leads(free.Z, geneo.Z)
     assert sum(geneo.per_subdomain) == n_geneo - n_free
     assert sp.issparse(free.Z) and sp.issparse(geneo.Z)
 
@@ -434,7 +470,7 @@ def test_geneo_complement_tests_only_the_appended_modes(channel36, monkeypatch):
         assert np.array_equal(getattr(tested, part), getattr(whole, part))
 
     alone = build_geneo_complement_cs(dec, sys, tau=10.0)
-    assert (alone.n0, alone.dim_vg, alone.per_subdomain) == (cs.n0, cs.dim_vg, cs.per_subdomain)
+    assert (alone.n0, alone.per_subdomain) == (cs.n0, cs.per_subdomain)
     for M, N in ((alone.Z, cs.Z), (alone.E, cs.E)):
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(M, part), getattr(N, part))

@@ -15,8 +15,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wavedd import schwarz
-from wavedd.decomposition import assemble_local_matrices, decompose
+from wavedd import decomposition, schwarz
+from wavedd.decomposition import _robin_matrix, assemble_local_matrices, decompose
 from wavedd.errors import NumericError, SingularityError, StructuralError
 from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
 from wavedd.linalg import (
@@ -53,8 +53,7 @@ from wavedd.velocity import VelocityModel
 
 
 def _setup(nx=12, ny=12, N=4, omega=2 * np.pi * 2, order=2, model=None,
-           shape="grid", grid=(2, 2), width=1.0, height=1.0, refine=0,
-           factorize=True):
+           shape="grid", grid=(2, 2), width=1.0, height=1.0, refine=0):
     base = build_rect_mesh(width, height, nx, ny, order=order)
     mesh = refine_uniform(base, refine) if refine else base
     prob = HelmholtzProblem(
@@ -68,8 +67,16 @@ def _setup(nx=12, ny=12, N=4, omega=2 * np.pi * 2, order=2, model=None,
         dec = decompose(mesh, 1)
     else:
         dec = decompose(mesh, N, shape=shape, grid=grid if shape == "grid" else None)
-    assemble_local_matrices(dec, prob, sys, factorize=factorize)
+    assemble_local_matrices(dec, prob, sys)
     return base, mesh, prob, sys, dec
+
+
+@pytest.fixture
+def no_local_factors(monkeypatch):
+    """``assemble_local_matrices`` attaches no Robin factors.  At omega = 0
+    the Robin matrices are singular Neumann matrices; the tests that use this
+    read only the Neumann matrices and the interface data."""
+    monkeypatch.setattr(decomposition, "lu_factorize", lambda *args, **kwargs: None)
 
 
 def _iterations(sys, M, tol=1e-6, max_iter=400):
@@ -97,11 +104,12 @@ def test_oras_matches_dense_assembly():
     """Explicit dense sum R^T W F^-1 R equals the operator application: for
     ORAS (Robin F, W = D) and for Maxwell additive Schwarz (Dirichlet F,
     W = I), whose real factors take the complex vector too."""
-    _, _, _, sys, dec = _setup(nx=6, ny=6, N=2, shape="strips", order=1)
-    oras = (dec, [(sd.robin, sd.weights) for sd in dec.subdomains])
+    _, _, prob, sys, dec = _setup(nx=6, ny=6, N=2, shape="strips", order=1)
+    oras = (dec, [(_robin_matrix(prob, sd)[0], sd.weights) for sd in dec.subdomains])
     mprob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 6, 6), alpha=1e-2)
     edec = build_edge_decomposition(mprob, assemble_maxwell(mprob), 2, shape="strips")
     additive = (edec, [(sd.A_loc, np.ones(sd.n_local)) for sd in edec.subdomains])
+    assert dec.restricted and not edec.restricted
     rng = np.random.default_rng(3)
     for dec, local in (oras, additive):
         n = dec.n_dofs
@@ -115,18 +123,9 @@ def test_oras_matches_dense_assembly():
 
 
 def test_one_level_names_a_subdomain_without_factor():
-    """With ``factorize=False`` neither set-up attaches a local factor, and
-    ``OneLevel`` names the first subdomain that lacks one."""
-    _, _, _, _, dec = _setup(factorize=False)
-    with pytest.raises(StructuralError, match="subdomain 0 has no local factorization"):
-        OneLevel(dec)
-    mprob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 6, 6), alpha=1e-2)
-    edec = build_edge_decomposition(mprob, assemble_maxwell(mprob), 2, shape="strips",
-                                    factorize=False)
-    with pytest.raises(StructuralError, match="subdomain 0 has no local factorization"):
-        OneLevel(edec)
+    """``OneLevel`` names the first subdomain that lacks a local factor."""
     _, _, _, _, dec = _setup()
-    dec.subdomains[2].robin_fact = None
+    dec.subdomains[2].factor = None
     with pytest.raises(StructuralError, match="subdomain 2 has no local factorization"):
         OneLevel(dec)
 
@@ -201,7 +200,7 @@ def test_grid_cs_requires_nesting():
 def test_grid_cs_rejects_non_ancestor_of_ancestor_size():
     """A mesh as large as the fine mesh's parent, but not that parent, is not
     a nested coarse mesh."""
-    base, _, prob, sys, _ = _setup(nx=6, ny=6, refine=1, factorize=False)
+    base, _, prob, sys, _ = _setup(nx=6, ny=6, refine=1)
     twin = build_rect_mesh(1.0, 1.0, 6, 6, order=2)
     assert twin.n_triangles == base.n_triangles
     with pytest.raises(StructuralError):
@@ -241,6 +240,7 @@ def test_grid_cs_under_a_dirichlet_outer_boundary():
 # --------------------------------------------------------------- DtN CS
 
 
+@pytest.mark.usefixtures("no_local_factors")
 def test_dtn_laplace_analytic_eigenvalues():
     """Strip subdomain of the Laplacian: DtN eigenvalues ~ m pi / L."""
     mesh = build_rect_mesh(2.0, 1.0, 64, 32, order=1)
@@ -250,7 +250,7 @@ def test_dtn_laplace_analytic_eigenvalues():
     )
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 2, shape="strips")
-    assemble_local_matrices(dec, prob, sys, factorize=False)
+    assemble_local_matrices(dec, prob, sys)
     S, M, *_ = schwarz._dtn_pencil(dec.subdomains[0])
     pairs = dense_generalized_eig(S, M, which=EigenSelection("re_below", np.inf, S.shape[0]))
     vals = np.sort(np.array([p.value.real for p in pairs]))
@@ -270,6 +270,7 @@ def test_dtn_empty_interface_is_flagged_not_warned():
     assert cs.per_subdomain == [0] and cs.rejected == [0]
 
 
+@pytest.mark.usefixtures("no_local_factors")
 def test_dtn_empty_selection_falls_back_to_one_level():
     """omega -> 0 gives k_j = 0, so Re(lambda) < k_j selects nothing."""
     mesh = build_rect_mesh(1.0, 1.0, 8, 8, order=1)
@@ -279,12 +280,12 @@ def test_dtn_empty_selection_falls_back_to_one_level():
     )
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 4, shape="grid", grid=(2, 2))
-    assemble_local_matrices(dec, prob, sys, factorize=False)
+    assemble_local_matrices(dec, prob, sys)
     cs = build_dtn_cs(dec, sys)
     assert cs.n0 == 0
     # empty coarse space: the two-level operator equals the one-level one
     for sd in dec.subdomains:
-        sd.robin_fact = lu_factorize(sd.robin + 1e-6j * sp.eye(sd.n_local))
+        sd.factor = lu_factorize(_robin_matrix(prob, sd)[0] + 1e-6j * sp.eye(sd.n_local))
     one = OneLevel(dec)
     two = TwoLevel(one, cs, sys.A)
     v = np.random.default_rng(0).standard_normal(dec.n_dofs)
@@ -322,6 +323,7 @@ def test_dtn_selection_monotone_in_threshold():
 # --------------------------------------------------------------- H-GenEO
 
 
+@pytest.mark.usefixtures("no_local_factors")
 def test_hgeneo_laplace_limit_real_eigenvalues():
     """omega = 0: the pencil D L D u = lambda L~ u is real symmetric; the
     constant mode becomes infinite (singular Neumann B) and is dropped, the
@@ -335,7 +337,7 @@ def test_hgeneo_laplace_limit_real_eigenvalues():
     )
     sys = assemble_helmholtz(prob)
     dec = decompose(mesh, 2, shape="strips")
-    assemble_local_matrices(dec, prob, sys, factorize=False)
+    assemble_local_matrices(dec, prob, sys)
     sd = dec.subdomains[0]
     Ld = sys.L[np.ix_(sd.dofs, sd.dofs)].toarray()
     lhs = (sd.weights[:, None] * Ld) * sd.weights[None, :]
@@ -406,13 +408,14 @@ def test_deltageneo_improves_at_low_frequency():
     assert it_two < it_one
 
 
+@pytest.mark.usefixtures("no_local_factors")
 @pytest.mark.parametrize("freq,flags", [(0.0, [0, 1, 2, 3]), (1.0, [])])
 def test_deltageneo_flags_the_shifted_right_sides(freq, flags):
     """At omega = 0 every Delta-GenEO right side is a Neumann Laplacian,
     singular on a strip that touches no Dirichlet boundary: each is shifted
     and its subdomain flagged.  At 1 Hz the k^2 mass term makes them SPD."""
     _, _, prob, sys, dec = _setup(nx=12, ny=12, N=4, shape="strips", order=1,
-                                  omega=2 * np.pi * freq, factorize=False)
+                                  omega=2 * np.pi * freq)
     assert build_deltageneo_cs(dec, prob, sys).flags == flags
 
 
@@ -927,10 +930,10 @@ def test_lu_orderings_of_each_caller(monkeypatch):
     orderings.clear()
     prob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 6, 6))
     msys = assemble_maxwell(prob)
-    build_edge_decomposition(prob, msys, 2, shape="strips")
-    assert orderings == ["COLAMD"] * 2  # a_fact
+    edec = build_edge_decomposition(prob, msys, 2, shape="strips")
+    assert orderings == ["COLAMD"] * 2  # the local Dirichlet factors
     orderings.clear()
-    build_free_cs(build_edge_decomposition(prob, msys, 2, shape="strips", factorize=False), msys)
+    build_free_cs(edec, msys)
     assert orderings == ["MMD_AT_PLUS_A symmetric"] * 2  # F^T F of subdomain 1, then E
     orderings.clear()
     AspPreconditioner(msys)
@@ -942,8 +945,7 @@ def test_maxwell_coarse_matrix_has_a_diagonal_pivoted_spd_factor():
     its factor pivots on the diagonal only, and solves E to 1e-12."""
     prob = MaxwellProblem(mesh=build_rect_mesh(1.0, 1.0, 10, 10), alpha=1e-2)
     msys = assemble_maxwell(prob)
-    dec = build_edge_decomposition(prob, msys, 4, shape="grid", grid=(2, 2),
-                                   factorize=False)
+    dec = build_edge_decomposition(prob, msys, 4, shape="grid", grid=(2, 2))
     cs = build_geneo_complement_cs(dec, msys)
     lu = cs._fact._lu
     assert cs.n0 > 0 and np.array_equal(lu.perm_r, lu.perm_c)
