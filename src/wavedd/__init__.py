@@ -16,18 +16,15 @@ from .helmholtz import (
     ppwl,
 )
 from .linalg import (
-    ComplexSparseMatrix,
     EigenPair,
     EigenSelection,
     Factorization,
     KrylovConfig,
     KrylovReport,
-    csr_from_triplets,
     dense_generalized_eig,
     is_symmetric,
     krylov_solve,
     lu_factorize,
-    orthonormalize,
 )
 from .maxwell import (
     AspPreconditioner,

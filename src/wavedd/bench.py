@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -33,6 +34,7 @@ from .maxwell import (
 )
 from .mesh import build_rect_mesh, refine_uniform
 from .schwarz import (
+    TWO_LEVEL_MODES,
     OneLevel,
     TwoLevel,
     build_deltageneo_cs,
@@ -95,6 +97,8 @@ class RunConfig:
                 raise StructuralError(f"{name}: selection threshold must not be NaN")
         if self.m_max < 0:
             raise StructuralError("m_max must be nonnegative")
+        if self.two_level_mode not in TWO_LEVEL_MODES:
+            raise StructuralError(f"unknown two-level mode {self.two_level_mode!r}")
 
 
 @dataclass
@@ -232,9 +236,10 @@ def _partition_args(cfg: RunConfig):
         aspect = cfg.width / cfg.height
         best = (N, 1)
         best_err = abs(np.log(N / 1 / aspect))
-        for px in range(1, N + 1):
-            if N % px:
-                continue
+        # the divisors of N in ascending order, found up to sqrt(N): N is
+        # checked against the element count only later, by ``decompose``
+        low = [d for d in range(1, math.isqrt(N) + 1) if N % d == 0]
+        for px in low + [N // d for d in reversed(low) if d * d != N]:
             py = N // px
             err = abs(np.log((px / py) / aspect))
             if err < best_err:
@@ -255,11 +260,16 @@ _METHODS = {
 
 def _helmholtz(cfg: RunConfig):
     """The Helmholtz system of ``cfg``, its decomposition with Robin factors,
-    and the coarse-space builder of each two-level method."""
+    and the coarse-space builder of each two-level method.  The mesh is
+    decomposed before the global assembly, so that a malformed partition or
+    overlap is rejected first."""
     model = _build_model(cfg)
     nx_c, ny_c = _helm_mesh_cells(cfg, model)
     coarse = build_rect_mesh(cfg.width, cfg.height, nx_c, ny_c, order=cfg.order)
     mesh = refine_uniform(coarse, cfg.coarse_refine)
+    shape, grid = _partition_args(cfg)
+    dec = decompose(mesh, cfg.n_subdomains, shape=shape, grid=grid,
+                    layers=cfg.overlap_layers, mode=cfg.overlap_mode)
     sx = cfg.source_x if cfg.source_x is not None else cfg.width / 2
     sy = cfg.source_y if cfg.source_y is not None else 0.9 * cfg.height
     prob = HelmholtzProblem(
@@ -267,9 +277,6 @@ def _helmholtz(cfg: RunConfig):
         source=PointSource(sx, sy),
     )
     system = assemble_helmholtz(prob)
-    shape, grid = _partition_args(cfg)
-    dec = decompose(mesh, cfg.n_subdomains, shape=shape, grid=grid,
-                    layers=cfg.overlap_layers, mode=cfg.overlap_mode)
     assemble_local_matrices(dec, prob, system)
     return system, dec, {
         "grid": lambda: build_grid_cs(prob, coarse, system),

@@ -1,8 +1,10 @@
 """wavedd command line: run one case, sweep a table, emit dispersion curves,
 or run the quick invariant checks.
 
-Exit code 0 on completion (non-converged cells included); 2 on structural
-errors (bad config, malformed files)."""
+Exit codes: 0 on completion (non-converged runs and cells included); 1 when
+``check`` finds a failed invariant; 2 on structural errors (bad config,
+malformed or missing files); 3 when ``run`` meets a numerical failure (a
+breakdown, non-finite values, a singular matrix)."""
 from __future__ import annotations
 
 import argparse
@@ -20,7 +22,7 @@ from .bench import (
     sweep_to_csv,
 )
 from .dispersion import DispersionSpec, phase_velocity
-from .errors import StructuralError
+from .errors import NumericError, SingularityError, StructuralError
 
 
 def _load_config(path: str, overrides) -> RunConfig:
@@ -88,9 +90,11 @@ def _cmd_dispersion(args) -> int:
 
 def _cmd_check(args) -> int:
     """Fast invariant suite; failures flip the exit code."""
+    import scipy.sparse as sp
+
     from .decomposition import decompose, pou_identity_deviation
     from .helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
-    from .linalg import KrylovConfig, csr_from_triplets, is_symmetric, krylov_solve
+    from .linalg import KrylovConfig, is_symmetric, krylov_solve
     from .maxwell import MaxwellProblem, assemble_maxwell
     from .mesh import build_rect_mesh, refine_uniform
     from .velocity import VelocityModel
@@ -110,9 +114,8 @@ def _cmd_check(args) -> int:
         devs.append(pou_identity_deviation(dec))
     report("partition of unity identity <= 1e-14", max(devs) <= 1e-14)
 
-    n = 20
-    I = csr_from_triplets(n, n, [(i, i, 1.0) for i in range(n)])
-    _, rep = krylov_solve(I, None, np.ones(n), KrylovConfig(tol=1e-10))
+    _, rep = krylov_solve(sp.identity(20, format="csr"), None, np.ones(20),
+                          KrylovConfig(tol=1e-10))
     report("GMRES identity converges in 1 iteration", rep.iterations == 1)
 
     mesh = build_rect_mesh(1.0, 1.0, 8, 8, order=2)
@@ -174,12 +177,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StructuralError as exc:
+    except (StructuralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (NumericError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ __all__ = [
     "EigenPair",
     "EigenPairs",
     "EigenSelection",
-    "csr_from_triplets",
     "is_symmetric",
     "lu_factorize",
     "spd_factorize",
@@ -77,32 +76,6 @@ def is_symmetric(A: sp.spmatrix) -> bool:
     return np.abs(diff.data).max() <= 1e-13 * scale
 
 
-def csr_from_triplets(nrows, ncols, triplets) -> sp.csr_matrix:
-    """Build a CSR matrix from (row, col, value) triplets.
-
-    Duplicate entries are summed, explicit zeros are retained and rows come
-    out with strictly increasing column indices.  ``triplets`` is either an
-    iterable of 3-tuples or a ``(rows, cols, values)`` triple of arrays.
-    """
-    if isinstance(triplets, tuple) and len(triplets) == 3:
-        rows, cols, vals = (np.asarray(a) for a in triplets)
-    else:
-        seq = list(triplets)
-        if seq:
-            rows = np.array([t[0] for t in seq])
-            cols = np.array([t[1] for t in seq])
-            vals = np.array([t[2] for t in seq])
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
-            raise StructuralError("triplet index out of range")
-    dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
-    return sp.coo_matrix((vals.astype(dtype), (rows, cols)), shape=(nrows, ncols)).tocsr()
-
-
 class Factorization:
     """Reusable sparse LU handle; safe for concurrent solves.  It holds one
     copy of L and U, SuperLU's own: the factor rules below read the pivots
@@ -126,9 +99,6 @@ class Factorization:
             return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
         return self._lu.solve(b)
 
-    def __call__(self, b):
-        return self.solve(b)
-
 
 def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     """Sparse LU with partial pivoting for square, structurally nonsingular A.
@@ -143,7 +113,7 @@ def lu_factorize(A, ordering: str = "COLAMD") -> Factorization:
     below 1e-14 * max|A|.  The pivots are read exactly, by ``_pivots``, and
     the factor keeps no second copy of L and U.
     """
-    if ordering not in ("NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD"):
+    if ordering not in ("COLAMD", "MMD_AT_PLUS_A"):
         raise StructuralError(f"unknown LU column ordering {ordering!r}")
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -240,15 +210,12 @@ class KrylovReport:
     final_residual: float = 0.0
 
 
-def _as_operator(op) -> Callable[[np.ndarray], np.ndarray]:
-    if op is None:
-        return None
-    if callable(op) and not isinstance(op, np.ndarray):
+def _as_operator(op) -> Callable[[np.ndarray], np.ndarray] | None:
+    """A callable as it is, None as no operator, and any matrix, sparse or
+    dense, by its product ``op @ x``."""
+    if op is None or callable(op):
         return op
-    if sp.issparse(op):
-        return lambda x, _m=op.tocsr(): _m @ x
-    arr = np.asarray(op)
-    return lambda x, _m=arr: _m @ x
+    return lambda x: op @ x
 
 
 def krylov_solve(A, M_inv, b, cfg: KrylovConfig = KrylovConfig()):
@@ -290,16 +257,27 @@ def _gmres(apply_A, apply_M, b, cfg: KrylovConfig):
         if beta / bnorm <= cfg.tol or iters >= cfg.max_iter:
             break
         m = min(cfg.restart or cfg.max_iter, cfg.max_iter - iters)
-        V = np.empty((m + 1, n), dtype=dtype)
+        # the arrays hold cap rows and double when they fill, so a large
+        # max_iter reserves nothing the solve does not reach; up to 512 rows
+        # (the default max_iter is 500) they are reserved whole, as large as
+        # the cycle may need: a smaller basis can fall under glibc's dynamic
+        # mmap threshold into the heap, which keeps its pages after the solve
+        cap = min(m + 1, 512)
+        V = np.empty((cap, n), dtype=dtype)
         V[0] = r / beta
-        H = np.zeros((m + 1, m), dtype=dtype)
-        cs = np.zeros(m, dtype=dtype)
-        sn = np.zeros(m, dtype=dtype)
-        g = np.zeros(m + 1, dtype=dtype)
+        H = np.zeros((cap, cap - 1), dtype=dtype)
+        cs, sn = np.zeros(cap - 1, dtype=dtype), np.zeros(cap - 1, dtype=dtype)
+        g = np.zeros(cap, dtype=dtype)
         g[0] = beta
         k_used = 0
         inner_done = False
         for k in range(m):
+            if k + 1 == cap:
+                grow = min(cap, m + 1 - cap)
+                V = np.pad(V, ((0, grow), (0, 0)))
+                H = np.pad(H, (0, grow))
+                cs, sn, g = (np.pad(a, (0, grow)) for a in (cs, sn, g))
+                cap += grow
             z = apply_M(V[k]) if apply_M is not None else V[k]
             _check_finite(z, "preconditioner")
             w = apply_A(z)
@@ -637,25 +615,16 @@ def dense_generalized_eig(A, B, which: EigenSelection) -> EigenPairs:
     return pairs
 
 
-def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given vectors.
+def orthonormalize(V: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of the columns of the 2-D
+    array V.
 
-    Rank revealing: a vector whose projection residual has relative norm
-    below ``drop_tol`` is dropped.  Modified Gram-Schmidt with
-    reorthogonalization, order preserving; meant for the small local sets of
-    the coarse-space builders.  All-zero input yields an (n, 0) basis.
+    Rank revealing: a column whose projection residual has relative norm
+    below 1e-10 is dropped.  Modified Gram-Schmidt with reorthogonalization,
+    order preserving; meant for the small local sets of the coarse-space
+    builders.  All-zero input yields an (n, 0) basis.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        V = vectors
-    else:
-        cols = [np.asarray(v).ravel() for v in vectors]
-        if not cols:
-            raise StructuralError("orthonormalize requires a nonempty input")
-        V = np.column_stack(cols)
     n, m = V.shape
-    if m == 0:
-        return np.empty((n, 0), dtype=V.dtype)
-
     dtype = np.promote_types(V.dtype, np.float64)
     basis = np.empty((n, m), dtype=dtype)
     r = 0
@@ -669,7 +638,7 @@ def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
                 B = basis[:, :r]
                 v -= B @ (v.conj() @ B).conj()
         nrm = np.linalg.norm(v)
-        if nrm < drop_tol * nrm0:
+        if nrm < 1e-10 * nrm0:
             continue
         basis[:, r] = v / nrm
         r += 1

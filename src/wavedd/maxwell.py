@@ -54,7 +54,6 @@ from .errors import SingularityError, StructuralError
 from .linalg import (
     ComplexSparseMatrix,
     EigenSelection,
-    csr_from_triplets,
     dense_generalized_eig,  # noqa: F401 - perfbench/tracing.py patches this name here
     is_symmetric,
     lu_factorize,
@@ -93,10 +92,7 @@ _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
 
 def _per_element(field, mesh: Mesh) -> np.ndarray:
-    """Coefficient per element: scalar, array of length nt, or callable."""
-    if callable(field):
-        c = mesh.centroids()
-        return np.asarray(field(c[:, 0], c[:, 1]), dtype=float)
+    """Coefficient per element: a scalar or an array of length nt."""
     arr = np.asarray(field, dtype=float)
     if arr.ndim == 0:
         return np.full(mesh.n_triangles, float(arr))
@@ -107,18 +103,16 @@ def _per_element(field, mesh: Mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaxwellProblem:
-    mesh: Mesh                      # order-1 geometry
-    mu_r: object = 1.0              # scalar | per-element array | callable
-    eps_r: object = 1.0
-    alpha: float = 1.0
-    source: np.ndarray | None = None  # load on free-edge DOFs
-    bc: str = "tangential_zero"       # or "natural" (analysis only)
+    mesh: Mesh                        # order-1 geometry; u x n = 0 on all its boundary
+    mu_r: object = 1.0                # scalar | per-element array, finite, positive
+    eps_r: object = 1.0               # scalar | per-element array, finite, positive
+    alpha: float = 1.0                # mass-term shift, finite, positive
+    source: np.ndarray | None = None  # load on free-edge DOFs; None: unit load at the
+                                      # free edge nearest the bounding-box centre
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise StructuralError("alpha must be finite and positive")
-        if self.bc not in ("tangential_zero", "natural"):
-            raise StructuralError(f"unknown bc {self.bc!r}")
         if self.mesh.order != 1:
             raise StructuralError("edge elements use order-1 mesh geometry")
 
@@ -199,12 +193,8 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     _check_speeds(mu_e, "mu_r")
     _check_speeds(eps_e, "eps_r")
 
-    if problem.bc == "tangential_zero":
-        bnd_edges = mesh.boundary_edges
-        bnd_nodes = np.unique(mesh.edges[bnd_edges].ravel())
-    else:
-        bnd_edges = np.empty(0, dtype=np.int64)
-        bnd_nodes = np.empty(0, dtype=np.int64)
+    bnd_edges = mesh.boundary_edges
+    bnd_nodes = np.unique(mesh.edges[bnd_edges].ravel())
     edge_dof = np.full(mesh.n_edges, -1, dtype=np.int64)
     free_edges = np.setdiff1d(np.arange(mesh.n_edges), bnd_edges)
     edge_dof[free_edges] = np.arange(free_edges.size)
@@ -231,7 +221,8 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
         rows.append(np.flatnonzero(keep))
         cols.append(nd[keep])
         vals.append(np.full(int(keep.sum()), sign))
-    C = csr_from_triplets(ne, nn, tuple(map(np.concatenate, (rows, cols, vals))))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    C = sp.coo_matrix((vals, (rows, cols)), shape=(ne, nn)).tocsr()
 
     # nodal auxiliary operators on interior nodes
     Kn, Mn = _element_matrices(mesh, np.arange(mesh.n_triangles))
@@ -239,11 +230,6 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     Lmu = _scatter(ndofmap, Kn * (1.0 / mu_e)[:, None, None], nn)
     Lplain = _scatter(ndofmap, Kn, nn)
     Mass = _scatter(ndofmap, Mn * eps_e[:, None, None], nn)
-    if nn and bnd_nodes.size == 0:
-        # pure Neumann auxiliary problems are singular: ground one node
-        ground = sp.coo_matrix(([1.0], ([0], [0])), shape=(nn, nn)).tocsr()
-        Lmu = Lmu + ground
-        Lplain = Lplain + ground
     Ltilde = sp.block_diag([Lmu, Lmu]).tocsr()
     Qtilde = sp.block_diag([Mass, Mass]).tocsr()
 
@@ -257,7 +243,8 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
             prow.append(np.flatnonzero(keep))
             pcol.append(nd[keep] + comp * nn)
             pval.append(0.5 * d[keep, comp])
-    Pinterp = csr_from_triplets(ne, 2 * nn, tuple(map(np.concatenate, (prow, pcol, pval))))
+    prow, pcol, pval = map(np.concatenate, (prow, pcol, pval))
+    Pinterp = sp.coo_matrix((pval, (prow, pcol)), shape=(ne, 2 * nn)).tocsr()
 
     b = problem.source
     if b is None:
@@ -320,8 +307,6 @@ class AspPreconditioner:
         out = out + self._P @ self._aux_fact.solve(self._PT @ v)
         out = out + (self._C @ self._l_fact.solve(self._CT @ v)) / self._alpha
         return out
-
-    __call__ = apply
 
 
 # ------------------------------------------------------------------ Schwarz
@@ -503,14 +488,15 @@ class FslCheck:
         return self.c_upper / self.c_lower
 
 
-def fsl_bounds_check(A, preconditioner, max_dofs: int = 500) -> FslCheck:
-    """Empirical spectral bounds of M^-1 A on a small instance: densify the
-    preconditioned operator column by column and report the extreme real
-    parts (SPD pairs must give a real positive spectrum)."""
+def fsl_bounds_check(A, preconditioner) -> FslCheck:
+    """Empirical spectral bounds of M^-1 A on an instance of at most 500
+    DOFs: densify the preconditioned operator column by column and report
+    the extreme real parts (SPD pairs must give a real positive spectrum).
+    ``preconditioner`` is an object with ``apply`` or a callable."""
     Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
     n = Ad.shape[0]
-    if n > max_dofs:
-        raise StructuralError(f"instance too large for the dense check ({n} > {max_dofs})")
+    if n > 500:
+        raise StructuralError(f"instance too large for the dense check ({n} > 500)")
     apply_M = preconditioner.apply if hasattr(preconditioner, "apply") else preconditioner
     M = np.empty((n, n))
     e = np.zeros(n)

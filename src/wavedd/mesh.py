@@ -61,13 +61,6 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
-    def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
-    def h_max(self) -> float:
-        return float(self.edge_lengths().max())
-
     def bbox(self):
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
@@ -118,16 +111,14 @@ def _finish(vertices, triangles, order, parent=None, parent_triangle=None) -> Me
                 parent=parent, parent_triangle=parent_triangle)
 
 
-def mesh_from_arrays(vertices, triangles, order: int = 1) -> Mesh:
-    """Mesh from raw vertex/triangle arrays; triangles are re-oriented to
-    positive signed area."""
+def mesh_from_arrays(vertices, triangles) -> Mesh:
+    """Order-1 mesh from raw vertex/triangle arrays; triangles are
+    re-oriented to positive signed area."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    if order not in (1, 2):
-        raise StructuralError("order must be 1 or 2")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= vertices.shape[0]):
         raise StructuralError("triangle vertex index out of range")
-    return _finish(vertices, triangles, order)
+    return _finish(vertices, triangles, 1)
 
 
 def build_rect_mesh(width: float, height: float, nx: int, ny: int, order: int = 1) -> Mesh:

@@ -152,8 +152,6 @@ class OneLevel:
             out[dofs] += x if weights is None else weights * x
         return out
 
-    __call__ = apply
-
 
 # a name for OneLevel that only perfbench/workloads.py reads; it goes when
 # perfbench imports OneLevel
@@ -226,8 +224,6 @@ class CoarseSpace:
         r = self._ZT @ v if self._ZT.dtype.kind != "c" else (self._ZT @ np.conj(v)).conj()
         return self.Z @ self._fact.solve(r)
 
-    __call__ = apply
-
 
 def _independent_columns(Z, kept: int = 0) -> sp.csc_matrix:
     """The columns of Z scaled to unit norm, in input order, less those that
@@ -266,12 +262,16 @@ def _independent_columns(Z, kept: int = 0) -> sp.csc_matrix:
     return Z[:, np.r_[:kept, kept + np.sort(piv[:rank] - 1)]]
 
 
+# the combinations of ``TwoLevel``; ``bench.RunConfig`` checks its mode here
+TWO_LEVEL_MODES = ("additive", "hybrid")
+
+
 class TwoLevel:
     """Two-level combination of a one-level method and a coarse correction,
     for Helmholtz (ORAS) and Maxwell (additive Schwarz) alike."""
 
     def __init__(self, one_level, coarse: CoarseSpace, A, mode: str = "hybrid"):
-        if mode not in ("additive", "hybrid"):
+        if mode not in TWO_LEVEL_MODES:
             raise StructuralError(f"unknown two-level mode {mode!r}")
         self.one_level = one_level
         self.coarse = coarse
@@ -288,8 +288,6 @@ class TwoLevel:
         w = self.one_level.apply(r)
         w = w - self.coarse.apply(self.A @ w)
         return w + Hv
-
-    __call__ = apply
 
 
 # ------------------------------------------------------------------ grid CS

@@ -31,19 +31,13 @@ class VelocityModel:
     representations: layers (``speeds``, bottom layer first, and one fewer
     ``interfaces``), of which a constant speed is the one-layer case, or a
     raster ``grid`` over ``extent``.  ``grid is None`` tells them apart.
-
-    c = sqrt(rho * cP^2) when built from density/longitudinal-speed data; the
-    optional provenance fields keep those inputs around.
     """
 
-    def __init__(self, *, speeds=None, interfaces=None, grid=None, extent=None,
-                 rho=None, cP=None):
+    def __init__(self, *, speeds=None, interfaces=None, grid=None, extent=None):
         self.speeds = None if speeds is None else np.asarray(speeds, dtype=float)
         self.interfaces = None if interfaces is None else [tuple(i) for i in interfaces]
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self.extent = None if extent is None else tuple(float(e) for e in extent)
-        self.rho = rho
-        self.cP = cP
         if self.grid is None:
             if self.speeds is None or self.interfaces is None:
                 raise StructuralError("layered model needs speeds and interfaces")
@@ -61,11 +55,6 @@ class VelocityModel:
     def constant(cls, c: float) -> "VelocityModel":
         """One layer of speed c."""
         return cls(speeds=[float(c)], interfaces=[])
-
-    @classmethod
-    def from_rho_cp(cls, rho: float, cP: float) -> "VelocityModel":
-        c = float(np.sqrt(rho * cP**2))
-        return cls(speeds=[c], interfaces=[], rho=rho, cP=cP)
 
     @classmethod
     def layered_wedge(cls, speeds, interfaces) -> "VelocityModel":
@@ -117,9 +106,6 @@ class VelocityModel:
 
     def min_speed(self) -> float:
         return float((self.speeds if self.grid is None else self.grid).min())
-
-    def max_speed(self) -> float:
-        return float((self.speeds if self.grid is None else self.grid).max())
 
 
 def load_raster_model(path, width: float | None = None,

@@ -22,7 +22,7 @@ from wavedd.bench import (
     sweep_to_csv,
 )
 from wavedd.dispersion import DispersionSpec
-from wavedd.errors import SingularityError, StructuralError
+from wavedd.errors import NumericError, SingularityError, StructuralError
 
 
 def test_config_round_trip_defaults():
@@ -207,6 +207,28 @@ def test_malformed_selection_is_rejected_before_any_set_up(monkeypatch, name, va
 
 
 @pytest.mark.parametrize("changes,named", [
+    (dict(partition="grid:3"), "partition 'grid:3' is not grid:PXxPY"),
+    (dict(overlap_mode="bogus"), "unknown overlap mode 'bogus'"),
+    (dict(overlap_layers=0), "minimum overlap needs layers >= 1"),
+    (dict(two_level_mode="foo"), "unknown two-level mode 'foo'"),
+], ids=["partition", "overlap-mode", "overlap-layers", "two-level-mode"])
+def test_malformed_partition_overlap_or_mode_is_rejected_before_the_assembly(
+        monkeypatch, changes, named):
+    """A malformed partition or overlap is rejected by the decomposition,
+    which runs before the global assembly, and an unknown two-level mode by
+    ``RunConfig``: none of them waits for the local factors and the coarse
+    build that the mode would combine."""
+    from wavedd import bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the global assembly ran for a malformed config")
+
+    monkeypatch.setattr(bench, "assemble_helmholtz", forbidden)
+    with pytest.raises(StructuralError, match=named):
+        run_case(RunConfig(f=2.0, ppwl=8, preconditioner="hgeneo", **changes))
+
+
+@pytest.mark.parametrize("changes,named", [
     (dict(c=1e-300), "more DOFs than the sparse index range holds"),
     (dict(c=1e-320), "cell counts inf x inf are not finite"),
     (dict(problem="maxwell", maxwell_cells=30000), "more DOFs than the sparse index range"),
@@ -266,6 +288,23 @@ def test_run_case_drops_the_decomposition_before_the_solve(monkeypatch, cfg):
     monkeypatch.setattr(bench, "krylov_solve", solve)
     assert run_case(cfg).converged
     assert alive == [[False]]
+
+
+def test_auto_partition_takes_the_divisor_pair_nearest_the_aspect():
+    """"auto" picks the first px, in ascending order, of the divisor pairs
+    px * py = N whose ratio px / py is nearest the domain's aspect, strips
+    when px or py is 1; it visits only the divisors, so a huge N is parsed
+    at once and left to the decomposition to reject."""
+    from wavedd import bench
+
+    for N in range(1, 200):
+        for width in (1.0, 2.0, 0.3):
+            err = {px: abs(np.log(px / (N // px) / width))
+                   for px in range(1, N + 1) if N % px == 0}
+            px = N if err[N] <= min(err.values()) else min(err, key=err.get)
+            want = ("strips", None) if 1 in (px, N // px) else ("grid", (px, N // px))
+            assert bench._partition_args(RunConfig(n_subdomains=N, width=width)) == want
+    assert bench._partition_args(RunConfig(n_subdomains=10**9)) == ("grid", (31250, 32000))
 
 
 def test_method_names_are_those_the_set_up_serves():
@@ -409,6 +448,32 @@ def test_cli_nonpositive_max_iter_exit_code(tmp_path):
     out = _cli("run", str(cfgfile))
     assert out.returncode == 2
     assert "max_iter must be >= 1" in out.stderr
+
+
+def test_cli_numerical_failure_exits_3(tmp_path):
+    """A numerical failure of ``run`` ends in exit 3 with its message on
+    stderr, not in a traceback: here CG breaks down on a Maxwell system
+    whose mass shift alpha = 1e-300 leaves A singular to rounding."""
+    cfgfile = tmp_path / "breakdown.cfg"
+    cfgfile.write_text("problem = maxwell\npreconditioner = asp\nmaxwell_cells = 2\n"
+                       "alpha = 1e-300\n")
+    out = _cli("run", str(cfgfile))
+    assert out.returncode == 3
+    assert "error: CG breakdown at iteration 1" in out.stderr
+    assert "Traceback" not in out.stdout + out.stderr
+
+
+def test_cli_singular_matrix_exits_3(tmp_path, capsys, monkeypatch):
+    from wavedd import cli
+
+    def singular(cfg):
+        raise SingularityError("pivot 0.000e+00 below threshold")
+
+    monkeypatch.setattr(cli, "run_case", singular)
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text("ppwl = 8\n")
+    assert cli.main(["run", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == "error: pivot 0.000e+00 below threshold\n"
 
 
 _HELMHOLTZ = "ppwl = 8\nn_subdomains = 4\n"
@@ -658,3 +723,85 @@ def test_fingerprint_compare_fails_on_counts_not_on_residuals():
     fail, _ = fingerprint.differences(new, old)
     assert fail == ["workloads/w/coarse_spaces/cs/E.data: <f8:ab -> <f8:cd",
                     "workloads/w/iterations/m: [18, 16] -> [18, 17]"]
+
+
+# --------------------------------------------------------------- robustness
+
+_EDGE = (0.0, -1.0, np.inf, -np.inf, 1e-300)
+# per field, (values of a small config, edge values)
+_HELMHOLTZ_FIELDS = dict(
+    model=(["constant", "wedge"], ["channel", "raster"]),
+    c=([1.0, 2.5], (1e300,) + _EDGE),
+    contrast=([1.0, 4.0], (1e300, np.nan) + _EDGE),
+    f=([0.5, 1.0, 2.0], _EDGE),
+    ppwl=([4.0, 6.0], (1e300,) + _EDGE),
+    order=([1, 2], [0, 3]),
+    width=([1.0, 0.5], _EDGE),
+    source_x=([None, 0.3], (5.0, np.nan) + _EDGE),
+    n_subdomains=([1, 2, 4], [0, -1, 10**9]),
+    partition=(["auto", "strips", "grid:2x2"], ["grid:3", "grid:0x2", "grid:axb", "bogus"]),
+    overlap_mode=(["minimum", "coarse"], ["bogus"]),
+    overlap_layers=([1, 2], [0, -1]),
+    preconditioner=(["one-level", "grid", "dtn", "hgeneo", "deltageneo"], ["asp", "bogus"]),
+    two_level_mode=(["hybrid", "additive"], ["foo"]),
+    coarse_refine=([1, 2], [0, -1]),
+    lambda_min=([0.5], (np.nan,) + _EDGE),
+    m_max=([4, 10], [0, -1, 10**9]),
+    dtn_threshold=([None, 2.0], (np.nan,) + _EDGE),
+    tol=([1e-6], (0.5, 1.0, 1e-300) + _EDGE),
+    max_iter=([200], [1, 0, -1]),
+    restart=([None, 10], [1, 0, -1, 10**9]),
+)
+_MAXWELL_FIELDS = dict(
+    problem=(["maxwell"], []),
+    model=(["constant", "channel"], ["wedge"]),
+    c=([1.0], (1e300,) + _EDGE),
+    contrast=([1.0, 1e4], (1e300,) + _EDGE),
+    maxwell_cells=([4, 6, 10], [1, 0, -1, 10**9]),
+    alpha=([1e-2, 1.0], (1e300,) + _EDGE),
+    n_channels=([2, 4], [0, -1, 100]),
+    channel_width=([0.04, 0.1], (0.3, 10.0) + _EDGE),
+    random_source=([False, True], []),
+    n_subdomains=([1, 2, 4], [0, -1, 10**9]),
+    partition=(["auto", "strips", "grid:2x2"], ["grid:3", "bogus"]),
+    overlap_mode=(["minimum"], ["coarse", "bogus"]),
+    overlap_layers=([1, 2], [0, -1]),
+    preconditioner=(["asp", "one-level", "free-cs", "geneo-complement"], ["grid", "bogus"]),
+    two_level_mode=(["hybrid", "additive"], ["foo"]),
+    tau=([10.0, 2.0], (np.nan,) + _EDGE),
+    m_max=([4, 10], [0, -1, 10**9]),
+    tol=([1e-6], (1e-300,) + _EDGE),
+    max_iter=([200], [1, 0, -1]),
+)
+
+
+@st.composite
+def _edge_configs(draw):
+    """The fields of a small config of either physics, with up to three of
+    them set to edge values."""
+    table = draw(st.sampled_from([_HELMHOLTZ_FIELDS, _MAXWELL_FIELDS]))
+    changes = {name: draw(st.sampled_from(ok)) for name, (ok, _) in table.items()}
+    edged = sorted(name for name, (_, edge) in table.items() if edge)
+    for name in draw(st.lists(st.sampled_from(edged), max_size=3, unique=True)):
+        changes[name] = draw(st.sampled_from(table[name][1]))
+    return changes
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_edge_configs())
+def test_run_case_has_a_defined_outcome_on_edge_values(changes):
+    """Over small configs of both physics with edge values (zero, negative,
+    +-inf, 1e-300, NaN, huge counts, malformed partitions, zero overlap,
+    m_max = -1, an unknown two-level mode), ``run_case`` either returns a
+    report, converged or not, or raises a ``wavedd.errors`` type; any other
+    exception fails.  A config whose mesh has more than 3,000 DOFs is not
+    run."""
+    try:
+        cfg = RunConfig(**changes)
+        if estimate_dofs(cfg) > 3000:
+            return
+        rep = run_case(cfg)
+    except (StructuralError, SingularityError, NumericError):
+        return
+    assert rep.converged in (True, False) and rep.iterations <= cfg.max_iter

@@ -61,20 +61,6 @@ def _cg(sys, M, tol=1e-8, max_iter=4000):
 # ----------------------------------------------------------- assembly
 
 
-def test_single_triangle_curl_rank():
-    """Unconstrained single element: one curl DOF, kernel of dimension 2."""
-    from wavedd.mesh import mesh_from_arrays
-
-    tri_mesh = mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)], [(0, 1, 2)])
-    prob = MaxwellProblem(mesh=tri_mesh, alpha=1.0, bc="natural")
-    sys = assemble_maxwell(prob)
-    K = sys.K.toarray()
-    rank = np.linalg.matrix_rank(K, tol=1e-12)
-    assert K.shape == (3, 3)
-    assert rank == 1
-    assert K.shape[0] - rank == tri_mesh.n_edges - 1 == 2
-
-
 def test_gradients_in_kernel():
     _, _, sys = _system(nx=9)
     rng = np.random.default_rng(0)

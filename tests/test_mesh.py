@@ -61,7 +61,12 @@ def test_refine_nesting():
 def test_refine_halves_edges():
     m = build_rect_mesh(1.0, 1.0, 2, 2)
     r = refine_uniform(m, 1)
-    assert r.h_max() == pytest.approx(m.h_max() / 2, abs=1e-14)
+
+    def longest_edge(mesh):
+        d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+        return np.hypot(d[:, 0], d[:, 1]).max()
+
+    assert longest_edge(r) == pytest.approx(longest_edge(m) / 2, abs=1e-14)
 
 
 def test_refine_levels_chain():

@@ -32,20 +32,19 @@ def test_single_cell_raster_assembles_like_constant():
 
 
 def test_constant_is_the_one_layer_model():
-    """A constant speed, a wedge of one layer and the rho-cP model of the
-    same speed are one model: the same Helmholtz matrix, bit for bit, and
-    the same speed range."""
+    """A constant speed and a wedge of one layer of the same speed are one
+    model: the same Helmholtz matrix, bit for bit, and the same speed
+    range."""
     from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
     from wavedd.mesh import build_rect_mesh
 
     mesh = build_rect_mesh(1.0, 1.0, 4, 4, order=2)
-    models = (VelocityModel.constant(1.5), VelocityModel.layered_wedge([1.5], []),
-              VelocityModel.from_rho_cp(1.0, 1.5))
+    models = (VelocityModel.constant(1.5), VelocityModel.layered_wedge([1.5], []))
     A = [assemble_helmholtz(HelmholtzProblem(mesh=mesh, model=m, omega=2 * np.pi,
                                              source=PointSource(0.5, 0.5))).A.toarray()
          for m in models]
-    assert np.array_equal(A[0], A[1]) and np.array_equal(A[0], A[2])
-    assert all(m.min_speed() == m.max_speed() == 1.5 for m in models)
+    assert np.array_equal(A[0], A[1])
+    assert all(m.min_speed() == m.speeds.max() == 1.5 for m in models)
 
 
 def test_nearest_outside():
@@ -80,7 +79,7 @@ def test_raster_round_trip(tmp_path):
     assert np.allclose(m.grid, grid, atol=1e-6)  # float32 payload
     assert m.extent == (0, 9.2, 0, 3.0)
     assert m.min_speed() == pytest.approx(grid.min(), abs=1e-6)
-    assert m.max_speed() == pytest.approx(grid.max(), abs=1e-6)
+    assert m.grid.max() == pytest.approx(grid.max(), abs=1e-6)
 
 
 def test_raster_min_max_scan(tmp_path):
@@ -94,7 +93,7 @@ def test_raster_min_max_scan(tmp_path):
         raw = np.fromfile(fh, dtype="<f4")
     m = load_raster_model(path)
     assert m.min_speed() == pytest.approx(raw.min())
-    assert m.max_speed() == pytest.approx(raw.max())
+    assert m.grid.max() == pytest.approx(raw.max())
 
 
 def test_raster_extent_override(tmp_path):
@@ -139,12 +138,6 @@ def test_raster_orientation(tmp_path):
     m = load_raster_model(path)
     assert m(0.5, 0.0) == pytest.approx(1.0)
     assert m(0.5, 1.0) == pytest.approx(9.0)
-
-
-def test_rho_cp_provenance():
-    m = VelocityModel.from_rho_cp(1.0, 1.5)
-    assert m(0, 0) == pytest.approx(1.5)
-    assert m.rho == 1.0 and m.cP == 1.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
