@@ -11,17 +11,20 @@ The JSON holds, for every coarse space of the full-size set-ups of the three
 ``perfbench`` workloads and for the free and GenEO-complement spaces of the
 48-cell channels of acceptance criterion 8 (contrast 1, 1e2 and 1e4), the
 sha256 digests of the data, indices and indptr of Z and of E, with n0,
-``per_subdomain``, ``flags`` and ``rejected``; and the iteration count and
+``per_subdomain``, ``flags`` and ``rejected``; the iteration count and
 final relative residual of every solve of one round of each workload, its
-loads in their unseeded order.  The residuals show how close each solve
-stopped to its tolerance.  ``--root`` names the checkout whose ``src/`` and
+loads in their unseeded order; and, for the nested-mesh path that no
+workload takes, the digests of every subdomain's dofs, elements and weights
+of a coarse-overlap decomposition, and of the grid coarse space, one and two
+refinement levels below a coarse mesh.  The residuals show how close each
+solve stopped to its tolerance.  ``--root`` names the checkout whose ``src/`` and
 ``perfbench/`` are imported (default: the one holding this script).
 ``--compare`` lists every entry that differs from another fingerprint and
 exits with status 1 if one does; residuals that differ are listed as
 information only, and do not fail the comparison.
-``--only NAME``, repeatable, takes a workload name or ``channels``: only
-those entries are computed, written and compared, so that a check of one
-workload takes seconds.  Nothing is written under ``perfbench/``.
+``--only NAME``, repeatable, takes a workload name, ``channels`` or
+``nested``: only those entries are computed, written and compared, so that
+a check of one workload takes seconds.  Nothing is written under ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -92,6 +95,37 @@ def _channels() -> dict:
     return out
 
 
+def _nested() -> dict:
+    import numpy as np
+
+    from wavedd.decomposition import decompose
+    from wavedd.helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz
+    from wavedd.mesh import build_rect_mesh, refine_uniform
+    from wavedd.schwarz import build_grid_cs
+    from wavedd.velocity import VelocityModel
+
+    coarse = build_rect_mesh(2.0, 1.0, 12, 6, order=2)
+    model = VelocityModel.layered_wedge([1.0, 2.0, 3.0], [(0.35, 0.025), (0.7, -0.02)])
+    out = {}
+    for levels in (1, 2):
+        mesh = refine_uniform(coarse, levels)
+        entry = {}
+        for layers in (1, 2):
+            dec = decompose(mesh, 6, shape="grid", grid=(3, 2), layers=layers, mode="coarse")
+            entry[f"coarse-overlap{layers}"] = {
+                f"{sd.index}.{name}": _digest(getattr(sd, name))
+                for sd in dec.subdomains for name in ("dofs", "elements", "weights")}
+        prob = HelmholtzProblem(mesh=mesh, model=model, omega=2 * np.pi * 3,
+                                source=PointSource(1.0, 0.9))
+        entry["grid"] = _coarse_space(build_grid_cs(prob, coarse, assemble_helmholtz(prob)))
+        out[f"coarse_refine{levels}"] = entry
+    return out
+
+
+# the entries besides the workloads, each computed by its own function
+EXTRAS = {"channels": _channels, "nested": _nested}
+
+
 def _flatten(tree, prefix="") -> dict:
     if not isinstance(tree, dict):
         return {prefix: tree}
@@ -125,8 +159,9 @@ def _selected(fingerprint: dict, only) -> dict:
     """The entries of a fingerprint that ``only`` names, less its root."""
     out = {"workloads": {k: v for k, v in fingerprint.get("workloads", {}).items()
                          if k in only}}
-    if "channels" in only:
-        out["channels"] = fingerprint.get("channels", {})
+    for name in EXTRAS:
+        if name in only:
+            out[name] = fingerprint.get(name, {})
     return out
 
 
@@ -136,7 +171,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--compare", help="fingerprint JSON to compare with")
     ap.add_argument("--only", action="append", metavar="NAME",
-                    help="a workload name or 'channels'; repeatable (default: all)")
+                    help="a workload name, 'channels' or 'nested'; repeatable "
+                         "(default: all)")
     args = ap.parse_args(argv)
     # one BLAS thread, as in the benchmark: the thread count can change rounding
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -147,14 +183,15 @@ def main(argv=None) -> int:
 
     from perfbench.workloads import FULL
 
-    names = list(FULL) + ["channels"]
+    names = list(FULL) + list(EXTRAS)
     only = args.only or names
     unknown = sorted(set(only) - set(names))
     if unknown:
         ap.error(f"--only: unknown {', '.join(unknown)}; choose from {', '.join(names)}")
     fingerprint = {"root": root, "workloads": _workloads(n for n in FULL if n in only)}
-    if "channels" in only:
-        fingerprint["channels"] = _channels()
+    for name, compute in EXTRAS.items():
+        if name in only:
+            fingerprint[name] = compute()
     with open(args.out, "w") as f:
         json.dump(fingerprint, f, indent=1)
     if not args.compare:

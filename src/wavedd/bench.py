@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .decomposition import assemble_local_matrices, decompose
+from .decomposition import assemble_local_matrices, decompose, partition_mesh
 from .dispersion import dispersion_curve
 from .errors import StructuralError
 from .helmholtz import HelmholtzProblem, PointSource, assemble_helmholtz, mesh_size_rule
@@ -292,8 +292,11 @@ def _helmholtz(cfg: RunConfig):
 def _maxwell(cfg: RunConfig):
     """The Maxwell system of ``cfg``, its edge decomposition with Dirichlet
     factors (None for ASP, which needs none), and the coarse-space builder of
-    each two-level method."""
+    each two-level method.  The partition is parsed and the overlap checked
+    on the mesh before the global assembly, for every method."""
     mesh = build_rect_mesh(cfg.width, cfg.height, cfg.maxwell_cells, cfg.maxwell_cells)
+    shape, grid = _partition_args(cfg)
+    partition_mesh(mesh, cfg.overlap_layers, cfg.overlap_mode)
     if cfg.model == "channel":
         eps = channel_field(mesh, 1.0 / cfg.contrast, n_channels=cfg.n_channels,
                             base=cfg.c, width_frac=cfg.channel_width)
@@ -307,7 +310,6 @@ def _maxwell(cfg: RunConfig):
         system.b = np.random.default_rng(cfg.seed).standard_normal(system.n_dofs)
     if cfg.preconditioner == "asp":
         return system, None, {}
-    shape, grid = _partition_args(cfg)
     dec = build_edge_decomposition(prob, system, cfg.n_subdomains, shape=shape,
                                    grid=grid, layers=cfg.overlap_layers,
                                    mode=cfg.overlap_mode)

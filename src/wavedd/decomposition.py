@@ -8,8 +8,9 @@ partition of unity weights, so sum_j R_j^T D_j R_j = I.
 
 Two overlap flavours:
   minimum -- add `layers` rings of DOF-sharing elements on the given mesh;
-  coarse  -- add rings on a coarse ancestor mesh and descend through the
-             refinement map, so the overlap width scales with the coarse h.
+  coarse  -- add rings on the mesh the given one was refined from and
+             descend through the refinement map, so the overlap width
+             scales with the coarse h.
 """
 from __future__ import annotations
 
@@ -33,8 +34,7 @@ __all__ = [
     "SubdomainData",
     "Decomposition",
     "partition_geometric",
-    "extend_overlap",
-    "build_partition_of_unity",
+    "partition_mesh",
     "assemble_local_matrices",
     "decompose",
 ]
@@ -105,83 +105,20 @@ def _vertex_rings(mesh: Mesh, members: np.ndarray, layers: int) -> np.ndarray:
     return current
 
 
-def _ancestor_chain_to(mesh: Mesh, n_coarse_triangles: int):
-    """Meshes from `mesh` up to the ancestor with the given triangle count,
-    plus the composed fine-element -> ancestor-element map."""
-    chain = [mesh]
-    while chain[-1].n_triangles != n_coarse_triangles:
-        parent = chain[-1].parent
-        if parent is None:
-            raise StructuralError(f"no ancestor mesh has {n_coarse_triangles} triangles")
-        chain.append(parent)
-    fine_to_coarse = np.arange(mesh.n_triangles)
-    for m in chain[:-1]:
-        fine_to_coarse = m.parent_triangle[fine_to_coarse]
-    return chain[-1], fine_to_coarse
-
-
-def extend_overlap(
-    partition: np.ndarray,
-    mesh: Mesh,
-    layers: int = 1,
-    mode: str = "minimum",
-    element_dofs: np.ndarray | None = None,
-    n_dofs: int | None = None,
-) -> Decomposition:
-    """Build the overlapping decomposition skeleton (no matrices yet).
-
-    For mode="minimum" the partition lives on `mesh` itself.  For
-    mode="coarse" it lives on a coarse ancestor of `mesh` (produced by
-    refine_uniform); rings are added there and descend to the fine mesh.
-
-    `element_dofs` defaults to the mesh's Lagrange DOF map; pass a custom
-    (nt, k) map with -1 for eliminated DOFs to decompose other spaces
-    (e.g. edge elements).
-    """
-    partition = np.asarray(partition)
-    if element_dofs is None:
-        element_dofs = mesh.element_dofs()
-        n_dofs = mesh.n_dofs
-    if n_dofs is None:
-        raise StructuralError("n_dofs is required with a custom element_dofs map")
-    N = int(partition.max()) + 1
-    owned = [partition == j for j in range(N)]
-
+def partition_mesh(mesh: Mesh, layers: int, mode: str) -> Mesh:
+    """The mesh that ``decompose`` partitions for the given overlap: `mesh`
+    itself for mode="minimum", which needs layers >= 1, and for mode="coarse"
+    the mesh that `mesh` was refined from.  Any other overlap is a
+    StructuralError."""
     if mode == "minimum":
-        if partition.shape[0] != mesh.n_triangles:
-            raise StructuralError("partition size does not match the mesh")
         if layers < 1:
             raise StructuralError("minimum overlap needs layers >= 1")
-        overlapped = [np.flatnonzero(_vertex_rings(mesh, m, layers)) for m in owned]
-    elif mode == "coarse":
-        coarse, fine_to_coarse = _ancestor_chain_to(mesh, partition.shape[0])
-        overlapped = [np.flatnonzero(_vertex_rings(coarse, m, layers)[fine_to_coarse])
-                      for m in owned]
-    else:
-        raise StructuralError(f"unknown overlap mode {mode!r}")
-
-    subdomains = []
-    covered = np.zeros(n_dofs, dtype=bool)
-    for j in range(N):
-        if not owned[j].any():
-            raise StructuralError(f"subdomain {j} owns no elements")
-        dofs = np.unique(element_dofs[overlapped[j]])
-        dofs = dofs[dofs >= 0]
-        covered[dofs] = True
-        subdomains.append(SubdomainData(index=j, dofs=dofs, elements=overlapped[j]))
-    if not covered.all():
-        raise StructuralError("some DOFs belong to no subdomain")
-    return Decomposition(n_dofs, subdomains)
-
-
-def build_partition_of_unity(dec: Decomposition) -> Decomposition:
-    """Inverse-multiplicity weights: D_j(dof) = 1/#subdomains containing it."""
-    mult = np.zeros(dec.n_dofs, dtype=np.int64)
-    for sd in dec.subdomains:
-        mult[sd.dofs] += 1
-    for sd in dec.subdomains:
-        sd.weights = 1.0 / mult[sd.dofs]
-    return dec
+        return mesh
+    if mode == "coarse":
+        if mesh.parent is None:
+            raise StructuralError("coarse overlap needs a refined mesh")
+        return mesh.parent
+    raise StructuralError(f"unknown overlap mode {mode!r}")
 
 
 def decompose(
@@ -194,18 +131,44 @@ def decompose(
     element_dofs: np.ndarray | None = None,
     n_dofs: int | None = None,
 ) -> Decomposition:
-    """Partition + overlap + partition of unity in one call.  For
-    mode="coarse" the partition is built on the coarsest ancestor of `mesh`,
-    the root of its refinement chain."""
-    target = mesh
-    if mode == "coarse":
-        if mesh.parent is None:
-            raise StructuralError("coarse overlap needs a refined mesh")
-        *_, target = mesh.ancestors()
-    part = partition_geometric(target, N, shape=shape, grid=grid)
-    dec = extend_overlap(part, mesh, layers=layers, mode=mode,
-                         element_dofs=element_dofs, n_dofs=n_dofs)
-    return build_partition_of_unity(dec)
+    """The overlapping decomposition of `mesh` into N subdomains with its
+    partition of unity, D_j(dof) = 1/#subdomains containing it (no matrices
+    yet).
+
+    ``partition_geometric`` cuts ``partition_mesh(mesh, layers, mode)`` into
+    N parts, and each part grows by `layers` rings there; for mode="coarse"
+    the rings descend to `mesh` through `mesh.parent_triangle`.
+
+    `element_dofs` defaults to the mesh's Lagrange DOF map; pass a custom
+    (nt, k) map with -1 for eliminated DOFs, and its `n_dofs`, to decompose
+    other spaces (e.g. edge elements).
+    """
+    target = partition_mesh(mesh, layers, mode)
+    partition = partition_geometric(target, N, shape=shape, grid=grid)
+    if element_dofs is None:
+        element_dofs, n_dofs = mesh.element_dofs(), mesh.n_dofs
+    if n_dofs is None:
+        raise StructuralError("n_dofs is required with a custom element_dofs map")
+
+    subdomains = []
+    mult = np.zeros(n_dofs, dtype=np.int64)
+    for j in range(N):
+        owned = partition == j
+        if not owned.any():
+            raise StructuralError(f"subdomain {j} owns no elements")
+        rings = _vertex_rings(target, owned, layers)
+        if mode == "coarse":
+            rings = rings[mesh.parent_triangle]
+        elements = np.flatnonzero(rings)
+        dofs = np.unique(element_dofs[elements])
+        dofs = dofs[dofs >= 0]
+        mult[dofs] += 1
+        subdomains.append(SubdomainData(index=j, dofs=dofs, elements=elements))
+    if not mult.all():
+        raise StructuralError("some DOFs belong to no subdomain")
+    for sd in subdomains:
+        sd.weights = 1.0 / mult[sd.dofs]
+    return Decomposition(n_dofs, subdomains)
 
 
 def _interface_edges(mesh: Mesh, elements: np.ndarray) -> np.ndarray:
@@ -248,9 +211,7 @@ def assemble_local_matrices(
             problem, sd.elements, sd.dofs,
             dirichlet_dofs=system.dirichlet_dofs,
         )
-        k_elems = problem.omega / problem.model(
-            cent[sd.elements, 0], cent[sd.elements, 1]
-        )
+        k_elems = problem.wavenumber(cent[sd.elements, 0], cent[sd.elements, 1])
         sd.k_max = float(k_elems.max()) if problem.omega > 0 else 0.0
         robin, sd.interface_dofs, sd.interface_mass = _robin_matrix(problem, sd)
         sd.factor = lu_factorize(robin, ordering="MMD_AT_PLUS_A")

@@ -230,7 +230,7 @@ def _gamma_blocks(problem: HelmholtzProblem, edge_ids: np.ndarray):
     pts = mesh.vertices[mesh.edges[edge_ids]]
     mids = pts.mean(axis=1)
     lengths = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    k_edge = problem.omega / problem.model(mids[:, 0], mids[:, 1])
+    k_edge = problem.wavenumber(mids[:, 0], mids[:, 1])
     tr = _edge_trace(mesh.order, _EDGE_QP)     # (nq, nd)
     ref_mass = np.einsum("q,qi,qj->ij", _EDGE_QW, tr, tr)
     return (_boundary_edge_dofs(mesh, edge_ids),
@@ -265,6 +265,14 @@ def _scatter(dofmap: np.ndarray, Ae: np.ndarray, n: int) -> sp.csr_matrix:
                          shape=(n, n)).tocsr()
 
 
+def _require_finite(A: sp.csr_matrix) -> None:
+    """Raise StructuralError when an assembled matrix holds inf or NaN, which
+    the symmetry test would otherwise report as asymmetry."""
+    if not np.isfinite(A.data).all():
+        raise StructuralError("assembled matrix has non-finite entries "
+                              "(overflowing coefficients or degenerate elements)")
+
+
 def nearest_dof(mesh: Mesh, x: float, y: float) -> int:
     coords = mesh.dof_coords()
     return int(np.argmin((coords[:, 0] - x) ** 2 + (coords[:, 1] - y) ** 2))
@@ -283,7 +291,7 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
     Ke, Me = _element_matrices(mesh, elements)
     eldofs = mesh.element_dofs()
     cent = mesh.centroids()
-    k_elem = problem.omega / problem.model(cent[:, 0], cent[:, 1])
+    k_elem = problem.wavenumber(cent[:, 0], cent[:, 1])
     We = Me * (k_elem**2)[:, None, None]
 
     L = _scatter(eldofs, Ke, n)
@@ -304,6 +312,7 @@ def assemble_helmholtz(problem: HelmholtzProblem) -> AssembledSystem:
         Gamma = _mask_rows_cols(Gamma, dirichlet)
 
     A = ComplexSparseMatrix((L - W).astype(np.complex128) + 1j * Gamma)
+    _require_finite(A)
     if not is_symmetric(A):
         raise StructuralError("matrix flagged symmetric is not symmetric")
     return AssembledSystem(A=A, b=assemble_load(problem), L=L, weighted_mass=W,
@@ -391,7 +400,7 @@ def assemble_helmholtz_subset(
     eldofs_g = mesh.element_dofs()[elements]
     eldofs = np.searchsorted(dofs, eldofs_g)
     cent = mesh.centroids()[elements]
-    k_elem = problem.omega / problem.model(cent[:, 0], cent[:, 1])
+    k_elem = problem.wavenumber(cent[:, 0], cent[:, 1])
     Ae = Ke + sign_w * Me * (k_elem**2)[:, None, None]
     nloc = dofs.size
     S = _scatter(eldofs, Ae, nloc).astype(np.complex128)

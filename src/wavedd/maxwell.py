@@ -61,7 +61,7 @@ from .linalg import (
     spd_factorize,
 )
 from .mesh import Mesh
-from .helmholtz import _element_geometry, _element_matrices, _scatter
+from .helmholtz import _element_geometry, _element_matrices, _require_finite, _scatter
 from .schwarz import (
     CoarseSpace,
     OneLevel,
@@ -208,6 +208,7 @@ def assemble_maxwell(problem: MaxwellProblem) -> MaxwellSystem:
     K = _scatter(dofmap, Ke, ne)
     Mw = _scatter(dofmap, Me, ne)
     A = K + problem.alpha * Mw
+    _require_finite(A)
     if not (is_symmetric(K) and is_symmetric(Mw) and is_symmetric(A)):
         raise StructuralError("matrix flagged symmetric is not symmetric")
 

@@ -1,9 +1,9 @@
 """Structured 2D triangular meshes with P1/P2 Lagrange degrees of freedom.
 
 Coordinates are in km.  A uniform refinement keeps the parent's vertices with
-their original indices (nested meshes) and records the child -> parent
-triangle map, which the coarse-overlap decomposition and the grid coarse
-space rely on.
+their original indices (nested meshes), points at the mesh it was refined
+from and records which of its triangles contains each child triangle; the
+coarse-overlap decomposition and the grid coarse space rely on both.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ class Mesh:
     edges: np.ndarray           # (ne, 2), endpoints sorted low -> high
     tri_edges: np.ndarray       # (nt, 3), edge id opposite each local vertex
     boundary_edges: np.ndarray  # edge ids with a single incident triangle
-    parent: "Mesh | None" = None
-    parent_triangle: np.ndarray | None = None
+    parent: "Mesh | None" = None              # the mesh this one was refined from
+    parent_triangle: np.ndarray | None = None  # (nt,) the parent triangle holding each one
 
     @property
     def n_vertices(self) -> int:
@@ -66,13 +66,6 @@ class Mesh:
         hi = self.vertices.max(axis=0)
         return lo[0], hi[0], lo[1], hi[1]
 
-    def ancestors(self):
-        """Chain of parents, nearest first."""
-        m = self.parent
-        while m is not None:
-            yield m
-            m = m.parent
-
 
 def _build_edges(triangles: np.ndarray, n_vertices: int):
     """Edges (endpoints low -> high, in lexicographic order), the edge of
@@ -104,11 +97,10 @@ def _orient_positive(vertices, triangles):
     return triangles
 
 
-def _finish(vertices, triangles, order, parent=None, parent_triangle=None) -> Mesh:
+def _finish(vertices, triangles, order) -> Mesh:
     triangles = _orient_positive(vertices, triangles)
     edges, tri_edges, boundary = _build_edges(triangles, vertices.shape[0])
-    return Mesh(vertices, triangles, order, edges, tri_edges, boundary,
-                parent=parent, parent_triangle=parent_triangle)
+    return Mesh(vertices, triangles, order, edges, tri_edges, boundary)
 
 
 def mesh_from_arrays(vertices, triangles) -> Mesh:
@@ -150,7 +142,9 @@ def refine_uniform(mesh: Mesh, levels: int = 1) -> Mesh:
     """Split each triangle into 4 congruent children, `levels` times.
 
     Parent vertices keep their indices in every child mesh, so the refined
-    mesh nests the parent exactly; h halves per level.
+    mesh nests `mesh` exactly; h halves per level.  The result's `parent` is
+    `mesh` and its `parent_triangle` maps each triangle to the triangle of
+    `mesh` that contains it; the meshes in between are not kept.
     """
     if levels < 1:
         raise StructuralError("levels must be >= 1")
@@ -168,12 +162,7 @@ def refine_uniform(mesh: Mesh, levels: int = 1) -> Mesh:
         children[:, 1] = np.column_stack([t[:, 1], m[:, 0], m[:, 2]])
         children[:, 2] = np.column_stack([t[:, 2], m[:, 1], m[:, 0]])
         children[:, 3] = np.column_stack([m[:, 0], m[:, 1], m[:, 2]])
-        parent_triangle = np.repeat(np.arange(current.n_triangles), 4)
-        current = _finish(
-            vertices,
-            children.reshape(-1, 3),
-            current.order,
-            parent=current,
-            parent_triangle=parent_triangle,
-        )
+        current = _finish(vertices, children.reshape(-1, 3), current.order)
+    current.parent = mesh
+    current.parent_triangle = np.repeat(np.arange(mesh.n_triangles), 4**levels)
     return current

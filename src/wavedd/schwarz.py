@@ -92,7 +92,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import Decomposition, _ancestor_chain_to
+from .decomposition import Decomposition
 from .errors import SingularityError, StructuralError
 from .helmholtz import (
     AssembledSystem,
@@ -295,7 +295,8 @@ class TwoLevel:
 
 def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
                   system: AssembledSystem) -> CoarseSpace:
-    """Nodal interpolation coarse space from a nested coarse mesh.
+    """Nodal interpolation coarse space from a nested coarse mesh: the mesh
+    that the problem's mesh was refined from, or that mesh itself.
 
     Z interpolates every coarse basis function to the fine Lagrange DOFs
     (exact on nested meshes), so coarse == fine gives Z = I.
@@ -303,8 +304,11 @@ def build_grid_cs(problem: HelmholtzProblem, coarse_mesh: Mesh,
     fine = problem.mesh
     if coarse_mesh.order != fine.order:
         raise StructuralError("coarse and fine meshes must share the element order")
-    ancestor, f2c = _ancestor_chain_to(fine, coarse_mesh.n_triangles)
-    if ancestor is not coarse_mesh:
+    if coarse_mesh is fine:
+        f2c = np.arange(fine.n_triangles)
+    elif fine.parent is coarse_mesh:
+        f2c = fine.parent_triangle
+    else:
         raise StructuralError("grid coarse space requires a nested (refined) mesh pair")
 
     # one incident fine element per fine DOF

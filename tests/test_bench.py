@@ -228,6 +228,42 @@ def test_malformed_partition_overlap_or_mode_is_rejected_before_the_assembly(
         run_case(RunConfig(f=2.0, ppwl=8, preconditioner="hgeneo", **changes))
 
 
+@pytest.mark.parametrize("method", ["asp", "one-level"])
+@pytest.mark.parametrize("changes,named", [
+    (dict(partition="grid:3"), "partition 'grid:3' is not grid:PXxPY"),
+    (dict(overlap_mode="bogus"), "unknown overlap mode 'bogus'"),
+    (dict(overlap_layers=0), "minimum overlap needs layers >= 1"),
+    (dict(overlap_mode="coarse"), "coarse overlap needs a refined mesh"),
+], ids=["partition", "overlap-mode", "overlap-layers", "coarse-overlap"])
+def test_malformed_maxwell_partition_or_overlap_is_rejected_before_the_assembly(
+        monkeypatch, method, changes, named):
+    """A Maxwell run parses its partition and checks its overlap on the
+    unrefined Maxwell mesh before the global assembly, for every method:
+    ASP, which builds no decomposition, does not ignore them."""
+    from wavedd import bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the global assembly ran for a malformed config")
+
+    monkeypatch.setattr(bench, "assemble_maxwell", forbidden)
+    with pytest.raises(StructuralError, match=named):
+        run_case(RunConfig(problem="maxwell", maxwell_cells=6, preconditioner=method,
+                           **changes))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("changes", [
+    dict(problem="maxwell", maxwell_cells=6, c=1e300, alpha=1e300),
+    dict(width=1e-300),
+], ids=["maxwell-overflowing-coefficients", "helmholtz-degenerate-elements"])
+def test_non_finite_assembled_values_are_named(changes):
+    """An assembled matrix with inf or NaN entries (alpha * eps_r overflows,
+    or elements 1e-300 km wide) is a StructuralError that names them, not a
+    symmetry fault."""
+    with pytest.raises(StructuralError, match="non-finite entries"):
+        run_case(RunConfig(**changes))
+
+
 @pytest.mark.parametrize("changes,named", [
     (dict(c=1e-300), "more DOFs than the sparse index range holds"),
     (dict(c=1e-320), "cell counts inf x inf are not finite"),

@@ -10,7 +10,6 @@ from wavedd.decomposition import (
     _robin_matrix,
     assemble_local_matrices,
     decompose,
-    extend_overlap,
     partition_geometric,
     pou_identity_deviation,
 )
@@ -71,8 +70,7 @@ def test_partition_errors():
 
 def test_overlap_single_domain_adds_nothing():
     mesh = build_rect_mesh(1, 1, 4, 4)
-    part = partition_geometric(mesh, 1)
-    dec = extend_overlap(part, mesh, layers=1)
+    dec = decompose(mesh, 1, layers=1)
     assert dec.subdomains[0].elements.size == mesh.n_triangles
 
 
@@ -82,8 +80,7 @@ def test_minimum_overlap_one_ring_width():
     nx = 8
     mesh = build_rect_mesh(1.0, 1.0, nx, nx)
     h = 1.0 / nx
-    part = partition_geometric(mesh, 2, shape="strips")
-    dec = extend_overlap(part, mesh, layers=1)
+    dec = decompose(mesh, 2, shape="strips", layers=1)
     c = mesh.centroids()
     left = dec.subdomains[0]
     # owned: centroids < 0.5; with one ring the set reaches at most 0.5 + h
@@ -99,8 +96,7 @@ def test_coarse_overlap_width_scales_with_refinement():
     coarse = build_rect_mesh(1.0, 1.0, 4, 4)
     fine = refine_uniform(coarse, 2)
     h_fine = 1.0 / 16
-    part = partition_geometric(coarse, 2, shape="strips")
-    dec = extend_overlap(part, fine, layers=1, mode="coarse")
+    dec = decompose(fine, 2, shape="strips", layers=1, mode="coarse")
     c = fine.centroids()
     left = dec.subdomains[0]
     reach = c[left.elements, 0].max() - 0.5
@@ -109,35 +105,30 @@ def test_coarse_overlap_width_scales_with_refinement():
 
 
 def test_coarse_decomposition_partitions_the_coarsest_ancestor(monkeypatch):
-    """``decompose`` in coarse mode partitions the root of the refinement
-    chain, however many times the mesh was refined; a mesh with no parent
-    has no coarse overlap."""
+    """``decompose`` in coarse mode partitions the mesh that the fine mesh was
+    refined from, however many levels one ``refine_uniform`` call made, and
+    the rings grown there descend to the fine elements they contain; a mesh
+    with no parent has no coarse overlap."""
     root = build_rect_mesh(1.0, 1.0, 4, 4)
     fine = refine_uniform(root, 2)
-    partitions = []
-    real = decomposition.extend_overlap
+    partitioned = []
+    real = decomposition.partition_geometric
 
-    def recording(partition, *args, **kwargs):
-        partitions.append(partition)
-        return real(partition, *args, **kwargs)
+    def recording(mesh, *args, **kwargs):
+        partitioned.append(mesh)
+        return real(mesh, *args, **kwargs)
 
-    monkeypatch.setattr(decomposition, "extend_overlap", recording)
+    monkeypatch.setattr(decomposition, "partition_geometric", recording)
     dec = decompose(fine, 2, shape="strips", mode="coarse")
-    part = partition_geometric(root, 2, shape="strips")
-    ref = extend_overlap(part, fine, mode="coarse")
-    assert np.array_equal(partitions[0], part)  # the owned elements, on the root
-    for sd, expected in zip(dec.subdomains, ref.subdomains, strict=True):
-        assert np.array_equal(sd.elements, expected.elements)
-        assert np.array_equal(sd.dofs, expected.dofs)
+    assert len(partitioned) == 1 and partitioned[0] is fine.parent
+    assert fine.parent is root
+    on_root = decompose(root, 2, shape="strips")  # the same rings, grown on the root
+    for sd, coarse_sd in zip(dec.subdomains, on_root.subdomains, strict=True):
+        expected = np.flatnonzero(np.isin(fine.parent_triangle, coarse_sd.elements))
+        assert np.array_equal(sd.elements, expected)
+        assert np.array_equal(sd.dofs, np.unique(fine.element_dofs()[expected]))
     with pytest.raises(StructuralError, match="needs a refined mesh"):
         decompose(root, 2, shape="strips", mode="coarse")
-
-
-def test_coarse_overlap_needs_ancestor():
-    mesh = build_rect_mesh(1, 1, 4, 4)
-    part = np.zeros(5, dtype=int)  # matches no ancestor
-    with pytest.raises(StructuralError):
-        extend_overlap(part, mesh, mode="coarse")
 
 
 # ------------------------------------------------------------ partition of unity
@@ -335,8 +326,10 @@ def test_robin_invertible_and_factorized():
 
 
 def test_empty_subdomain_rejected():
-    mesh = build_rect_mesh(1, 1, 2, 2)
-    part = np.zeros(mesh.n_triangles, dtype=int)
-    part[0] = 1  # subdomain 1 owns a single element, 0 the rest: fine
-    dec = extend_overlap(part, mesh)
+    """Each of two strips of a one-cell mesh owns one element; three strips
+    of a one-by-two-cell mesh leave a strip that owns none, which is
+    rejected, not dropped."""
+    dec = decompose(build_rect_mesh(1, 1, 1, 1), 2, shape="strips")
     assert dec.n_subdomains == 2
+    with pytest.raises(StructuralError, match="owns no elements"):
+        decompose(build_rect_mesh(1, 1, 1, 2), 3, shape="strips")

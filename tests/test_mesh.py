@@ -70,11 +70,18 @@ def test_refine_halves_edges():
 
 
 def test_refine_levels_chain():
+    """Two levels in one call: the refined mesh points straight at `m`, and
+    each triangle at the triangle of `m` that contains it."""
     m = build_rect_mesh(1.0, 1.0, 2, 2)
     r = refine_uniform(m, 2)
-    chain = list(r.ancestors())
-    assert chain[-1] is m
+    assert r.parent is m
     assert r.n_triangles == 16 * m.n_triangles
+    assert np.array_equal(r.parent_triangle, np.repeat(np.arange(m.n_triangles), 16))
+    # every child centroid has nonnegative barycentric coordinates in its parent
+    p = m.vertices[m.triangles[r.parent_triangle]]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    bary = np.linalg.solve(J, (r.centroids() - p[:, 0])[:, :, None])[:, :, 0]
+    assert bary.min() > 0 and bary.sum(axis=1).max() < 1
 
 
 def test_invalid_args():
