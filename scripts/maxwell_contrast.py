@@ -1,61 +1,47 @@
 #!/usr/bin/env python3
 """Heterogeneity robustness table for the positive Maxwell problem: PCG
-iteration counts of ASP, one-level additive Schwarz, and the two-level
-free + GenEO method over a sweep of eps_r channel contrasts.
+iteration counts of ASP, one-level additive Schwarz, and the two-level free
+and free + GenEO methods over a sweep of eps_r channel contrasts.
 
-    python3 scripts/maxwell_contrast.py [--cells 48] [--channels 10]
+Every count is a ``run_case`` of ``cases/channel48.cfg`` with its contrast
+and preconditioner replaced, and with ``--cells`` and ``--n`` (on an
+(n/2) x 2 grid) when given.  A run reports its coarse dimension, not the
+modes of each subdomain, so the "geneo modes" column is the coarse dimension
+of the GenEO-complement space less that of the free space.
+
+    python3 scripts/maxwell_contrast.py [--cells 48] [--n 8] [--contrasts 1,1e2,1e4]
 """
 import argparse
+import os
+from dataclasses import replace
 
-import numpy as np
+from wavedd.bench import parse_config, run_case
 
-from wavedd.linalg import KrylovConfig, krylov_solve
-from wavedd.maxwell import (
-    AspPreconditioner,
-    MaxwellProblem,
-    assemble_maxwell,
-    build_edge_decomposition,
-    build_geneo_complement_cs,
-    channel_field,
-)
-from wavedd.mesh import build_rect_mesh
-from wavedd.schwarz import OneLevel, TwoLevel
+CASE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "cases", "channel48.cfg")
+METHODS = ("asp", "one-level", "free-cs", "geneo-complement")
 
 
 def main():
+    with open(CASE) as fh:
+        base = parse_config(fh.read())
     ap = argparse.ArgumentParser()
-    ap.add_argument("--cells", type=int, default=48)
-    ap.add_argument("--channels", type=int, default=10)
-    ap.add_argument("--alpha", type=float, default=1e-2)
-    ap.add_argument("--n", type=int, default=8)
-    ap.add_argument("--tau", type=float, default=10.0)
+    ap.add_argument("--cells", type=int, default=base.maxwell_cells)
+    ap.add_argument("--n", type=int, default=base.n_subdomains)
     ap.add_argument("--contrasts", default="1,1e2,1e4")
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    mesh = build_rect_mesh(1.0, 1.0, args.cells, args.cells)
-    print(f"{'contrast':>10s} {'asp':>8s} {'one-level':>10s} {'free+geneo':>11s} "
-          f"{'geneo modes':>12s}")
+    base = replace(base, maxwell_cells=args.cells, n_subdomains=args.n,
+                   partition=f"grid:{args.n // 2}x2")
+    print(f"{'contrast':>10s} {'asp':>8s} {'one-level':>10s} {'free':>8s} "
+          f"{'free+geneo':>11s} {'geneo modes':>12s}")
     for contrast in (float(c) for c in args.contrasts.split(",")):
-        eps = channel_field(mesh, 1.0 / contrast, n_channels=args.channels,
-                            width_frac=0.02)
-        prob = MaxwellProblem(mesh=mesh, eps_r=eps, alpha=args.alpha)
-        sys = assemble_maxwell(prob)
-        b = np.random.default_rng(args.seed).standard_normal(sys.n_dofs)
-
-        def cg(op):
-            _, rep = krylov_solve(sys.A, op, b,
-                                  KrylovConfig(tol=1e-6, variant="cg", max_iter=30000))
-            return f"{rep.iterations}{'' if rep.converged else '*'}"
-
-        asp = AspPreconditioner(sys)
-        dec = build_edge_decomposition(prob, sys, args.n, shape="grid",
-                                       grid=(args.n // 2, 2))
-        one = OneLevel(dec)
-        geneo = build_geneo_complement_cs(dec, sys, tau=args.tau)
-        two = TwoLevel(one, geneo, sys.A)
-        print(f"{contrast:>10g} {cg(asp.apply):>8s} {cg(one.apply):>10s} "
-              f"{cg(two.apply):>11s} {sum(geneo.per_subdomain):>12d}")
+        reps = {m: run_case(replace(base, contrast=contrast, preconditioner=m))
+                for m in METHODS}
+        its = [f"{r.iterations}{'' if r.converged else '*'}" for r in reps.values()]
+        modes = reps["geneo-complement"].coarse_dim - reps["free-cs"].coarse_dim
+        print(f"{contrast:>10g} {its[0]:>8s} {its[1]:>10s} {its[2]:>8s} "
+              f"{its[3]:>11s} {modes:>12d}")
     print("(* = not converged within the iteration cap)")
 
 

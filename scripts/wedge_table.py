@@ -4,31 +4,36 @@ one-level ORAS, grid, DtN and H-GenEO coarse spaces.
 
 Desk-scale mirror of the classic Marmousi-style comparison; expect one-level
 counts to grow with N while the two-level columns stay nearly flat, with the
-spectral coarse spaces ahead once the mesh is resolved (>= 10 ppwl).
+spectral coarse spaces ahead once the mesh is resolved (>= 10 ppwl).  Every
+cell is a ``run_case`` of ``cases/acceptance-wedge.cfg`` at that frequency, N
+and method, with ``--ppwl`` and ``--order`` replaced; cells down to 64 DOFs
+per subdomain are solved.
 
     python3 scripts/wedge_table.py [--out wedge.csv] [--ppwl 10] [--order 2]
 """
 import argparse
+import os
+from dataclasses import replace
 
-from wavedd.bench import RunConfig, run_sweep, sweep_to_csv
+from wavedd.bench import parse_config, run_sweep, sweep_to_csv
+
+CASE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "cases", "acceptance-wedge.cfg")
 
 
 def main():
+    with open(CASE) as fh:
+        base = parse_config(fh.read())
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default=None)
-    ap.add_argument("--ppwl", type=float, default=10.0)
-    ap.add_argument("--order", type=int, default=2)
+    ap.add_argument("--ppwl", type=float, default=base.ppwl)
+    ap.add_argument("--order", type=int, default=base.order)
     ap.add_argument("--f", default="2,4,8")
     ap.add_argument("--n", default="4,8,16")
     ap.add_argument("--methods", default="one-level,grid,dtn,hgeneo")
     args = ap.parse_args()
 
-    base = RunConfig(
-        problem="helmholtz", model="wedge", contrast=5.0,
-        width=2.5, height=0.25, source_x=1.25, source_y=0.22,
-        ppwl=args.ppwl, order=args.order, partition="strips",
-        m_max=40, max_iter=500, dofs_floor=64,
-    )
+    base = replace(base, ppwl=args.ppwl, order=args.order, dofs_floor=64)
     rows = run_sweep(base,
                      [float(v) for v in args.f.split(",")],
                      [int(v) for v in args.n.split(",")],

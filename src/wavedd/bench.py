@@ -184,13 +184,17 @@ def render_config(cfg: RunConfig) -> str:
 # ----------------------------------------------------------------- problem setup
 
 def _build_model(cfg: RunConfig) -> VelocityModel:
+    """The velocity model of ``cfg``.  The wedge is the acceptance wedge,
+    scaled: speeds c * [1, 1 + 0.3 (contrast - 1), contrast] from the bottom
+    up (1.0 / 2.2 / 5.0 at c = 1, contrast 5), and interfaces
+    y = 0.09 s + 0.02 s x and y = 0.17 s - 0.015 s x, s = height / 0.25."""
     if cfg.model == "constant":
         return VelocityModel.constant(cfg.c)
     if cfg.model == "wedge":
-        s = cfg.c * np.array([1.0, np.sqrt(cfg.contrast), cfg.contrast])
-        return VelocityModel.layered_wedge(
-            s, [(0.35 * cfg.height, 0.05 * cfg.height / cfg.width),
-                (0.70 * cfg.height, -0.04 * cfg.height / cfg.width)])
+        speeds = cfg.c * np.array([1.0, 1.0 + 0.3 * (cfg.contrast - 1.0), cfg.contrast])
+        s = cfg.height / 0.25
+        return VelocityModel.layered_wedge(speeds, [(0.09 * s, 0.02 * s),
+                                                    (0.17 * s, -0.015 * s)])
     if cfg.model.startswith("raster:"):
         return load_raster_model(cfg.model.split(":", 1)[1], cfg.width, cfg.height)
     raise StructuralError(f"unknown velocity model {cfg.model!r}")
@@ -207,20 +211,26 @@ def _helm_mesh_cells(cfg: RunConfig, model: VelocityModel):
     return tuple(max(2, int(np.ceil(n))) for n in cells)
 
 
-def estimate_dofs(cfg: RunConfig) -> int:
-    """The DOF count of the mesh of ``cfg``.  Raises StructuralError when its
-    cell counts are not finite or the count exceeds 2**31 - 1, the int32
+def _checked_dofs(cfg: RunConfig, cells=None) -> int:
+    """The DOF count of the mesh of ``cfg``, the Helmholtz one from its coarse
+    ``cells``.  Raises StructuralError when it exceeds 2**31 - 1, the int32
     index range of SuperLU and of scipy's sparse indices."""
     if cfg.problem == "maxwell":
         n = cfg.maxwell_cells
-        dofs = 3 * n * n  # edge count scale
+        dofs = 3 * n * n - 2 * n  # the interior edges of an n x n mesh
     else:
-        nx_c, ny_c = _helm_mesh_cells(cfg, _build_model(cfg))
-        nx, ny = nx_c * 2**cfg.coarse_refine, ny_c * 2**cfg.coarse_refine
+        nx, ny = (n * 2**cfg.coarse_refine for n in cells)
         dofs = (nx + 1) * (ny + 1) if cfg.order == 1 else (2 * nx + 1) * (2 * ny + 1)
     if dofs > 2**31 - 1:
         raise StructuralError("the mesh has more DOFs than the sparse index range holds")
     return dofs
+
+
+def estimate_dofs(cfg: RunConfig) -> int:
+    """The DOF count of the mesh of ``cfg``, without building it, checked as
+    a set-up checks it (and its cell counts) before it builds the mesh."""
+    cells = None if cfg.problem == "maxwell" else _helm_mesh_cells(cfg, _build_model(cfg))
+    return _checked_dofs(cfg, cells)
 
 
 def _partition_args(cfg: RunConfig):
@@ -264,8 +274,9 @@ def _helmholtz(cfg: RunConfig):
     decomposed before the global assembly, so that a malformed partition or
     overlap is rejected first."""
     model = _build_model(cfg)
-    nx_c, ny_c = _helm_mesh_cells(cfg, model)
-    coarse = build_rect_mesh(cfg.width, cfg.height, nx_c, ny_c, order=cfg.order)
+    cells = _helm_mesh_cells(cfg, model)
+    _checked_dofs(cfg, cells)
+    coarse = build_rect_mesh(cfg.width, cfg.height, *cells, order=cfg.order)
     mesh = refine_uniform(coarse, cfg.coarse_refine)
     shape, grid = _partition_args(cfg)
     dec = decompose(mesh, cfg.n_subdomains, shape=shape, grid=grid,
@@ -294,6 +305,7 @@ def _maxwell(cfg: RunConfig):
     factors (None for ASP, which needs none), and the coarse-space builder of
     each two-level method.  The partition is parsed and the overlap checked
     on the mesh before the global assembly, for every method."""
+    _checked_dofs(cfg)
     mesh = build_rect_mesh(cfg.width, cfg.height, cfg.maxwell_cells, cfg.maxwell_cells)
     shape, grid = _partition_args(cfg)
     partition_mesh(mesh, cfg.overlap_layers, cfg.overlap_mode)
@@ -324,12 +336,11 @@ def run_case(cfg: RunConfig) -> SolveReport:
     """One deterministic benchmark run; non-convergence is reported, not raised.
     Helmholtz is solved by GMRES, Maxwell by CG.  An unknown preconditioner,
     or a mesh that ``estimate_dofs`` rejects, raises StructuralError before
-    any set-up.  The decomposition and the coarse builders are dropped before
-    the Krylov solve: the preconditioner holds all that its apply reads."""
+    any mesh is built.  The decomposition and the coarse builders are dropped
+    before the Krylov solve: the preconditioner holds all that its apply reads."""
     method = cfg.preconditioner
     if method not in _METHODS[cfg.problem]:
         raise StructuralError(f"unknown {cfg.problem} preconditioner {method!r}")
-    estimate_dofs(cfg)
     set_up, variant = (_maxwell, "cg") if cfg.problem == "maxwell" else (_helmholtz, "gmres")
     kcfg = KrylovConfig(tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart,
                         variant=variant)

@@ -417,9 +417,36 @@ def test_emit_dispersion_round_trip(tmp_path):
 
 
 def test_estimate_dofs_close_to_actual():
-    cfg = RunConfig(f=2.0, ppwl=8, order=2)
-    rep = run_case(cfg)
-    assert abs(estimate_dofs(cfg) - rep.n_dofs) <= 0.2 * rep.n_dofs
+    """The estimate is the DOF count of the solved system: for Maxwell the
+    3n^2 - 2n interior edges of an n x n mesh, so that a skipped sweep row
+    and a solved one give the same ``dofs``."""
+    for cfg in (RunConfig(problem="maxwell", maxwell_cells=4, n_subdomains=2),
+                RunConfig(problem="maxwell", maxwell_cells=12, n_subdomains=2),
+                RunConfig(f=2.0, ppwl=8, order=1),
+                RunConfig(f=2.0, ppwl=8, order=2)):
+        assert estimate_dofs(cfg) == run_case(cfg).n_dofs
+
+
+def test_a_run_reads_its_raster_model_once(monkeypatch, tmp_path):
+    """``run_case`` reads a raster velocity file once, and a sweep cell twice:
+    once for the ``dofs_floor`` estimate and once for the run."""
+    from wavedd import bench
+    from wavedd.velocity import save_raster_model
+
+    path = tmp_path / "model.vel"
+    save_raster_model(path, np.array([[1.0, 1.5], [2.0, 2.5]]), (0, 1, 0, 1))
+    reads = []
+
+    def counting(*args, _real=bench.load_raster_model, **kwargs):
+        reads.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "load_raster_model", counting)
+    cfg = RunConfig(model=f"raster:{path}", ppwl=6, order=1, n_subdomains=2)
+    assert run_case(cfg).converged
+    assert len(reads) == 1
+    row, = run_sweep(replace(cfg, dofs_floor=1), [1.0], [2], ["one-level"])
+    assert row["converged"] is True and len(reads) == 3
 
 
 # --------------------------------------------------------------- CLI
